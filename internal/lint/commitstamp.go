@@ -16,9 +16,15 @@ import (
 // concurrently-published version, silently un-serializing the commit
 // under the pass-on-failure and deferred clock modes.
 //
-// Scope: functions that call Clock.Commit. Rollback republishes (which
-// intentionally publish bumped old versions) live in functions without
-// a Commit call and are bumporder's responsibility.
+// The timestamp may cross a function boundary only inside a commit-stamp
+// value (tm.Stamp, or a //tm:commit-stamp type): a stamp literal must be
+// built from the Clock.Commit result in the function that took it, and a
+// function handed a stamp parameter must publish from that parameter.
+//
+// Scope: functions that call Clock.Commit, take a stamp, or build one.
+// Rollback republishes (which intentionally publish bumped old versions)
+// live in functions that do none of these and are bumporder's
+// responsibility.
 var CommitStamp = &Analyzer{
 	Name: "commitstamp",
 	Doc:  "post-writeback orec publishes must carry the Clock.Commit timestamp",
@@ -34,6 +40,16 @@ func runCommitStamp(p *Pass) {
 		stampRoots := map[types.Object]bool{}
 		nowRoots := map[types.Object]bool{}
 		var publishes []*ast.CallExpr
+		var stampLits []*ast.CompositeLit
+		stampParam := false
+		for _, field := range fd.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := p.Info.Defs[name]; obj != nil && pr.isStampType(obj.Type()) {
+					stampRoots[obj] = true
+					stampParam = true
+				}
+			}
+		}
 		inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 			if underDeferOrGo(stack) {
 				return true
@@ -59,6 +75,9 @@ func runCommitStamp(p *Pass) {
 					}
 				}
 			}
+			if lit, ok := n.(*ast.CompositeLit); ok && pr.isStampType(p.Info.Types[lit].Type) {
+				stampLits = append(stampLits, lit)
+			}
 			if call, ok := n.(*ast.CallExpr); ok {
 				if m, ok := pr.clockMethod(call); ok && m == "Commit" {
 					if _, isAssign := findAssignParent(stack); !isAssign {
@@ -73,7 +92,10 @@ func runCommitStamp(p *Pass) {
 			}
 			return true
 		})
-		if len(commitStmts) == 0 || len(publishes) == 0 {
+		if len(commitStmts) == 0 && !stampParam {
+			publishes = nil // not a commit path
+		}
+		if len(publishes) == 0 && len(stampLits) == 0 {
 			continue
 		}
 
@@ -114,15 +136,21 @@ func runCommitStamp(p *Pass) {
 
 		g := flow.New(fd.Body, pr.flowOpts())
 		dom := flow.Dominators(g)
-		for _, pub := range publishes {
-			dominated := false
+		afterCommit := func(n ast.Node) bool {
 			for _, cs := range commitStmts {
-				if g.NodeDominates(dom, cs, pub) {
-					dominated = true
-					break
+				if g.NodeDominates(dom, cs, n) {
+					return true
 				}
 			}
-			if !dominated {
+			return false
+		}
+		for _, lit := range stampLits {
+			if !afterCommit(lit) || !mentionsObj(p, lit, stampRoots) {
+				p.Reportf(lit.Pos(), "commit stamp is built from a value that is not the Clock.Commit timestamp")
+			}
+		}
+		for _, pub := range publishes {
+			if !stampParam && !afterCommit(pub) {
 				p.Reportf(pub.Pos(), "orec publish precedes the Clock.Commit stamp")
 				continue
 			}

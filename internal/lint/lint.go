@@ -54,6 +54,7 @@ const (
 	DirNoReturn    = "tm:noreturn"     // this function never returns normally
 	DirOrecTable   = "tm:orec-table"   // this type is an orec table (Get/Set/CAS)
 	DirClockSource = "tm:clock-source" // this type is a transactional clock source
+	DirCommitStamp = "tm:commit-stamp" // this type carries a Clock.Commit timestamp
 )
 
 // An Analyzer is one invariant checker. Run inspects the package held by

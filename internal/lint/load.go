@@ -187,6 +187,13 @@ func (l *Loader) load(importPath, dir string, filenames []string) (*Package, err
 		}
 		files = append(files, f)
 	}
+	return l.check(importPath, dir, files)
+}
+
+// check type-checks files, already parsed into the loader's FileSet, as
+// the package importPath. Imports resolve relative to the directories in
+// the files' recorded names, whatever source text they were parsed from.
+func (l *Loader) check(importPath, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

@@ -22,12 +22,13 @@ const (
 // no-return aborts, timestamp extensions, and republishes — combining the
 // builtin runtime identities above with the package-local directive
 // vocabulary (tm:orec-table, tm:clock-source, tm:noreturn, tm:extend,
-// tm:republish, tm:lock-acquire).
+// tm:republish, tm:lock-acquire, tm:commit-stamp).
 type protocol struct {
 	pass *Pass
 
 	orecTypes  map[*types.TypeName]bool // //tm:orec-table types in this package
 	clockTypes map[*types.TypeName]bool // //tm:clock-source types
+	stampTypes map[*types.TypeName]bool // //tm:commit-stamp types
 	noReturnFn map[types.Object]bool    // //tm:noreturn functions
 	extendFn   map[types.Object]bool    // //tm:extend functions
 	republishF map[types.Object]bool    // //tm:republish functions
@@ -39,6 +40,7 @@ func newProtocol(p *Pass) *protocol {
 		pass:       p,
 		orecTypes:  make(map[*types.TypeName]bool),
 		clockTypes: make(map[*types.TypeName]bool),
+		stampTypes: make(map[*types.TypeName]bool),
 		noReturnFn: make(map[types.Object]bool),
 		extendFn:   make(map[types.Object]bool),
 		republishF: make(map[types.Object]bool),
@@ -62,6 +64,9 @@ func newProtocol(p *Pass) *protocol {
 					}
 					if groupHasDirective(d.Doc, DirClockSource) || groupHasDirective(ts.Doc, DirClockSource) {
 						pr.clockTypes[tn] = true
+					}
+					if groupHasDirective(d.Doc, DirCommitStamp) || groupHasDirective(ts.Doc, DirCommitStamp) {
+						pr.stampTypes[tn] = true
 					}
 				}
 			case *ast.FuncDecl:
@@ -158,6 +163,17 @@ func (pr *protocol) clockMethod(call *ast.CallExpr) (string, bool) {
 		return fn.Name(), true
 	}
 	return "", false
+}
+
+// isStampType reports whether t is a commit-stamp type: the runtime's
+// tm.Stamp or a //tm:commit-stamp-annotated type. Such a value stands for
+// a Clock.Commit timestamp across function boundaries.
+func (pr *protocol) isStampType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	return isBuiltinType(named.Obj(), tmPath, "Stamp") || pr.stampTypes[named.Obj()]
 }
 
 // isNoReturn reports whether a call never returns normally: panic, the

@@ -86,3 +86,36 @@ func rollbackRepublish(x *tx, t *table) {
 	}
 	x.Locks = x.Locks[:0]
 }
+
+// stamp carries a commit timestamp from the function that took it to the
+// function that publishes it.
+//
+//tm:commit-stamp
+type stamp struct{ end uint64 }
+
+// takeStamp builds the stamp from the Clock.Commit result.
+func takeStamp(x *tx, c *clock) stamp {
+	end := c.Commit(x.Start, x.MaxLockVer)
+	return stamp{end}
+}
+
+// publishStamp publishes what it was handed.
+func publishStamp(x *tx, t *table, s stamp) {
+	for _, i := range x.Locks {
+		t.Set(i, s.end<<1)
+	}
+}
+
+// forgeStamp wraps a Now sample in the stamp type: no Clock.Commit result
+// reaches the literal.
+func forgeStamp(c *clock) stamp {
+	return stamp{c.Now()} // want `commit stamp is built from a value that is not the Clock\.Commit timestamp`
+}
+
+// publishBesideStamp is handed a stamp and publishes a Now sample anyway.
+func publishBesideStamp(x *tx, t *table, c *clock, s stamp) {
+	now := c.Now()
+	for _, i := range x.Locks {
+		t.Set(i, now<<1) // want `orec publish uses a version derived from a stale Clock\.Now sample`
+	}
+}

@@ -9,72 +9,9 @@ import (
 	"tmsync/internal/tm"
 )
 
-// TestTimestampExtensionAvoidsAbort constructs the exact scenario Appendix
-// A calls conservative: a transaction starts, another commits a disjoint
-// location, and the first transaction then reads it. Without extension the
-// too-new version aborts; with extension the snapshot revalidates and the
-// read proceeds on the first attempt.
-func TestTimestampExtensionAvoidsAbort(t *testing.T) {
-	run := func(extension bool) int {
-		// Quiesce off: the helper writer commits on the same goroutine as
-		// the in-flight transaction, which quiescence would wait for.
-		sys := tm.NewSystem(tm.Config{TimestampExtension: extension}, eager.New)
-		t1 := sys.NewThread()
-		t2 := sys.NewThread()
-		var a, b uint64
-		attempts := 0
-		step := 0
-		t1.Atomic(func(tx *tm.Tx) {
-			attempts++
-			_ = tx.Read(&a)
-			if step == 0 {
-				step = 1
-				// Concurrent writer commits b, advancing the clock past
-				// this transaction's start.
-				t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(&b, 7) })
-			}
-			_ = tx.Read(&b) // too-new without extension
-		})
-		return attempts
-	}
-	if got := run(false); got < 2 {
-		t.Errorf("without extension: %d attempts, expected an abort (≥2)", got)
-	}
-	if got := run(true); got != 1 {
-		t.Errorf("with extension: %d attempts, want 1", got)
-	}
-}
-
-// TestTimestampExtensionDetectsRealConflict verifies extension never masks
-// a genuine conflict: if the concurrent commit overwrote something the
-// transaction already read, extension must fail and the transaction abort.
-func TestTimestampExtensionDetectsRealConflict(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{TimestampExtension: true}, eager.New)
-	t1 := sys.NewThread()
-	t2 := sys.NewThread()
-	var a, b uint64
-	attempts := 0
-	fired := false
-	var seenA, seenB uint64
-	t1.Atomic(func(tx *tm.Tx) {
-		attempts++
-		seenA = tx.Read(&a)
-		if !fired {
-			fired = true
-			t2.Atomic(func(tx2 *tm.Tx) {
-				tx2.Write(&a, 1) // invalidates t1's read of a
-				tx2.Write(&b, 1)
-			})
-		}
-		seenB = tx.Read(&b)
-	})
-	if attempts < 2 {
-		t.Fatalf("attempts = %d, want ≥2 (extension must not mask the conflict)", attempts)
-	}
-	if seenA != 1 || seenB != 1 {
-		t.Fatalf("final attempt read a=%d b=%d, want the committed 1,1", seenA, seenB)
-	}
-}
+// The single-threaded extension scenarios (extension avoids the abort on an
+// unchanged snapshot, and never masks a real conflict) run for every engine
+// in internal/tm's TestProtocolExtension.
 
 // TestTimestampExtensionConcurrent stress-checks serializability with
 // extension enabled: the x==y invariant must hold inside every reader.

@@ -12,7 +12,7 @@ import (
 	"tmsync/internal/tm"
 )
 
-// engines enumerates the three back ends for table-driven tests.
+// engines enumerates the four back ends for table-driven tests.
 func engines() map[string]func(cfg tm.Config) *tm.System {
 	return map[string]func(cfg tm.Config) *tm.System{
 		"eager": func(cfg tm.Config) *tm.System {

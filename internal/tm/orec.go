@@ -1,0 +1,281 @@
+package tm
+
+import (
+	"sync/atomic"
+
+	"tmsync/internal/locktable"
+)
+
+// The orec protocol of Appendix A (Algorithms 8–11), written once. Every
+// engine is a composition of the steps in this file: eager is an undo log
+// plus encounter-time Acquire, lazy a redo log plus CommitRedo, and the
+// hardware modes of htm and hybrid (hw.go) run CommitRedo under the
+// simulated-hardware layer. The four flow analyzers of cmd/tmlint police
+// exactly these sites; a soundness fix to the protocol lands here and
+// nowhere else.
+
+// BeginSoftware starts an instrumented software attempt: it stamps the
+// table geometry, samples the clock and publishes the attempt for
+// quiescence (Algorithm 9, TxBegin), waiting out any serial section.
+func (tx *Tx) BeginSoftware() {
+	tx.Mode = ModeSTM
+	tx.StampTableView()
+	tx.Start = tx.Thr.PublishStartSerialAware(tx)
+}
+
+// Owns reports whether orec word w is write-locked by this attempt.
+func (tx *Tx) Owns(w uint64) bool {
+	return locktable.Locked(w) && locktable.Owner(w) == tx.Thr.ID
+}
+
+// ReadCommitted is Algorithm 10's TxRead: sample the orec, the location,
+// then the orec again, and accept the value only if the sample is
+// consistent and the snapshot covers it, recording the read for later
+// validation. An orec this attempt itself holds (encounter-time locking)
+// is consistent by ownership: memory then carries the attempt's own
+// in-place store and nothing is recorded. Anything else aborts. extend
+// permits timestamp extension on a too-new version; hardware attempts and
+// the Await re-read pass false.
+func (tx *Tx) ReadCommitted(addr *uint64, extend bool) uint64 {
+	tbl := tx.Sys.Table
+	idx := tbl.IndexOf(addr)
+	w := tbl.Get(idx)
+	val := atomic.LoadUint64(addr)
+	if tx.Owns(w) {
+		return val
+	}
+	// covered is tried first because it inlines and Covers does not: this
+	// is the hottest line of the runtime.
+	if tbl.Get(idx) == w && (tx.covered(w) || tx.Covers(idx, w, extend)) {
+		tx.Reads = append(tx.Reads, ReadEntry{Addr: addr, Orec: idx, Ver: locktable.Version(w)})
+		return val
+	}
+	tx.Abort(AbortConflict)
+	panic("unreachable")
+}
+
+// covered reports whether w is unlocked at a version the attempt's
+// snapshot already covers.
+func (tx *Tx) covered(w uint64) bool {
+	return !locktable.Locked(w) && locktable.Version(w) <= tx.Start
+}
+
+// Covers reports whether w, sampled from orec slot idx, is covered —
+// extending the snapshot first if its version is too new and extend
+// permits it.
+//
+// A too-new version is reported to the clock before anything else: under
+// the deferred clock the shared word may still be behind it, and both the
+// extension and the re-execution after an abort must start late enough to
+// read it. After a successful extension the sample in hand is still
+// current iff the extended start covers its version and the orec is
+// unchanged, and both rechecks are load-bearing. Under global/pof a
+// rollback can republish a version the clock has not reached yet, so the
+// extended start may still predate ver — accepting the sample then would
+// record a read (or lock an orec) the snapshot never covered. The word
+// recheck is sound because orec versions strictly increase across lock
+// cycles (clock.Source invariant), so an equal word means no intervening
+// commit; checking it after tryExtend sampled the clock is cheaper than
+// re-reading the location.
+func (tx *Tx) Covers(idx uint32, w uint64, extend bool) bool {
+	if tx.covered(w) {
+		return true
+	}
+	if locktable.Locked(w) {
+		return false
+	}
+	ver := locktable.Version(w)
+	tx.Sys.Clock.NoteStale(ver)
+	if extend && tx.Sys.Cfg.TimestampExtension && tx.tryExtend() && ver <= tx.Start && tx.Sys.Table.Get(idx) == w {
+		return true
+	}
+	return false
+}
+
+// tryExtend implements timestamp extension: if every prior read's orec
+// still carries the exact version observed at read time, the snapshot is
+// valid at the current clock, so the start time may advance instead of
+// the attempt aborting on a too-new read. The exact-match comparison is
+// what makes this sound under shared and deferred timestamps: a version
+// that merely stayed <= the new start could still have been republished
+// by an intervening commit.
+//
+//tm:extend
+func (tx *Tx) tryExtend() bool {
+	now := tx.Sys.Clock.Now()
+	for i := range tx.Reads {
+		w := tx.Sys.Table.Get(tx.Reads[i].Orec)
+		if locktable.Locked(w) && locktable.Owner(w) != tx.Thr.ID {
+			return false
+		}
+		if locktable.Version(w) != tx.Reads[i].Ver {
+			return false
+		}
+	}
+	tx.Start = now
+	tx.Thr.ActiveStart.Store(now + 1)
+	return true
+}
+
+// Acquire write-locks orec slot idx, last sampled as w, keeping its
+// version for release-on-abort, and records what commit needs: the
+// pre-acquisition version in MaxLockVer (so the commit stamp strictly
+// exceeds every version about to be overwritten), the slot in Locks, and
+// its stripe for the post-commit wakeup. It aborts if w is locked or the
+// orec moved since it was sampled.
+func (tx *Tx) Acquire(idx uint32, w uint64) {
+	//tm:lock-acquire
+	if locktable.Locked(w) || !tx.Sys.Table.CAS(idx, w, locktable.LockedBy(tx.Thr.ID, locktable.Version(w))) {
+		tx.Abort(AbortConflict)
+	}
+	tx.MaxLockVer = max(tx.MaxLockVer, locktable.Version(w))
+	tx.Locks = append(tx.Locks, idx)
+	tx.NoteWriteStripe(idx)
+}
+
+func (tx *Tx) holds(idx uint32) bool {
+	for _, l := range tx.Locks {
+		if l == idx {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidateReads checks that every read is still unlocked at a version no
+// newer than the start time, or locked by this attempt with its
+// pre-acquisition version no newer than the start time (vacuous under
+// encounter-time locking, which only acquires covered orecs).
+func (tx *Tx) ValidateReads() bool {
+	for i := range tx.Reads {
+		w := tx.Sys.Table.Get(tx.Reads[i].Orec)
+		if locktable.Locked(w) {
+			if locktable.Owner(w) != tx.Thr.ID || locktable.Version(w) > tx.Start {
+				return false
+			}
+		} else if v := locktable.Version(w); v > tx.Start {
+			tx.Sys.Clock.NoteStale(v)
+			return false
+		}
+	}
+	return true
+}
+
+// Stamp is a commit timestamp this attempt has validated at. Only
+// CommitStamp makes one and only Publish consumes one, so publishing from
+// a stale Clock.Now sample, or before validating, does not compile.
+type Stamp struct{ end uint64 }
+
+// CommitStamp takes the attempt's commit timestamp (Algorithm 9, TxCommit)
+// and proves the attempt may publish at it: the read set validates unless
+// the clock shows no other writer could have committed since Start (the
+// TL2 end == start+1 fast path), and the table geometry the write stripes
+// were named under is still current. It aborts otherwise; the caller must
+// already hold every lock it will publish.
+func (tx *Tx) CommitStamp() Stamp {
+	end, exclusive := tx.Sys.Clock.Commit(tx.Start, tx.MaxLockVer)
+	if !exclusive && !tx.ValidateReads() {
+		tx.Abort(AbortConflict)
+	}
+	tx.RevalidateTableGen()
+	return Stamp{end}
+}
+
+// Publish makes the attempt's writes durable: it hands the lock set to
+// the post-commit wakeup, releases every lock at the stamp, and — for
+// software attempts on a privatization-safe system — quiesces.
+func (tx *Tx) Publish(s Stamp) {
+	tx.WriteOrecs = append(tx.WriteOrecs, tx.Locks...)
+	for _, idx := range tx.Locks {
+		tx.Sys.Table.Set(idx, locktable.UnlockedAt(s.end))
+	}
+	tx.Locks = tx.Locks[:0]
+	if tx.Mode == ModeSTM && tx.Sys.Cfg.Quiesce {
+		// The transaction is logically committed: retire its activity
+		// before quiescing, or two committers would wait on each other.
+		tx.Thr.ActiveStart.Store(0)
+		tx.Sys.Quiesce(tx.Thr, s.end)
+	}
+}
+
+// CommitRedo is the TL2-style two-phase commit of a redo-log attempt:
+// acquire the write set's orecs, stamp, write the log back, publish.
+// Read-only attempts commit for free. On a system with a hardware layer
+// the write-back also invalidates overlapping hardware readers — software
+// committers included, or hardware attempts would miss eager invalidation
+// from the software path.
+func (tx *Tx) CommitRedo() {
+	if tx.Redo.Len() == 0 {
+		return
+	}
+	for i := range tx.Redo.Entries {
+		if idx := tx.Redo.Entries[i].Orec; !tx.holds(idx) {
+			tx.Acquire(idx, tx.Sys.Table.Get(idx))
+		}
+	}
+	s := tx.CommitStamp()
+	if tx.Sys.HWLayer {
+		tx.doomHWReaders()
+	}
+	for i := range tx.Redo.Entries {
+		atomic.StoreUint64(tx.Redo.Entries[i].Addr, tx.Redo.Entries[i].Val)
+	}
+	tx.Publish(s)
+}
+
+// ReleaseLocks is the lock half of Algorithm 11's TxAbort: release every
+// held orec at its old version plus one, so concurrent readers notice the
+// ownership change. The clock bump precedes the release so that under
+// global/pof the republished versions are already covered by the clock
+// when they become visible — a version ahead of the clock could be handed
+// out again by a concurrent Commit, breaking the strict per-orec version
+// increase that timestamp extension relies on. Idempotent.
+//
+//tm:rollback
+func (tx *Tx) ReleaseLocks() {
+	if len(tx.Locks) == 0 {
+		return
+	}
+	tx.Sys.Clock.Bump()
+	for _, idx := range tx.Locks {
+		w := tx.Sys.Table.Get(idx)
+		tx.Sys.Table.Set(idx, locktable.UnlockedAt(locktable.Version(w)+1))
+	}
+	tx.Locks = tx.Locks[:0]
+}
+
+// UndoWrites applies the undo log in reverse and clears it, restoring
+// memory to its pre-attempt contents. The caller keeps whatever ownership
+// made the in-place stores safe until it has run.
+func (tx *Tx) UndoWrites() {
+	for i := len(tx.Undo) - 1; i >= 0; i-- {
+		atomic.StoreUint64(tx.Undo[i].Addr, tx.Undo[i].Old)
+	}
+	tx.Undo = tx.Undo[:0]
+}
+
+// AwaitSnapshot is the Await re-read step (Algorithm 6) for the software
+// engines: undo the attempt's in-place writes while still holding their
+// locks (releasing would be incorrect for read-for-write accesses; a redo
+// log has none to undo), then read each address consistently with the
+// whole transaction and log it to the waitset. The caller subsequently
+// deschedules, at which point Rollback releases the retained locks.
+func (tx *Tx) AwaitSnapshot(addrs []*uint64) {
+	tx.UndoWrites()
+	for _, addr := range addrs {
+		// No extension here: the attempt is about to deschedule, and the
+		// waitset must stay consistent with the start the reads used.
+		tx.LogWait(addr, tx.ReadCommitted(addr, false))
+	}
+}
+
+// LogCommitted appends addr's committed value to the waitset, given its
+// current in-memory value: if this attempt stored to addr in place, the
+// committed value is the one the oldest undo-log entry preserves
+// (Algorithm 5 must never log a speculative value).
+func (tx *Tx) LogCommitted(addr *uint64, val uint64) {
+	if old, ok := tx.OldValue(addr); ok {
+		val = old
+	}
+	tx.LogWait(addr, val)
+}

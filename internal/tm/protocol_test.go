@@ -1,0 +1,252 @@
+package tm_test
+
+// The orec protocol lives once, in orec.go and hw.go; these tests state
+// its contract once and run it through every way an engine composes it:
+// {eager, lazy, htm, hybrid-HW, hybrid-SW} × clock.Modes(). Each scenario
+// is single-goroutine — conflicting commits are issued from inside the
+// victim's transaction body on a second thread handle — so every
+// interleaving is exact. Quiesce stays off: the nested committer would
+// wait for the transaction it is nested in.
+
+import (
+	"fmt"
+	"testing"
+
+	"tmsync/internal/clock"
+	"tmsync/internal/htm"
+	"tmsync/internal/hybrid"
+	"tmsync/internal/locktable"
+	"tmsync/internal/stm/eager"
+	"tmsync/internal/stm/lazy"
+	"tmsync/internal/tm"
+)
+
+// protocolPath is one engine mode the shared protocol runs under.
+type protocolPath struct {
+	name     string
+	mk       func(*tm.System) tm.Engine
+	mode     tm.Mode // the mode attempts must execute in
+	software bool    // force hybrid's software mode
+	extends  bool    // honours Config.TimestampExtension
+}
+
+var protocolPaths = []protocolPath{
+	{name: "eager", mk: eager.New, mode: tm.ModeSTM, extends: true},
+	{name: "lazy", mk: lazy.New, mode: tm.ModeSTM, extends: true},
+	{name: "htm", mk: htm.New, mode: tm.ModeHW},
+	{name: "hybrid-HW", mk: hybrid.New, mode: tm.ModeHW},
+	{name: "hybrid-SW", mk: hybrid.New, mode: tm.ModeSTM, software: true, extends: true},
+}
+
+// enter steers the attempt onto the path under test: hybrid's software
+// mode is reached by restarting the hardware attempt, so callers count
+// attempts after it.
+func (p protocolPath) enter(t *testing.T, tx *tm.Tx) {
+	t.Helper()
+	if p.software && tx.Mode == tm.ModeHW {
+		tx.RestartSoftware()
+	}
+	if tx.Mode != p.mode {
+		t.Fatalf("attempt runs in mode %v, want %v", tx.Mode, p.mode)
+	}
+	if tx.Attempts > 32 {
+		// A broken protocol typically shows as a version the clock never
+		// reaches: fail instead of re-executing forever.
+		t.Fatalf("attempt %d: the transaction cannot make progress", tx.Attempts)
+	}
+}
+
+func forEachProtocolPath(t *testing.T, fn func(t *testing.T, p protocolPath, cfg tm.Config)) {
+	for _, p := range protocolPaths {
+		for _, mode := range clock.Modes() {
+			t.Run(fmt.Sprintf("%s/%s", p.name, mode), func(t *testing.T) {
+				// A generous hardware budget: under the deferred clock an
+				// abort that only teaches the clock a version costs an
+				// attempt, and the hardware paths must stay in hardware.
+				fn(t, p, tm.Config{ClockMode: string(mode), HTMMaxRetries: 8})
+			})
+		}
+	}
+}
+
+// distinctWords returns n words covered by n different orecs, so that a
+// commit to one never disturbs another's version.
+func distinctWords(t *testing.T, sys *tm.System, n int) []*uint64 {
+	t.Helper()
+	pool := make([]uint64, 64)
+	seen := map[uint32]bool{}
+	var out []*uint64
+	for i := range pool {
+		if idx := sys.Table.IndexOf(&pool[i]); !seen[idx] {
+			seen[idx] = true
+			out = append(out, &pool[i])
+			if len(out) == n {
+				return out
+			}
+		}
+	}
+	t.Fatalf("no %d words on distinct orecs among %d", n, len(pool))
+	return nil
+}
+
+func assertNoOrecLocked(t *testing.T, sys *tm.System) {
+	t.Helper()
+	for idx := 0; idx < sys.Table.Len(); idx++ {
+		if locktable.Locked(sys.Table.Get(uint32(idx))) {
+			t.Fatalf("orec %d left locked", idx)
+		}
+	}
+}
+
+// TestProtocolExtension: a transaction reads a, a concurrent writer
+// commits, and the transaction then reads the too-new b. If the writer
+// left a alone, a software attempt with extension enabled revalidates and
+// proceeds on its first attempt (Appendix A calls the abort
+// conservative); without extension, or in hardware, it aborts. If the
+// writer also overwrote a, extension must fail and the attempt abort —
+// extension never masks a genuine conflict.
+func TestProtocolExtension(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		for _, tc := range []struct {
+			name               string
+			extension, clobber bool
+		}{
+			{"off", false, false},
+			{"on-unchanged", true, false},
+			{"on-changed", true, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				cfg.TimestampExtension = tc.extension
+				sys := tm.NewSystem(cfg, p.mk)
+				t1, t2 := sys.NewThread(), sys.NewThread()
+				ws := distinctWords(t, sys, 2)
+				a, b := ws[0], ws[1]
+				attempts, fired := 0, false
+				var seenA, seenB uint64
+				t1.Atomic(func(tx *tm.Tx) {
+					p.enter(t, tx)
+					attempts++
+					seenA = tx.Read(a)
+					if !fired {
+						fired = true
+						t2.Atomic(func(tx2 *tm.Tx) {
+							if tc.clobber {
+								tx2.Write(a, 7)
+							}
+							tx2.Write(b, 7)
+						})
+					}
+					seenB = tx.Read(b)
+				})
+				if wantOne := tc.extension && !tc.clobber && p.extends; wantOne && attempts != 1 {
+					t.Errorf("%d attempts, want 1 (extension should have revalidated the snapshot)", attempts)
+				} else if !wantOne && attempts < 2 {
+					t.Errorf("%d attempts, want an abort (≥2)", attempts)
+				}
+				wantA := uint64(0)
+				if tc.clobber {
+					wantA = 7
+				}
+				if seenA != wantA || seenB != 7 {
+					t.Errorf("final attempt read a=%d b=%d, want %d,7", seenA, seenB, wantA)
+				}
+			})
+		}
+	})
+}
+
+// TestProtocolRollbackRepublishes: an attempt that aborts holding a lock
+// releases it unlocked at the old version plus one, and under the clock
+// modes whose Bump moves the shared word the clock already covers that
+// version when it becomes visible. The abort is forced by locking the
+// second written orec out from under the attempt with a foreign owner.
+func TestProtocolRollbackRepublishes(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		sys := tm.NewSystem(cfg, p.mk)
+		thr := sys.NewThread()
+		ws := distinctWords(t, sys, 2)
+		b, c := ws[0], ws[1]
+		idxB, idxC := sys.Table.IndexOf(b), sys.Table.IndexOf(c)
+		// Give b's orec a history, so "old version + 1" is not trivially 1,
+		// and let the clock catch up with it (the deferred clock publishes
+		// ahead of the shared word; a reader's too-new abort advances it).
+		thr.Atomic(func(tx *tm.Tx) { tx.Write(b, 1) })
+		thr.Atomic(func(tx *tm.Tx) { tx.Read(b) })
+		oldB, oldC := sys.Table.Get(idxB), sys.Table.Get(idxC)
+
+		attempts := 0
+		thr.Atomic(func(tx *tm.Tx) {
+			p.enter(t, tx)
+			attempts++
+			switch attempts {
+			case 1:
+				sys.Table.Set(idxC, locktable.LockedBy(locktable.MaxOwner, locktable.Version(oldC)))
+			case 2:
+				want := locktable.Version(oldB) + 1
+				if w := sys.Table.Get(idxB); w != locktable.UnlockedAt(want) {
+					t.Errorf("released orec = %+v, want unlocked at version %d", locktable.Decode(w), want)
+				}
+				if now := sys.Clock.Now(); cfg.ClockMode != string(clock.Deferred) && now < want {
+					t.Errorf("clock = %d behind the republished version %d", now, want)
+				}
+				sys.Table.Set(idxC, oldC)
+			}
+			tx.Write(b, 2)
+			tx.Write(c, 3)
+		})
+		if attempts < 2 || *b != 2 || *c != 3 {
+			t.Fatalf("attempts=%d b=%d c=%d, want ≥2, 2, 3", attempts, *b, *c)
+		}
+		assertNoOrecLocked(t, sys)
+	})
+}
+
+// TestProtocolVersionsStrictlyIncrease is the MaxLockVer regression:
+// back-to-back commits to one orec must publish strictly increasing
+// versions even when the shared clock word never moves between them
+// (deferred), or timestamp extension's word recheck is unsound.
+func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		sys := tm.NewSystem(cfg, p.mk)
+		thr := sys.NewThread()
+		var x uint64
+		idx := sys.Table.IndexOf(&x)
+		prev := locktable.Version(sys.Table.Get(idx))
+		for i := uint64(1); i <= 5; i++ {
+			thr.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				tx.Write(&x, i)
+			})
+			v := locktable.Version(sys.Table.Get(idx))
+			if v <= prev {
+				t.Fatalf("commit %d published version %d, not above %d", i, v, prev)
+			}
+			prev = v
+		}
+	})
+}
+
+// TestProtocolGenAbort: a writer whose table geometry moved between Begin
+// and Commit aborts (its write stripes were named under the old geometry),
+// is counted in GenAborts, and leaks no lock.
+func TestProtocolGenAbort(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		cfg.Stripes, cfg.MaxStripes = 1, 4
+		sys := tm.NewSystem(cfg, p.mk)
+		thr := sys.NewThread()
+		var x uint64
+		attempts := 0
+		thr.Atomic(func(tx *tm.Tx) {
+			p.enter(t, tx)
+			attempts++
+			tx.Write(&x, 9)
+			if attempts == 1 {
+				sys.Table.Resize(4)
+			}
+		})
+		if got := sys.Stats.GenAborts.Load(); attempts < 2 || got != 1 || x != 9 {
+			t.Fatalf("attempts=%d GenAborts=%d x=%d, want ≥2, 1, 9", attempts, got, x)
+		}
+		assertNoOrecLocked(t, sys)
+	})
+}

@@ -4,16 +4,20 @@ package tm
 // serial lock, announces the serial section, dooms in-flight hardware
 // transactions, and waits for every other thread's current attempt to
 // drain. Used by the HTM fallback path and by irrevocable transactions.
+//
+// Each pass walks its own Threads() snapshot, as the htm engine's private
+// doom-and-drain did before it became this call: how long a serial section
+// takes to establish shapes the buffer workload's abort/serialize regime
+// just as doomHWReaders' snapshot does (CHANGES.md, PR 12).
 func (s *System) EnterSerial(t *Thread) {
 	s.SerialMu.Lock()
 	s.SerialActive.Store(1)
-	threads := s.threadsUnlocked()
-	for _, o := range threads {
+	for _, o := range s.Threads() {
 		if o != t && o.HWActive.Load() {
 			o.Doomed.Store(true)
 		}
 	}
-	for _, o := range threads {
+	for _, o := range s.Threads() {
 		if o == t {
 			continue
 		}

@@ -960,6 +960,11 @@ type System struct {
 	nextID  atomic.Uint64
 
 	pool blockPool
+
+	// HWLayer is set by the engines that run simulated hardware attempts
+	// (htm, hybrid) when they are constructed: every committer on such a
+	// system invalidates overlapping hardware readers as it writes back.
+	HWLayer bool
 }
 
 // NewSystem creates a System around the given engine factory. Engines are
@@ -998,8 +1003,8 @@ func (s *System) Threads() []*Thread {
 	return out
 }
 
-// threadsUnlocked is used on hot paths (quiescence, HTM conflict scans)
-// where the slice only grows and entries are immutable once published.
+// threadsUnlocked is used on the quiescence hot path, where the slice only
+// grows and entries are immutable once published.
 // Callers must tolerate a slightly stale length.
 func (s *System) threadsUnlocked() []*Thread {
 	s.mu.Lock()
