@@ -14,8 +14,6 @@
 //	go run ./cmd/tmcheck -parsec -scale 2       # PARSEC skeletons instead
 //	go run ./cmd/tmcheck -n 5 -inject           # prove the checker detects faults
 //	go run ./cmd/tmcheck -n 15 -adaptive        # forced online stripe resizes (1->4->64->16)
-//	go run ./cmd/tmcheck -n 15 -coalesce 8      # cross-commit wakeup coalescing (flush every 8)
-//	go run ./cmd/tmcheck -n 15 -coalesce 8 -max-delay 2ms  # with the age-bound flush armed
 //	go run ./cmd/tmcheck -n 15 -clock pof       # GV4 pass-on-CAS-failure commit clock
 //	go run ./cmd/tmcheck -n 15 -clock deferred -ext  # GV5-style deferred clock + timestamp extension
 //	go run ./cmd/tmcheck -n 20 -zipf 1.2        # Zipf-skewed key contention
@@ -26,17 +24,13 @@
 //
 // Mode flags are validated for coherence before anything runs: -stripes
 // pins a static count and therefore contradicts -adaptive's forced resize
-// schedule, -resize-every modifies only -adaptive, -unbatched
-// (signal-at-claim delivery) contradicts -coalesce (a deferred scan IS a
-// batch carried across commits), -max-delay ages the pending buffer
-// -coalesce maintains, so it requires -coalesce and a positive duration,
-// and -clock must name a known commit-clock mode (global, pof, deferred).
-// -replay reruns committed traces, so it contradicts every flag that
-// shapes generation (-seed, -n, -threads, -ops, -zipf, -read-mostly,
-// -phases, -inject, -parsec, -record); knob flags remain allowed and
-// override the trace's stamped knobs field by field, with the merged
-// configuration re-validated. Nonsensical combinations exit 2 instead of
-// silently running just one of the modes.
+// schedule, -resize-every modifies only -adaptive, and -clock must name a
+// known commit-clock mode (global, pof, deferred). -replay reruns
+// committed traces, so it contradicts every flag that shapes generation
+// (-seed, -n, -threads, -ops, -zipf, -read-mostly, -phases, -inject,
+// -parsec, -record); knob flags remain allowed and override the trace's
+// stamped knobs field by field. Nonsensical combinations exit 2 instead
+// of silently running just one of the modes.
 //
 // Exit status is 0 iff every execution matched its oracle (inverted under
 // -inject: the run fails if any injected fault goes undetected).
@@ -69,11 +63,8 @@ func main() {
 	stripes := flag.Int("stripes", 0, "orec-table stripe count for every system (0 = default); any power of two must yield identical outcomes")
 	adaptive := flag.Bool("adaptive", false, "force a deterministic online stripe-resize schedule (1 -> 4 -> 64 -> 16, cycling) while the suite runs; resizing is a pure performance mechanism, so outcomes must be identical")
 	resizeEvery := flag.Int("resize-every", 10, "writer commits between forced resizes (with -adaptive)")
-	unbatched := flag.Bool("unbatched", false, "signal-at-claim wakeup delivery instead of the per-commit batch; must yield identical outcomes")
-	coalesce := flag.Int("coalesce", 0, "cross-commit wakeup coalescing: defer post-commit wake scans across up to this many adjacent commits per thread (0 = scan every commit); must yield identical outcomes")
-	maxDelay := flag.Duration("max-delay", 0, "age bound on the coalesced pending buffer (with -coalesce): flush deferred wake scans older than this, including by the idle-owner backstop; must yield identical outcomes")
 	clockMode := flag.String("clock", "", "commit-clock mode for every system: global (default), pof (pass-on-CAS-failure), or deferred (no per-commit clock bump); a pure timestamp-protocol knob, so outcomes must be identical")
-	ext := flag.Bool("ext", false, "enable the eager engine's timestamp extension (read-time snapshot extension; other engines ignore it); must yield identical outcomes")
+	ext := flag.Bool("ext", false, "enable timestamp extension (read-time snapshot extension) on the software paths: eager, lazy and hybrid's software mode; hardware attempts and the htm engine ignore it; must yield identical outcomes")
 	only := flag.String("mech", "", "restrict to one mechanism (default: all applicable)")
 	parsec := flag.Bool("parsec", false, "check the eight PARSEC skeletons instead of random scenarios")
 	scale := flag.Int("scale", 1, "PARSEC workload scale (with -parsec)")
@@ -87,13 +78,12 @@ func main() {
 	flag.Parse()
 
 	// Flag-coherence validation. Each mode flag selects one experiment;
-	// some overlap (coalescing under forced resizes is a meaningful
-	// cross), others contradict each other outright. The contradictions
-	// used to be accepted silently, with one flag winning arbitrarily — a
-	// green run that never tested what the invocation claimed.
+	// some overlap (a clock mode under forced resizes is a meaningful
+	// cross), others contradict each other outright, and a contradiction
+	// accepted silently is a green run that never tested what the
+	// invocation claimed.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	resizeEveryExplicit, maxDelayExplicit := explicit["resize-every"], explicit["max-delay"]
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tmcheck: "+format+"\n", args...)
 		os.Exit(2)
@@ -101,23 +91,11 @@ func main() {
 	if *stripes < 0 || (*stripes > 0 && *stripes&(*stripes-1) != 0) || *stripes > locktable.DefaultSize {
 		fail("-stripes %d must be a power of two in [1, %d] (or 0 for the default)", *stripes, locktable.DefaultSize)
 	}
-	if *coalesce < 0 {
-		fail("-coalesce %d must be >= 0", *coalesce)
-	}
 	if *stripes > 0 && *adaptive {
 		fail("-stripes pins a static stripe count and contradicts -adaptive's forced resize schedule; pick one")
 	}
-	if resizeEveryExplicit && !*adaptive {
+	if explicit["resize-every"] && !*adaptive {
 		fail("-resize-every modifies -adaptive and does nothing alone; add -adaptive or drop it")
-	}
-	if *unbatched && *coalesce > 0 {
-		fail("-unbatched (signal-at-claim delivery) contradicts -coalesce (a deferred scan is a batch carried across commits); pick one")
-	}
-	if maxDelayExplicit && *maxDelay <= 0 {
-		fail("-max-delay %v must be a positive duration", *maxDelay)
-	}
-	if maxDelayExplicit && *coalesce == 0 {
-		fail("-max-delay ages the pending buffer -coalesce maintains and does nothing alone; add -coalesce or drop it")
 	}
 	if *parsec && *inject {
 		// Fault injection rewrites generated programs; the PARSEC
@@ -172,7 +150,7 @@ func main() {
 		engines = []string{*engine}
 	}
 
-	knobs := harness.Knobs{Stripes: *stripes, Unbatched: *unbatched, CoalesceCommits: *coalesce, CoalesceMaxDelay: *maxDelay, ClockMode: *clockMode, TimestampExtension: *ext}
+	knobs := harness.Knobs{Stripes: *stripes, ClockMode: *clockMode, TimestampExtension: *ext}
 	if *adaptive {
 		// The forced schedule drives the stripe count through growth,
 		// large jumps, and shrinkage (1 -> 4 -> 64 -> 16, cycling) while
@@ -280,21 +258,10 @@ func main() {
 				fail("-replay: %s: %v", file, err)
 			}
 			// Start from the trace's stamped knobs; explicit CLI knob flags
-			// override field by field, and the merged configuration must
-			// still be coherent — a stamp saying coalesce=8 plus an
-			// -unbatched override is as contradictory as the flag pair.
+			// override field by field.
 			k := stamped
 			if explicit["stripes"] {
 				k.Stripes = knobs.Stripes
-			}
-			if explicit["unbatched"] {
-				k.Unbatched = *unbatched
-			}
-			if explicit["coalesce"] {
-				k.CoalesceCommits = *coalesce
-			}
-			if explicit["max-delay"] {
-				k.CoalesceMaxDelay = *maxDelay
 			}
 			if explicit["clock"] {
 				k.ClockMode = *clockMode
@@ -304,12 +271,6 @@ func main() {
 			}
 			if explicit["adaptive"] {
 				k.Stripes, k.ResizeEvery, k.ResizeSchedule = knobs.Stripes, knobs.ResizeEvery, knobs.ResizeSchedule
-			}
-			if k.Unbatched && k.CoalesceCommits > 0 {
-				fail("-replay: %s: merged knobs %q are contradictory (unbatched with coalescing)", file, harness.EncodeKnobs(k))
-			}
-			if k.CoalesceMaxDelay > 0 && k.CoalesceCommits == 0 {
-				fail("-replay: %s: merged knobs %q are contradictory (max-delay without coalescing)", file, harness.EncodeKnobs(k))
 			}
 			s.Name = filepath.Base(file)
 			runOne(s, k)

@@ -166,14 +166,8 @@ func (s waitSignal) Handle(tx *tm.Tx) tm.Outcome {
 	if s.wrote && sys.PostCommit != nil {
 		sys.PostCommit(tx.Thr, s.gen, s.writeOrecs, s.writeStripes)
 	}
-	// Force any coalesced wake scans out before sleeping — including the
-	// punctuation commit's own scan, which the hook above may just have
-	// deferred. The driver already flushed before this handler ran, but
-	// that was before the punctuation commit was accounted; without this
-	// flush a deferred scan (and the wakeups it owes) would sleep with us.
-	tx.Thr.FlushPending(tm.FlushBlock)
 	sys.SemWait(s.w.s)
-	// Withdraw the queue entry if a stale coalesced token woke us before a
+	// Withdraw the queue entry if a stale token woke us before a
 	// signaller popped it. Leaving it behind would let a later Signal be
 	// spent on a "ghost" waiter that is no longer sleeping — a lost wakeup
 	// for whoever should have received that signal.

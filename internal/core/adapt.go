@@ -32,7 +32,7 @@ import (
 )
 
 // controller is the adaptive stripe-sizing policy, sampled on the commit
-// path: every AdaptWindow writer commits, the committing thread that
+// path: every adaptWindow writer commits, the committing thread that
 // closes the window examines the window's contention signals —
 // Stats.WakeChecks and Stats.OrigShardChecks (how much post-commit scan
 // work writers did), Stats.Wakeups (how much of it was useful), and the
@@ -45,8 +45,6 @@ type controller struct {
 	enabled  bool
 	forced   bool
 	window   uint64
-	grow     float64
-	shrink   float64
 	min, max int
 	schedule []int
 
@@ -68,13 +66,29 @@ type controller struct {
 // sustained quiet, so a geometry serving sparse-but-live waiter traffic
 // — bursts separated by silent stretches — keeps resetting the counter
 // and is never torn down only to be rebuilt on the next burst. Counted
-// in commits, not windows, so the hysteresis does not collapse when a
-// short decision window is configured.
+// in commits, not windows, so the hysteresis does not depend on the
+// window length.
 const quietCommits = 4096
 
+const (
+	// adaptWindow is the number of writer commits per controller decision
+	// window: small enough that converging from one stripe to sixty-four
+	// costs only a few hundred commits of transient.
+	adaptWindow = 64
+	// adaptGrow is the futile-scan threshold above which the controller
+	// doubles the stripe count: futile wakeup-scan visits (wake checks plus
+	// Retry-Orig registry checks that woke nobody) per writer commit in the
+	// window — one wasted visit per 200 commits.
+	adaptGrow = 0.005
+	// adaptShrink is the total-scan threshold below which a window counts
+	// as quiet. The asymmetry (grow on one bad window, shrink on sustained
+	// silence) plus the gap between the thresholds is the hysteresis that
+	// prevents oscillation.
+	adaptShrink = 0.0005
+)
+
 func (c *controller) init(cfg tm.Config) {
-	c.window = uint64(cfg.AdaptWindow)
-	c.grow, c.shrink = cfg.AdaptGrow, cfg.AdaptShrink
+	c.window = adaptWindow
 	c.min, c.max = cfg.MinStripes, cfg.MaxStripes
 	if cfg.ResizeEvery > 0 && len(cfg.ResizeSchedule) > 0 {
 		c.forced = true
@@ -152,10 +166,10 @@ func (cs *CondSync) maybeAdapt() {
 
 	cur := cs.tier.Load().view.NumStripes()
 	switch {
-	case load > c.grow && cur*2 <= c.max:
+	case load > adaptGrow && cur*2 <= c.max:
 		c.quiet = 0
 		cs.resizeLocked(cur * 2)
-	case total < c.shrink && abortRate < 0.5:
+	case total < adaptShrink && abortRate < 0.5:
 		// Shrinking is cheap to be wrong about upward (the next window
 		// regrows) but the scan stats of an abort-heavy window are too
 		// noisy to act on, so high-churn windows keep the current count.

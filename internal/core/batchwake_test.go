@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tmsync/internal/core"
-	"tmsync/internal/stm/eager"
 	"tmsync/internal/tm"
 )
 
@@ -194,40 +193,6 @@ func TestBatchedSignalsExactlyOncePerCommit(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestUnbatchedKnobBypassesBatch pins the measurement baseline: with
-// Config.UnbatchedWakeups set, wakeups are delivered at claim time and
-// the batch counter stays at zero, while observable behaviour (the waiter
-// wakes) is unchanged.
-func TestUnbatchedKnobBypassesBatch(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true, UnbatchedWakeups: true}, eager.New)
-	cs := core.Enable(sys)
-	var word uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		thr := sys.NewThread()
-		thr.Atomic(func(tx *tm.Tx) {
-			if tx.Read(&word) == 0 {
-				core.Await(tx, &word)
-			}
-		})
-	}()
-	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	writer := sys.NewThread()
-	writer.Atomic(func(tx *tm.Tx) { tx.Write(&word, 1) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("unbatched wakeup never arrived")
-	}
-	if got := sys.Stats.BatchedSignals.Load(); got != 0 {
-		t.Errorf("batched_signals = %d with UnbatchedWakeups set, want 0", got)
-	}
-	if got := sys.Stats.Wakeups.Load(); got != 1 {
-		t.Errorf("wakeups = %d, want 1", got)
-	}
 }
 
 // TestOrigShardedTokenRing circulates one token around a ring of

@@ -163,15 +163,6 @@ type CondSync struct {
 	// decisions, forced schedules, and tests alike).
 	resizeMu sync.Mutex
 
-	// Age-bound backstop state (Config.CoalesceMaxDelay, coalesce.go):
-	// the clock the bound reads (replaceable for deterministic tests),
-	// whether a backstop goroutine is live, the mutex serializing drain
-	// scans, and the drainer's own thread descriptor, created lazily.
-	ageClock    func() int64
-	backstopOn  atomic.Bool
-	backstopMu  sync.Mutex
-	backstopThr *tm.Thread
-
 	ctl controller
 }
 
@@ -179,12 +170,11 @@ type CondSync struct {
 // the post-commit wakeWaiters hook. It must be called once, before any
 // transactions run.
 func Enable(sys *tm.System) *CondSync {
-	cs := &CondSync{sys: sys, ageClock: ageNow}
+	cs := &CondSync{sys: sys}
 	cs.tier.Store(newTier(sys.Table.Current()))
 	cs.ctl.init(sys.Cfg)
 	sys.Ext = cs
 	sys.PostCommit = cs.postCommit
-	sys.FlushWakeups = cs.flushWakeups
 	return cs
 }
 
@@ -425,40 +415,8 @@ func (cs *CondSync) OrigWaitingLen() int {
 // Retry-Orig registry — accumulate their claimed waiters into one
 // per-commit batch, and every semaphore signal is issued after the last
 // shard lock has been released: the per-commit form of Algorithm 4's
-// deferred semaphore operations. Config.UnbatchedWakeups reverts to
-// signal-at-claim delivery for measurement; the observable outcome is
-// identical either way.
+// deferred semaphore operations.
 func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripes []uint32) {
-	if k := cs.sys.Cfg.CoalesceCommits; k > 0 {
-		// Cross-commit coalescing (see coalesce.go): defer this commit's
-		// scan into the thread's pending buffer and flush here only when
-		// the buffer reaches K commits. A read-back hit noted during THIS
-		// attempt is cleared, not flushed: the attempt ended in a writer
-		// commit, so the K bound governs it — a read-modify-write loop
-		// necessarily re-reads its own pending stripes every iteration,
-		// and flushing on that would quietly reduce every K to one. The
-		// remaining bounds (block, abort, read-only attempts that read a
-		// pending stripe, teardown) flush through the FlushWakeups hook,
-		// and a buffer that has outlived CoalesceMaxDelay flushes right
-		// here — the commit boundary's cheap age comparison. A commit
-		// that leaves a fresh buffer pending arms the backstop drainer,
-		// the only flush path left for an owner that goes idle.
-		first, commits, overdue := cs.accumulate(t, gen, writeOrecs, writeStripes)
-		t.PendingReadHit.Store(false)
-		switch {
-		case commits >= k:
-			cs.flushPending(t, &cs.sys.Stats.FlushReasonK)
-		case overdue:
-			cs.flushPending(t, &cs.sys.Stats.FlushReasonAge)
-		default:
-			cs.sys.Stats.CoalescedScans.Add(1)
-			if first {
-				cs.ensureBackstop()
-			}
-		}
-		cs.maybeAdapt()
-		return
-	}
 	var batch sem.Batch
 	cs.wakeWaiters(t, gen, writeOrecs, writeStripes, &batch)
 	cs.origWake(writeOrecs, &batch)
@@ -466,16 +424,6 @@ func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripe
 		cs.sys.Stats.BatchedSignals.Add(uint64(n))
 	}
 	cs.maybeAdapt()
-}
-
-// deliver routes one claimed waiter's wakeup: into the per-commit batch by
-// default, or straight to the semaphore under Config.UnbatchedWakeups.
-func (cs *CondSync) deliver(batch *sem.Batch, s *sem.Sem) {
-	if cs.sys.Cfg.UnbatchedWakeups {
-		s.Signal()
-		return
-	}
-	batch.Add(s)
 }
 
 // wakeWaiters implements the bottom half of Algorithm 4, indexed by
@@ -562,7 +510,7 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 		should = w.asleep.Load() && w.Pred(tx, w.Args)
 	})
 	if should && w.asleep.CompareAndSwap(true, false) {
-		cs.deliver(batch, w.Thr.Sem)
+		batch.Add(w.Thr.Sem)
 	}
 }
 
@@ -605,7 +553,7 @@ func (cs *CondSync) origWake(writeOrecs []uint32, batch *sem.Batch) {
 			}
 			if hit && ow.woken.CompareAndSwap(false, true) {
 				sh.waiters = removeOrigAt(sh.waiters, i)
-				cs.deliver(batch, ow.thr.Sem)
+				batch.Add(ow.thr.Sem)
 				continue
 			}
 			i++

@@ -17,16 +17,25 @@ import (
 )
 
 func newSys(kind string) (*tm.System, *core.CondSync) {
+	return newSysCfg(kind, tm.Config{})
+}
+
+// newSysCfg builds a system for the named engine under cfg (Quiesce is set
+// for the engines that need it) with condition synchronization enabled.
+func newSysCfg(kind string, cfg tm.Config) (*tm.System, *core.CondSync) {
 	var sys *tm.System
 	switch kind {
 	case "eager":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+		cfg.Quiesce = true
+		sys = tm.NewSystem(cfg, eager.New)
 	case "lazy":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, lazy.New)
+		cfg.Quiesce = true
+		sys = tm.NewSystem(cfg, lazy.New)
 	case "htm":
-		sys = tm.NewSystem(tm.Config{}, htm.New)
+		sys = tm.NewSystem(cfg, htm.New)
 	case "hybrid":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, hybrid.New)
+		cfg.Quiesce = true
+		sys = tm.NewSystem(cfg, hybrid.New)
 	default:
 		panic(kind)
 	}
@@ -39,9 +48,14 @@ var stmEngines = []string{"eager", "lazy"}
 
 func forEach(t *testing.T, kinds []string, fn func(t *testing.T, sys *tm.System, cs *core.CondSync)) {
 	t.Helper()
+	forEachCfg(t, kinds, tm.Config{}, fn)
+}
+
+func forEachCfg(t *testing.T, kinds []string, cfg tm.Config, fn func(t *testing.T, sys *tm.System, cs *core.CondSync)) {
+	t.Helper()
 	for _, k := range kinds {
 		t.Run(k, func(t *testing.T) {
-			sys, cs := newSys(k)
+			sys, cs := newSysCfg(k, cfg)
 			fn(t, sys, cs)
 		})
 	}

@@ -36,7 +36,7 @@ func TestStaleTokenSelfClearAcrossResize(t *testing.T) {
 	if testing.Short() {
 		rounds = 15
 	}
-	forEachCoalesce(t, allEngines, tm.Config{Stripes: 4, MinStripes: 1, MaxStripes: 64},
+	forEachCfg(t, allEngines, tm.Config{Stripes: 4, MinStripes: 1, MaxStripes: 64},
 		func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 			var flag uint64
 			waiter := sys.NewThread()

@@ -7,12 +7,11 @@ package harness
 // validate and which extend, but must never change an observable
 // outcome. Running the generated suite under every mode — bare, with
 // timestamp extension (the configuration deferred is designed for), and
-// crossed with the adaptive-resize and coalescing machinery — pins that
-// claim against the sequential oracle.
+// crossed with forced online resizes — pins that claim against the
+// sequential oracle.
 
 import (
 	"testing"
-	"time"
 
 	"tmsync/internal/clock"
 )
@@ -45,12 +44,10 @@ func TestGeneratedSuiteIdenticalAcrossClockModes(t *testing.T) {
 	}
 }
 
-// TestGeneratedSuiteIdenticalClockModesUnderResizesAndCoalescing crosses
-// the clock protocols with the other deferred-state machinery: forced
-// online stripe resizes (which abort commits between timestamp and
-// release) and coalesced wake scans (which ride on commit timestamps'
-// lock-release ordering).
-func TestGeneratedSuiteIdenticalClockModesUnderResizesAndCoalescing(t *testing.T) {
+// TestGeneratedSuiteIdenticalClockModesUnderResizes crosses the clock
+// protocols with forced online stripe resizes, which abort commits between
+// timestamp and release.
+func TestGeneratedSuiteIdenticalClockModesUnderResizes(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -58,22 +55,15 @@ func TestGeneratedSuiteIdenticalClockModesUnderResizesAndCoalescing(t *testing.T
 	for _, seed := range seeds {
 		s := Generate(seed, GenConfig{})
 		for _, mode := range []string{"pof", "deferred"} {
-			adaptive := Knobs{
+			k := Knobs{
 				ClockMode:      mode,
 				Stripes:        1,
 				ResizeEvery:    5,
 				ResizeSchedule: []int{4, 64, 16, 1},
 			}
-			coalesce := Knobs{
-				ClockMode:        mode,
-				CoalesceCommits:  8,
-				CoalesceMaxDelay: 2 * time.Millisecond,
-			}
-			for _, k := range []Knobs{adaptive, coalesce} {
-				for _, r := range RunScenarioKnobs(s, Engines, "", k) {
-					if !r.Pass {
-						t.Errorf("clock=%s knobs=%+v: %s", mode, k, r.String())
-					}
+			for _, r := range RunScenarioKnobs(s, Engines, "", k) {
+				if !r.Pass {
+					t.Errorf("clock=%s knobs=%+v: %s", mode, k, r.String())
 				}
 			}
 		}

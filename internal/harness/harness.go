@@ -44,35 +44,16 @@ var Engines = []string{"eager", "lazy", "htm", "hybrid"}
 
 // Knobs is optional per-run system configuration, used by differential
 // sweeps over performance-only parameters (which must not change any
-// observable outcome) and by the benchmark pipeline.
+// observable outcome).
 type Knobs struct {
 	// Stripes overrides the initial orec-table stripe count (0 = default).
 	// It also sizes the per-stripe waiter index and the sharded Retry-Orig
 	// registry, which have one shard per stripe.
 	Stripes int
-	// Unbatched reverts post-commit wakeups to signal-at-claim delivery
-	// instead of the per-commit signal batch (a measurement baseline;
-	// observably inert).
-	Unbatched bool
-	// CoalesceCommits defers post-commit wake scans across up to this many
-	// adjacent commits of one thread, flushed at the bounds tm.Config
-	// documents (0 = scan every commit). A latency/throughput trade, not a
-	// semantic one: any value must yield identical observable outcomes,
-	// which tmcheck checks at {0, 2, 8} — alone and under forced resizes.
-	// Incompatible with Unbatched.
-	CoalesceCommits int
-	// CoalesceMaxDelay bounds how long a coalesced pending buffer may age
-	// before it is flushed regardless of the attempt-triggered bounds —
-	// including by the backstop that drains buffers whose owner has gone
-	// idle (tm.Config.CoalesceMaxDelay). Another latency knob that must be
-	// observably inert, which tmcheck -max-delay checks; requires
-	// CoalesceCommits > 0.
-	CoalesceMaxDelay time.Duration
 	// MinStripes/MaxStripes enable the adaptive stripe controller when
 	// they differ (0 = pinned at Stripes); the controller resizes the
-	// table online within the bounds. AdaptWindow overrides the
-	// controller's decision window (0 = default).
-	MinStripes, MaxStripes, AdaptWindow int
+	// table online within the bounds.
+	MinStripes, MaxStripes int
 	// ResizeEvery/ResizeSchedule force a deterministic online resize
 	// schedule: every ResizeEvery writer commits the stripe count moves
 	// to the next schedule entry, cycling. Online resizing is a pure
@@ -109,12 +90,8 @@ func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
 	}
 	cfg := tm.Config{
 		Stripes:            k.Stripes,
-		UnbatchedWakeups:   k.Unbatched,
-		CoalesceCommits:    k.CoalesceCommits,
-		CoalesceMaxDelay:   k.CoalesceMaxDelay,
 		MinStripes:         k.MinStripes,
 		MaxStripes:         k.MaxStripes,
-		AdaptWindow:        k.AdaptWindow,
 		ResizeEvery:        k.ResizeEvery,
 		ResizeSchedule:     k.ResizeSchedule,
 		ClockMode:          k.ClockMode,

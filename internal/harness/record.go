@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"tmsync/internal/clock"
 	"tmsync/internal/mech"
@@ -75,23 +74,11 @@ func EncodeKnobs(k Knobs) string {
 	if k.Stripes != 0 {
 		add("stripes", strconv.Itoa(k.Stripes))
 	}
-	if k.Unbatched {
-		add("unbatched", "1")
-	}
-	if k.CoalesceCommits != 0 {
-		add("coalesce", strconv.Itoa(k.CoalesceCommits))
-	}
-	if k.CoalesceMaxDelay != 0 {
-		add("max-delay", k.CoalesceMaxDelay.String())
-	}
 	if k.MinStripes != 0 {
 		add("min-stripes", strconv.Itoa(k.MinStripes))
 	}
 	if k.MaxStripes != 0 {
 		add("max-stripes", strconv.Itoa(k.MaxStripes))
-	}
-	if k.AdaptWindow != 0 {
-		add("adapt-window", strconv.Itoa(k.AdaptWindow))
 	}
 	if k.ResizeEvery != 0 {
 		add("resize-every", strconv.Itoa(k.ResizeEvery))
@@ -134,24 +121,10 @@ func DecodeKnobs(s string) (Knobs, error) {
 		switch key {
 		case "stripes":
 			k.Stripes, err = atoi()
-		case "unbatched":
-			if val != "1" {
-				return Knobs{}, fmt.Errorf("knob unbatched: want 1, got %q", val)
-			}
-			k.Unbatched = true
-		case "coalesce":
-			k.CoalesceCommits, err = atoi()
-		case "max-delay":
-			k.CoalesceMaxDelay, err = time.ParseDuration(val)
-			if err == nil && k.CoalesceMaxDelay < 0 {
-				err = fmt.Errorf("knob max-delay: negative duration %q", val)
-			}
 		case "min-stripes":
 			k.MinStripes, err = atoi()
 		case "max-stripes":
 			k.MaxStripes, err = atoi()
-		case "adapt-window":
-			k.AdaptWindow, err = atoi()
 		case "resize-every":
 			k.ResizeEvery, err = atoi()
 		case "resize-schedule":

@@ -11,6 +11,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tmsync/internal/mech"
@@ -114,7 +115,7 @@ func TestReplayedScenarioPassesDifferential(t *testing.T) {
 // TestKnobsStampRoundTrip pins the knob stamp codec both ways, including
 // through a recorded trace.
 func TestKnobsStampRoundTrip(t *testing.T) {
-	k := Knobs{Stripes: 128, CoalesceCommits: 8, CoalesceMaxDelay: 2000000, ResizeEvery: 5, ResizeSchedule: []int{64, 256}}
+	k := Knobs{Stripes: 128, MaxStripes: 256, ClockMode: "pof", ResizeEvery: 5, ResizeSchedule: []int{64, 256}}
 	enc := EncodeKnobs(k)
 	dec, err := DecodeKnobs(enc)
 	if err != nil {
@@ -123,11 +124,16 @@ func TestKnobsStampRoundTrip(t *testing.T) {
 	if got := EncodeKnobs(dec); got != enc {
 		t.Fatalf("knob stamp not a fixed point: %q -> %q", enc, got)
 	}
-	if _, err := DecodeKnobs("coalesce=2 bogus-knob=1"); err == nil {
-		t.Error("unknown knob decoded without error")
-	}
-	if _, err := DecodeKnobs("coalesce"); err == nil {
-		t.Error("malformed knob decoded without error")
+	for _, c := range []struct{ stamp, wantErr string }{
+		{"stripes=2 bogus-knob=1", `unknown knob "bogus-knob"`},
+		{"stripes", `malformed knob "stripes"`},
+		// A trace stamped with a knob this build does not have must not
+		// replay as if it had been recorded under the default.
+		{"coalesce=8 max-delay=5ms", `unknown knob "coalesce"`},
+	} {
+		if _, err := DecodeKnobs(c.stamp); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("DecodeKnobs(%q) = %v, want error containing %q", c.stamp, err, c.wantErr)
+		}
 	}
 
 	s := Generate(11, GenConfig{})

@@ -69,27 +69,6 @@ func TestRetryOrigShardedIdenticalAcrossStripeCounts(t *testing.T) {
 	}
 }
 
-// TestGeneratedSuiteIdenticalWithUnbatchedWakeups proves the per-commit
-// signal batch observably inert: delivering every wakeup at claim time
-// (the pre-batching behaviour) must produce the same oracle outcomes at
-// every stripe count.
-func TestGeneratedSuiteIdenticalWithUnbatchedWakeups(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		s := Generate(seed, GenConfig{})
-		for _, stripes := range stripeCounts {
-			for _, r := range RunScenarioKnobs(s, Engines, "", Knobs{Stripes: stripes, Unbatched: true}) {
-				if !r.Pass {
-					t.Errorf("unbatched stripes=%d: %s", stripes, r.String())
-				}
-			}
-		}
-	}
-}
-
 // adaptiveKnobs is the forced online-resize configuration the suite runs
 // under: start at one stripe (the old global table) and swap the geometry
 // every few commits through growth, a large jump, and shrinkage, cycling.

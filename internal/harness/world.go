@@ -304,9 +304,7 @@ func runSpecRec(sp *spec, sys *tm.System, m mech.Mechanism, rec *trace.Recorder)
 				rec.Bind(thr, t)
 			}
 			w.runThread(thr, t, sp.programs[t], &logs[t], rec)
-			// Teardown flush bound: with wakeup coalescing enabled a
-			// finishing worker must not strand deferred wake scans that
-			// still-blocked peers are waiting on.
+			// Marks the end of the thread's program in a recorded trace.
 			thr.Detach()
 			done <- t
 		}(t)

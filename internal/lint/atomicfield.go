@@ -8,7 +8,9 @@ import (
 )
 
 // AtomicField enforces the all-or-nothing rule for atomics — the class of
-// race behind PR 6's PendingActive/PendingMu split:
+// race a flag read lock-free on a hot path invites when the fields it
+// gates live behind a latch (Waiter.asleep beside the shard locks,
+// Thread.HWActive beside the serial lock):
 //
 //  1. A struct field accessed through a sync/atomic function anywhere in
 //     the package must be accessed atomically everywhere: one plain read

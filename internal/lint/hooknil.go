@@ -10,10 +10,9 @@ import (
 
 // HookNil verifies that every call through a nilable hook field is
 // dominated by a nil check. The runtime's System hooks (PostCommit,
-// FlushWakeups, Tracer, WakeLatency) are nil outside the configurations
-// that install them, and every new call site is a latent nil-dereference
-// panic on the commit path — the bug shape PR 7's Tracer plumbing had to
-// hand-audit. Hook fields are recognized two ways: the built-in table of
+// Tracer, WakeLatency) are nil outside the configurations that install
+// them, and every new call site is a latent nil-dereference panic on the
+// commit path — the bug shape PR 7's Tracer plumbing had to hand-audit. Hook fields are recognized two ways: the built-in table of
 // the runtime's own hooks below, and any struct field annotated //tm:hook
 // in its doc comment.
 //
@@ -35,10 +34,9 @@ var HookNil = &Analyzer{
 // declaring file's //tm:hook comments are not in view, are still checked.
 var builtinHooks = map[string]map[string]bool{
 	"tmsync/internal/tm.System": {
-		"PostCommit":   true,
-		"FlushWakeups": true,
-		"Tracer":       true,
-		"WakeLatency":  true,
+		"PostCommit":  true,
+		"Tracer":      true,
+		"WakeLatency": true,
 	},
 }
 

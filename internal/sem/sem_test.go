@@ -18,12 +18,12 @@ func TestSignalThenWait(t *testing.T) {
 	}
 }
 
-func TestSignalsCoalesce(t *testing.T) {
+func TestSignalsCollapseToOneToken(t *testing.T) {
 	s := New()
 	for i := 0; i < 10; i++ {
 		s.Signal()
 	}
-	s.Wait() // consumes the single coalesced token
+	s.Wait() // consumes the single token
 	if s.TryDrain() {
 		t.Fatal("more than one token buffered")
 	}
@@ -60,11 +60,11 @@ func TestTryDrain(t *testing.T) {
 	}
 }
 
-// TestBatchReuseAcrossFlushCycles pins the contract cross-commit wakeup
-// coalescing leans on: SignalAll empties the batch but retains capacity
-// for the next flush cycle, and a reused batch must deliver exactly the
-// semaphores added since the last SignalAll — never re-delivering a prior
-// cycle's, whose waiters have long departed.
+// TestBatchReuseAcrossFlushCycles pins the contract of a reused Batch:
+// SignalAll empties the batch but retains capacity for the next cycle, and
+// a reused batch must deliver exactly the semaphores added since the last
+// SignalAll — never re-delivering a prior cycle's, whose waiters have long
+// departed.
 func TestBatchReuseAcrossFlushCycles(t *testing.T) {
 	var b Batch
 	first := []*Sem{New(), New(), New()}
@@ -105,7 +105,7 @@ func TestBatchReuseAcrossFlushCycles(t *testing.T) {
 }
 
 // TestBatchLenAcrossInterleavedAddSignalAll pins Len's bookkeeping while
-// Add and SignalAll interleave, as they do across a thread's flush cycles.
+// Add and SignalAll interleave on one reused batch.
 func TestBatchLenAcrossInterleavedAddSignalAll(t *testing.T) {
 	var b Batch
 	if b.Len() != 0 {

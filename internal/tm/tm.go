@@ -1,7 +1,7 @@
 // Package tm defines the engine-independent transactional-memory runtime:
 // the transaction descriptor (per-thread metadata of Appendix A), the
-// Engine interface implemented by the eager STM, lazy STM, and simulated
-// HTM, the atomic-execution driver that plays the role of the C
+// Engine interface implemented by the eager STM, lazy STM, simulated HTM
+// and hybrid TM, the atomic-execution driver that plays the role of the C
 // checkpoint/restore (setjmp/longjmp) machinery using panic/recover, and
 // shared services (logical clock, orec table, quiescence, allocation
 // pools, statistics).
@@ -214,56 +214,8 @@ func (tx *Tx) Rand() uint64 {
 	return x
 }
 
-// Read performs a transactional load through the system's engine. When the
-// thread carries deferred post-commit wake scans (cross-commit wakeup
-// coalescing), a read that lands back in a pending stripe requests a
-// flush, honoured only if the attempt ends without a writer commit: a
-// thread POLLING data its unscanned commits changed (e.g. read-only loops
-// waiting for a consumer that is itself asleep behind the deferred scan)
-// must not spin forever, while a read-modify-write loop — which re-reads
-// its own pending stripes on every iteration by construction — keeps
-// accumulating under the K-commit bound.
-func (tx *Tx) Read(addr *uint64) uint64 {
-	v := tx.Sys.Engine.Read(tx, addr)
-	if tx.Thr.PendingActive.Load() && !tx.Thr.PendingReadHit.Load() {
-		tx.noteReadHit(addr)
-	}
-	return v
-}
-
-// noteReadHit is the slow half of Read's pending-stripe check, kept out of
-// line so the common no-pending case stays a load and a compare. A stale
-// pending generation (the table resized under the buffer) or a full-scan
-// marker is treated as a hit: re-deriving membership here would cost more
-// than the flush it avoids. The stripe walk runs under the pending latch:
-// the age backstop may drain the buffer from another goroutine, and a
-// drain between Read's gate and this walk just leaves the buffer empty —
-// no hit, nothing left to flush.
-func (tx *Tx) noteReadHit(addr *uint64) {
-	t := tx.Thr
-	t.PendingMu.Lock()
-	if t.PendingCommits == 0 {
-		t.PendingMu.Unlock()
-		return
-	}
-	if t.PendingFull || t.PendingGen != tx.TableView.Gen {
-		t.PendingMu.Unlock()
-		t.PendingReadHit.Store(true)
-		return
-	}
-	s := tx.TableView.StripeOf(tx.Sys.Table.IndexOf(addr))
-	hit := false
-	for _, x := range t.PendingStripes {
-		if x == s {
-			hit = true
-			break
-		}
-	}
-	t.PendingMu.Unlock()
-	if hit {
-		t.PendingReadHit.Store(true)
-	}
-}
+// Read performs a transactional load through the system's engine.
+func (tx *Tx) Read(addr *uint64) uint64 { return tx.Sys.Engine.Read(tx, addr) }
 
 // Write performs a transactional store through the system's engine.
 func (tx *Tx) Write(addr *uint64, v uint64) { tx.Sys.Engine.Write(tx, addr, v) }
@@ -437,7 +389,7 @@ func (tx *Tx) ResetWaitset() { tx.Waitset = tx.Waitset[:0] }
 
 // Engine is implemented by each TM back end.
 type Engine interface {
-	// Name identifies the engine ("eager", "lazy", "htm").
+	// Name identifies the engine ("eager", "lazy", "htm", "hybrid").
 	Name() string
 	// Begin prepares a new attempt (samples the clock, chooses the mode).
 	Begin(tx *Tx)
@@ -515,37 +467,13 @@ const (
 const TraceRestartArg = uint64(AbortExplicit) + 1
 
 // Tracer receives driver-level execution events (recorded-trace capture).
-// Like PostCommit/FlushWakeups/WakeLatency it is a nil-checked hook on
+// Like PostCommit/WakeLatency it is a nil-checked hook on
 // System, installed before any thread runs and never changed afterwards;
 // implementations must be safe for concurrent use — events arrive from
 // every transacting goroutine.
 type Tracer interface {
 	TraceEvent(t *Thread, kind TraceKind, arg uint64)
 }
-
-// FlushReason says why a thread's deferred post-commit wake scans are being
-// flushed (cross-commit wakeup coalescing, Config.CoalesceCommits). The
-// driver reports the structural triggers it can see; the condition-
-// synchronization layer adds its own (the commit bound, a read back into a
-// pending stripe) internally.
-type FlushReason uint8
-
-const (
-	// FlushAttemptEnd fires after an attempt that ended without a writer
-	// commit (a read-only commit). The hook flushes only if the attempt
-	// read a pending stripe — otherwise accumulation continues.
-	FlushAttemptEnd FlushReason = iota
-	// FlushAbort fires when an attempt aborted or restarted: the conflict
-	// may involve the very waiters the deferred scans would wake.
-	FlushAbort
-	// FlushBlock fires when the thread is about to sleep (a deschedule,
-	// Retry-Orig, or condition-variable wait): a thread must never block
-	// while holding wakeups other threads are waiting for.
-	FlushBlock
-	// FlushTeardown fires from Thread.Detach: the thread will run no more
-	// transactions, so nothing else would ever trip a flush bound.
-	FlushTeardown
-)
 
 // Stats aggregates runtime counters for a System.
 type Stats struct {
@@ -572,8 +500,7 @@ type Stats struct {
 	// per-commit wakeup batch: claims accumulated during the post-commit
 	// scan and issued together after the last shard lock is released
 	// (the per-commit form of Algorithm 4's deferred semaphore
-	// operations). Zero when Config.UnbatchedWakeups reverts to
-	// signal-at-claim delivery.
+	// operations).
 	BatchedSignals atomic.Uint64
 
 	// OrigShardChecks counts Retry-Orig registry entries examined by
@@ -596,27 +523,6 @@ type Stats struct {
 	// entries together) carried across stripe-geometry swaps by the
 	// registry migration.
 	MigratedWaiters atomic.Uint64
-
-	// CoalescedScans counts writer commits whose post-commit wake scan
-	// remained deferred in the committing thread's pending buffer past the
-	// commit itself (Config.CoalesceCommits > 0) — commits that flushed in
-	// their own postCommit are not counted, so the ratio of this to
-	// Commits is the fraction of scans coalescing actually removed. Each
-	// flush below replays the merged scan once for all of its commits.
-	CoalescedScans atomic.Uint64
-
-	// FlushReason* count pending-buffer flushes by trigger: the K-commit
-	// bound, the thread blocking (deschedule / Retry-Orig / condvar wait),
-	// an aborted or restarted attempt, a transaction reading back into a
-	// pending stripe, the buffer outliving Config.CoalesceMaxDelay
-	// (whether caught at an attempt boundary or drained by the idle-owner
-	// backstop), and thread teardown (Thread.Detach).
-	FlushReasonK        atomic.Uint64
-	FlushReasonBlock    atomic.Uint64
-	FlushReasonAbort    atomic.Uint64
-	FlushReasonRead     atomic.Uint64
-	FlushReasonAge      atomic.Uint64
-	FlushReasonTeardown atomic.Uint64
 
 	// ClockAdvances counts successful advances of the shared commit-clock
 	// word: global-mode increments (one per writer commit and rollback),
@@ -668,13 +574,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"stripe_resizes":    s.StripeResizes.Load(),
 		"gen_aborts":        s.GenAborts.Load(),
 		"migrated_waiters":  s.MigratedWaiters.Load(),
-		"coalesced_scans":   s.CoalescedScans.Load(),
-		"flush_k":           s.FlushReasonK.Load(),
-		"flush_block":       s.FlushReasonBlock.Load(),
-		"flush_abort":       s.FlushReasonAbort.Load(),
-		"flush_read":        s.FlushReasonRead.Load(),
-		"flush_age":         s.FlushReasonAge.Load(),
-		"flush_teardown":    s.FlushReasonTeardown.Load(),
 		"clock_advances":    s.ClockAdvances.Load(),
 		"clock_cas_retries": s.ClockCASRetries.Load(),
 	}
@@ -699,22 +598,6 @@ type Config struct {
 	// Both must be powers of two with MinStripes <= Stripes <= MaxStripes
 	// <= TableSize.
 	MinStripes, MaxStripes int
-	// AdaptWindow is the number of writer commits per controller decision
-	// window (default 64: small enough that converging from one stripe to
-	// sixty-four costs only a few hundred commits of transient).
-	AdaptWindow int
-	// AdaptGrow is the futile-scan threshold above which the controller
-	// doubles the stripe count: futile wakeup-scan visits (wake checks
-	// plus Retry-Orig registry checks that woke nobody) per writer commit
-	// in the window. Default 0.005 — one wasted visit per 200 commits.
-	AdaptGrow float64
-	// AdaptShrink is the total-scan threshold below which a window counts
-	// as quiet (default 0.0005): only after several consecutive quiet
-	// windows — near-zero waiter visits per commit, useful or not — does
-	// the controller halve the stripe count. The asymmetry (grow on one
-	// bad window, shrink on sustained silence) plus the gap between the
-	// thresholds is the hysteresis that prevents oscillation.
-	AdaptShrink float64
 	// ResizeEvery, with ResizeSchedule, replaces the adaptive policy with
 	// a deterministic forced-resize schedule: every ResizeEvery writer
 	// commits the controller resizes to the next count in ResizeSchedule,
@@ -742,7 +625,7 @@ type Config struct {
 	// max(Now(), highest locked orec version) without touching the
 	// shared word, which advances only when a reader observes a
 	// too-new version). See internal/clock for the
-	// protocol and soundness notes. Like the wakeup knobs this is a pure
+	// protocol and soundness notes. Like the stripe count this is a pure
 	// performance knob — every mode must yield identical observable
 	// outcomes, which the differential harness checks across all
 	// engines and mechanisms (tmcheck -clock). "deferred" trades the
@@ -757,54 +640,46 @@ type Config struct {
 	// with probability n/1000 per transactional access.
 	HTMSpuriousAbortPerMille int
 	// HTMMaxRetries is the number of hardware attempts before the engine
-	// serializes on the global lock (GCC uses 2).
+	// serializes on the global lock (GCC uses 2; 0 selects that default, a
+	// negative value never tries hardware).
 	HTMMaxRetries int
 	// HTMWaitPredFastPath models the 8-bit abort-code trick of §2.2.6:
 	// WaitPred deschedules directly from a hardware abort instead of
 	// re-executing in software mode first.
 	HTMWaitPredFastPath bool
-	// UnbatchedWakeups reverts the post-commit wakeup to signal-at-claim
-	// delivery: each waiter's semaphore is signalled the moment its
-	// predicate check claims it, instead of being accumulated into a
-	// per-commit batch issued after the scan completes. Purely a
-	// performance/measurement knob — delivery order is the only thing
-	// that changes, so any setting must yield identical observable
-	// outcomes (the differential harness checks both).
-	UnbatchedWakeups bool
-	// CoalesceCommits enables cross-commit wakeup coalescing: a committing
-	// writer accumulates up to this many commits' write orecs and stripes
-	// in a per-thread pending buffer and runs one merged post-commit wake
-	// scan when a flush bound trips — the commit count reaching this value,
-	// the thread itself blocking (deschedule, Retry-Orig, condition-
-	// variable wait), an attempt aborting or restarting, a read-only
-	// attempt reading back into a pending stripe (a writer attempt's
-	// read-backs are governed by the commit bound), this many read-only
-	// attempts finishing with the buffer pending (the backstop for a
-	// thread that stops writing but keeps transacting on unrelated
-	// data), or Thread.Detach at teardown.
-	// Zero (the default) scans on every commit. Like the other wakeup
-	// knobs it must be observably inert, which the differential harness
-	// checks at several values; unlike them it bounds wakeup *latency* by
-	// the flush triggers, so a worker that stops running transactions must
-	// call Thread.Detach or its last scans would be delayed forever.
-	// Incompatible with UnbatchedWakeups (a deferred scan is exactly a
-	// batch carried across commits).
-	CoalesceCommits int
-	// CoalesceMaxDelay bounds how long a pending buffer may age before it
-	// is flushed regardless of the structural bounds above: the buffer
-	// records the monotonic time of its first accumulation
-	// (Thread.PendingSince), every attempt boundary compares it against
-	// this bound, and a backstop drains buffers whose owner has gone fully
-	// idle — stopped transacting without calling Thread.Detach — so no
-	// waiter ever sleeps past this delay behind an idle notifier. Zero
-	// (the default) disables the age bound and restores the PR 5
-	// attempt-triggered-only behaviour. Meaningless without
-	// CoalesceCommits (there is no pending buffer to age-bound), which
-	// NewSystem rejects.
-	CoalesceMaxDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
+	// Reject malformed values here, at system construction, with tm's own
+	// message: locktable would panic on some of them only later — a bad
+	// forced-resize schedule on a committing application thread at its
+	// first resize.
+	pow2 := func(name string, v int) { // zero selects the field's default
+		if v < 0 || v&(v-1) != 0 {
+			panic(fmt.Sprintf("tm: %s %d is not a positive power of two", name, v))
+		}
+	}
+	nonNeg := func(name string, v int) {
+		if v < 0 {
+			panic(fmt.Sprintf("tm: %s %d is negative", name, v))
+		}
+	}
+	pow2("TableSize", c.TableSize)
+	pow2("Stripes", c.Stripes)
+	pow2("MinStripes", c.MinStripes)
+	pow2("MaxStripes", c.MaxStripes)
+	for _, s := range c.ResizeSchedule {
+		if s <= 0 || s&(s-1) != 0 {
+			panic(fmt.Sprintf("tm: ResizeSchedule entry %d is not a positive power of two", s))
+		}
+	}
+	nonNeg("ResizeEvery", c.ResizeEvery)
+	nonNeg("HTMReadCap", c.HTMReadCap)
+	nonNeg("HTMWriteCap", c.HTMWriteCap)
+	nonNeg("HTMSpuriousAbortPerMille", c.HTMSpuriousAbortPerMille)
+	if _, err := clock.ParseMode(c.ClockMode); err != nil {
+		panic("tm: " + err.Error())
+	}
 	if c.TableSize == 0 {
 		c.TableSize = locktable.DefaultSize
 	}
@@ -813,29 +688,6 @@ func (c Config) withDefaults() Config {
 		if c.Stripes > c.TableSize {
 			c.Stripes = c.TableSize
 		}
-	}
-	// Reject malformed stripe bounds and forced schedules here, at system
-	// construction, rather than letting locktable panic on a committing
-	// application thread at the first resize.
-	for _, s := range c.ResizeSchedule {
-		if s <= 0 || s&(s-1) != 0 {
-			panic(fmt.Sprintf("tm: ResizeSchedule entry %d is not a positive power of two", s))
-		}
-	}
-	if c.MinStripes < 0 || c.MinStripes&(c.MinStripes-1) != 0 {
-		panic(fmt.Sprintf("tm: MinStripes %d is not a positive power of two", c.MinStripes))
-	}
-	if c.CoalesceCommits < 0 {
-		panic(fmt.Sprintf("tm: CoalesceCommits %d is negative", c.CoalesceCommits))
-	}
-	if c.CoalesceCommits > 0 && c.UnbatchedWakeups {
-		panic("tm: CoalesceCommits and UnbatchedWakeups are contradictory (a deferred scan is a batch carried across commits)")
-	}
-	if c.CoalesceMaxDelay < 0 {
-		panic(fmt.Sprintf("tm: CoalesceMaxDelay %v is negative", c.CoalesceMaxDelay))
-	}
-	if c.CoalesceMaxDelay > 0 && c.CoalesceCommits == 0 {
-		panic("tm: CoalesceMaxDelay without CoalesceCommits is meaningless (there is no pending buffer to age-bound)")
 	}
 	if c.MinStripes == 0 {
 		c.MinStripes = c.Stripes
@@ -862,15 +714,6 @@ func (c Config) withDefaults() Config {
 	if c.Stripes > c.MaxStripes {
 		c.Stripes = c.MaxStripes
 	}
-	if c.AdaptWindow == 0 {
-		c.AdaptWindow = 64
-	}
-	if c.AdaptGrow == 0 {
-		c.AdaptGrow = 0.005
-	}
-	if c.AdaptShrink == 0 {
-		c.AdaptShrink = 0.0005
-	}
 	if c.HTMReadCap == 0 {
 		c.HTMReadCap = 4096
 	}
@@ -879,9 +722,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HTMMaxRetries == 0 {
 		c.HTMMaxRetries = 2
-	}
-	if _, err := clock.ParseMode(c.ClockMode); err != nil {
-		panic("tm: " + err.Error())
 	}
 	return c
 }
@@ -912,17 +752,6 @@ type System struct {
 	//tm:hook
 	PostCommit func(t *Thread, gen uint64, writeOrecs, writeStripes []uint32)
 
-	// FlushWakeups, if set, drains the thread's pending deferred wake
-	// scans (cross-commit wakeup coalescing). The driver invokes it — on
-	// the owning thread, never concurrently — at every structural flush
-	// bound it can see: attempts that abort or restart, attempts that end
-	// without a writer commit, and before a Signal handler runs (the
-	// handler may block). Thread.FlushPending is the guarded entry point;
-	// the hook may run whole (read-only) transactions on the thread.
-	//
-	//tm:hook
-	FlushWakeups func(t *Thread, why FlushReason)
-
 	// Tracer, if set, receives driver-level execution events — aborts,
 	// restarts, condition-synchronization blocks and wakes, and thread
 	// detach — for recorded-trace capture (internal/trace). The hot commit
@@ -937,8 +766,8 @@ type System struct {
 	// WakeLatency, if set, receives the sleep-to-signal duration of every
 	// semaphore sleep — Deschedule, Retry-Orig, and condition-variable
 	// waits: the time from the waiter parking on its semaphore to the
-	// signal releasing it. Installed by measurement harnesses
-	// (internal/perf) before any thread runs and never changed afterwards;
+	// signal releasing it. Installed by measurement harnesses (benchmark/)
+	// before any thread runs and never changed afterwards;
 	// nil outside benchmarks, so the sleep paths pay one predictable
 	// branch. The callback runs on the woken thread and must be safe for
 	// concurrent use.
@@ -1083,50 +912,13 @@ type Thread struct {
 	Doomed   atomic.Bool
 	Sig      [SigWords]atomic.Uint64
 
-	// Waiter is owned by the condition-synchronization layer (package
-	// core); tm never touches it.
-	Waiter any
-
-	// Pending* is the thread's deferred wake-scan buffer (cross-commit
-	// wakeup coalescing, Config.CoalesceCommits): the merged write orecs
-	// and stripes of PendingCommits writer commits whose post-commit scans
-	// have not run yet. PendingStripes is named under generation
-	// PendingGen; PendingFull records that some accumulated commit logged
-	// no orecs (the HTM serial fallback), forcing the flush to scan every
-	// shard. PendingSince is the monotonic time of the buffer's first
-	// accumulation, which Config.CoalesceMaxDelay ages against.
-	//
-	// The buffer is maintained by the condition-synchronization layer.
-	// Mutations come from the owning thread, with one exception: the age
-	// backstop may claim and drain the buffer of an owner that has gone
-	// idle. PendingMu is the ownership latch both sides take around every
-	// access to the fields below it; it is uncontended in steady state
-	// (the backstop only reaches for overdue buffers), so the owner pays a
-	// single uncontended CAS per touch. PendingActive mirrors "buffer
-	// non-empty" for lock-free gating on hot paths (Tx.Read,
-	// FlushPending); it is written only with the latch held.
-	// PendingReadHit is set by Tx.Read when a transaction reads back into
-	// a pending stripe, requesting a flush at the attempt's end; it is
-	// monotonic within an attempt and read only by the owner, so it needs
-	// no latch, just atomicity. PendingIdle counts read-only attempts
-	// finished since the buffer started pending; the condition-
-	// synchronization layer flushes when it reaches the commit bound, so a
-	// thread that stops writing but keeps transacting cannot delay its
-	// deferred wakeups unboundedly.
-	PendingActive  atomic.Bool
-	PendingReadHit atomic.Bool
-	PendingMu      spin.Lock
-	PendingGen     uint64
-	PendingOrecs   []uint32
-	PendingStripes []uint32
-	PendingCommits int
-	PendingIdle    int
-	PendingSince   int64
-	PendingFull    bool
-
-	// DeferredAllocs holds allocations whose undo was postponed by a
-	// deschedule (captured-memory rule of Algorithm 6).
-	DeferredAllocs [][]uint64
+	// Everything above is polled by other threads (Quiesce reads
+	// ActiveStart; hardware-layer committers read HWActive, Doomed and
+	// Sig); everything below is written by the owner on every commit. Two
+	// cache lines keep the owner's scratch out of the adjacent-line pair a
+	// remote poll pulls in: without them the `private` workload of
+	// benchmark/ loses 5–8 % throughput and 9–15 % p90 on every engine.
+	_ [128]byte
 
 	// postOrecs/postStripes are the scratch buffers the driver copies a
 	// committed attempt's write orecs and stripes into before handing
@@ -1161,28 +953,14 @@ func (s *System) NewThread() *Thread {
 	return t
 }
 
-// FlushPending invokes the system's FlushWakeups hook if the thread holds
-// deferred wake scans; the common empty case is two loads. It must only be
-// called from the owning thread, outside any in-flight attempt (the hook
-// runs read-only transactions on this descriptor).
-func (t *Thread) FlushPending(why FlushReason) {
-	if t.PendingActive.Load() && t.Sys.FlushWakeups != nil {
-		t.Sys.FlushWakeups(t, why)
-	}
-}
-
-// Detach flushes the thread's deferred wake scans at teardown. A worker
-// running with Config.CoalesceCommits > 0 must call it when it stops
-// executing transactions for good — no other flush bound would ever trip
-// again, and a waiter claimed by one of the thread's unscanned commits
-// would otherwise sleep forever. A no-op (and nil-safe, for the Pthreads
-// baseline's nil thread handles) in every other configuration; the thread
+// Detach marks the end of the thread's program: it reports TraceDetach to
+// the system's Tracer, so a recorded run shows where each worker stopped.
+// Nil-safe (the Pthreads baseline carries nil thread handles); the thread
 // stays registered and may keep running transactions afterwards.
 func (t *Thread) Detach() {
 	if t == nil {
 		return
 	}
-	t.FlushPending(FlushTeardown)
 	t.traceEvent(TraceDetach, 0)
 }
 
@@ -1244,11 +1022,6 @@ func (t *Thread) Atomic(fn func(tx *Tx)) {
 			tx.resetAfterAttempt(false)
 			t.recordAbort(res.reason)
 			t.traceEvent(TraceAbort, uint64(res.reason))
-			// An abort is a flush bound for coalesced wake scans: the
-			// conflict this attempt lost may be against the very threads
-			// the deferred scans would wake. Runs after the reset, so the
-			// flush's predicate transactions see a clean descriptor.
-			t.FlushPending(FlushAbort)
 			t.backoff.Wait()
 		case attemptRestart:
 			t.Sys.Engine.Rollback(tx)
@@ -1257,7 +1030,6 @@ func (t *Thread) Atomic(fn func(tx *Tx)) {
 			t.ActiveStart.Store(0)
 			tx.resetAfterAttempt(false)
 			t.traceEvent(TraceAbort, TraceRestartArg)
-			t.FlushPending(FlushAbort)
 			// Immediate re-execution; the Restart baseline relies on the
 			// lack of backoff growth here. A bare processor yield is still
 			// required: without it a respinning reader starves the writer
@@ -1278,11 +1050,6 @@ func (t *Thread) Atomic(fn func(tx *Tx)) {
 			// written back by the inner commit. Handlers capture anything
 			// they need from the attempt when they raise the signal.
 			tx.resetAfterAttempt(false)
-			// Signal handlers typically put the thread to sleep; flush any
-			// coalesced wake scans first so this thread never blocks while
-			// holding wakeups other threads are waiting for. (The condvar
-			// handler flushes again after its own punctuation-commit scan.)
-			t.FlushPending(FlushBlock)
 			t.traceEvent(TraceBlock, 0)
 			out := res.sig.Handle(tx)
 			t.traceEvent(TraceWake, 0)
@@ -1383,12 +1150,6 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 		t.inPostCommit = true
 		t.Sys.PostCommit(t, gen, writeOrecs, writeStripes)
 		t.inPostCommit = false
-	} else if !wrote && !t.inPostCommit {
-		// A read-only commit is a flush point for coalesced wake scans iff
-		// the attempt read a pending stripe (the hook checks); a thread
-		// polling data its own unscanned commits changed must not leave
-		// the waiters on that data deferred.
-		t.FlushPending(FlushAttemptEnd)
 	}
 	t.postOrecs, t.postStripes = writeOrecs[:0], writeStripes[:0]
 	return attemptResult{kind: attemptCommitted}

@@ -23,7 +23,7 @@ import (
 const validTrace = `tmtrace 1
 source hand
 seed 7
-knobs coalesce=2
+knobs stripes=4
 replay -threads 2
 
 # comments and blank lines are fine anywhere
@@ -119,7 +119,7 @@ func TestDecodeValidTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Source != "hand" || tr.Seed != 7 || tr.Knobs != "coalesce=2" || tr.Replay != "-threads 2" {
+	if tr.Source != "hand" || tr.Seed != 7 || tr.Knobs != "stripes=4" || tr.Replay != "-threads 2" {
 		t.Errorf("headers decoded wrong: %+v", tr)
 	}
 	if len(tr.Events) != 25 {

@@ -136,7 +136,7 @@ type World struct {
 // Trace is one decoded (or under-construction) event log.
 type Trace struct {
 	Version int
-	// Source names where the trace came from ("gen-42", "tmbench/buffer").
+	// Source names where the trace came from ("gen-42", "idle-strand").
 	Source string
 	// Seed is the generator seed that produced the recorded program, when
 	// there was one (0 otherwise).

@@ -1,13 +1,13 @@
 package trace_test
 
 // Golden-trace regression fixtures. Each file under testdata/ distills
-// one historical wakeup race from internal/core's history into a
-// committed, replayable artifact: the trace pins the program shape and
-// the knob configuration the race shipped under, and this test replays
-// every fixture through all four engines × every applicable mechanism,
-// asserting the oracle holds. A regression of any of those races shows up
-// here as a wedge (lost wakeup) or an oracle diff, with the fixture file
-// itself as the reproducer. The digest pins detect silent drift of the
+// one wakeup-race program shape into a committed, replayable artifact:
+// the trace pins the program and its knob stamp (all three run under the
+// default configuration), and this test replays every fixture through
+// all four engines × every applicable mechanism, asserting the oracle
+// holds. A regression of any of those races shows up here as a wedge
+// (lost wakeup) or an oracle diff, with the fixture file itself as the
+// reproducer. The digest pins detect silent drift of the
 // fixtures or of the trace→scenario reconstruction.
 
 import (
@@ -25,8 +25,8 @@ var goldenTraces = []struct {
 	knobs  string
 }{
 	{file: "stale_token.trace", digest: "6cacdc9e810837ce", knobs: ""},
-	{file: "oncommit_clobber.trace", digest: "44f7a954d559aa81", knobs: "coalesce=2"},
-	{file: "idle_strand.trace", digest: "9e439c2183bfa843", knobs: "coalesce=8 max-delay=5ms"},
+	{file: "oncommit_clobber.trace", digest: "44f7a954d559aa81", knobs: ""},
+	{file: "idle_strand.trace", digest: "9e439c2183bfa843", knobs: ""},
 }
 
 func TestGoldenTracesReplayOracleIdentical(t *testing.T) {

@@ -119,7 +119,6 @@ func TestSmokeExamples(t *testing.T) {
 }
 
 func TestSmokeCommands(t *testing.T) {
-	benchOut := filepath.Join(t.TempDir(), "bench.json")
 	cases := []struct {
 		name string
 		args []string
@@ -128,22 +127,12 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "3", "-seed", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "4", "-mech", "retry-orig", "-engine", "eager"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-unbatched"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-adaptive", "-resize-every", "5"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "2"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "8", "-adaptive"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "8", "-max-delay", "2ms"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "pof"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-ext"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-coalesce", "2"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-zipf", "1.2"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
-		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer,parsec/x264", "-clock-threads", "", "-out", benchOut}, "retry-orig sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer", "-mechs", "retry,await", "-orig-threads", "2", "-adaptive-threads", "2", "-clock-threads", "", "-no-baseline", "-out", benchOut}, "adaptive sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "2", "-adaptive-threads", "", "-coalesce-threads", "2", "-clock-threads", "", "-no-baseline", "-out", benchOut}, "coalesce sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "2", "-latency-threads", "2", "-max-delay", "10ms", "-clock-threads", "", "-no-baseline", "-diff", "", "-out", benchOut}, "latency verdict: HOLDS"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-engines", "eager,lazy", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "", "-latency-threads", "", "-clock-threads", "2", "-no-baseline", "-diff", "", "-out", benchOut}, "clock sweep (2 goroutines, modes global,pof,deferred)"},
 		{"tmcheck", []string{"-n", "1", "-seed", "2", "-inject"}, "OK: all injected violations caught"},
 		{"tmstress", []string{"-engine", "hybrid", "-mech", "retry", "-threads", "4", "-seconds", "0.3", "-cap", "2"}, "OK"},
 		{"boundedbuffer", []string{"-quick", "-engine", "eager", "-ops", "2048", "-trials", "1"}, "bounded buffer performance"},
@@ -173,7 +162,7 @@ func TestSmokeCommands(t *testing.T) {
 // and replay again with a knob override merged over the stamp.
 func TestSmokeTmcheckRecordReplay(t *testing.T) {
 	dir := t.TempDir()
-	out := runSmoke(t, "tmcheck", "-n", "2", "-seed", "3", "-engine", "eager", "-coalesce", "2", "-record", dir)
+	out := runSmoke(t, "tmcheck", "-n", "2", "-seed", "3", "-engine", "eager", "-clock", "pof", "-record", dir)
 	if !strings.Contains(out, "OK: every engine x mechanism pair matched") {
 		t.Fatalf("record run did not pass:\n%s", out)
 	}
@@ -185,8 +174,8 @@ func TestSmokeTmcheckRecordReplay(t *testing.T) {
 	if !strings.Contains(out, "OK: every engine x mechanism pair matched") {
 		t.Fatalf("replay did not pass:\n%s", out)
 	}
-	// Knob override merges over the stamped coalesce=2 and must still pass.
-	out = runSmoke(t, "tmcheck", "-replay", filepath.Join(dir, "*.trace"), "-coalesce", "8", "-max-delay", "2ms")
+	// Knob override merges over the stamped clock=pof and must still pass.
+	out = runSmoke(t, "tmcheck", "-replay", filepath.Join(dir, "*.trace"), "-clock", "deferred", "-ext")
 	if !strings.Contains(out, "OK: every engine x mechanism pair matched") {
 		t.Fatalf("replay with knob override did not pass:\n%s", out)
 	}
@@ -274,12 +263,7 @@ func TestSmokeTmcheckRejectsContradictoryFlags(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmcheck")
 	for _, args := range [][]string{
 		{"-n", "1", "-stripes", "4", "-adaptive"},
-		{"-n", "1", "-unbatched", "-coalesce", "2"},
 		{"-n", "1", "-resize-every", "5"},
-		{"-n", "1", "-coalesce", "-3"},
-		{"-n", "1", "-max-delay", "2ms"},
-		{"-n", "1", "-coalesce", "2", "-max-delay", "0s"},
-		{"-n", "1", "-coalesce", "2", "-max-delay", "-1ms"},
 		{"-n", "1", "-clock", "bogus"},
 		{"-zipf", "-0.5"},
 		{"-phases", "10:bogus"},
@@ -307,5 +291,46 @@ func TestSmokeTmcheckRejectsContradictoryFlags(t *testing.T) {
 				t.Errorf("tmcheck %v: no diagnostic printed:\n%s", args, out)
 			}
 		})
+	}
+}
+
+// TestSmokeCIMatrix keeps cmd/tmcheck/ci_matrix.txt — the one table CI's
+// differential loop reads — runnable: every row must name a known mode and
+// carry flags tmcheck accepts and passes under (a rejected combination
+// exits 2). Rows run at -n 1 (the flag package lets the appended value
+// win), in file order, with the record row's directory redirected into the
+// test's own.
+func TestSmokeCIMatrix(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("cmd", "tmcheck", "ci_matrix.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := t.TempDir()
+	rows := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		rows++
+		mode, args := fields[0], fields[1:]
+		if mode != "standard" && mode != "race" && mode != "both" {
+			t.Errorf("row %q: unknown mode %q (want standard, race or both)", line, mode)
+			continue
+		}
+		replay := false
+		for i, a := range args {
+			args[i] = strings.Replace(a, "/tmp/ci-traces", traces, 1)
+			replay = replay || a == "-replay"
+		}
+		if !replay {
+			args = append(args, "-n", "1")
+		}
+		if out := runSmoke(t, "tmcheck", args...); !strings.Contains(out, "\nOK: ") {
+			t.Errorf("row %q: no OK verdict:\n%s", line, out)
+		}
+	}
+	if rows == 0 {
+		t.Error("ci_matrix.txt has no rows")
 	}
 }

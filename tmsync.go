@@ -2,10 +2,11 @@
 // Synchronization for Transactional Memory" (Wang, 2016; the EuroSys 2016
 // line of work from Spear's group at Lehigh).
 //
-// It provides three transactional-memory engines — an eager (undo-log)
-// STM, a lazy (redo-log) STM, and a simulated best-effort HTM with a
-// serial software fallback — plus the paper's condition-synchronization
-// mechanisms layered on a single HTM-friendly Deschedule primitive:
+// It provides four transactional-memory engines — an eager (undo-log)
+// STM, a lazy (redo-log) STM, a simulated best-effort HTM with a serial
+// software fallback, and a hybrid TM whose hardware attempts fall back to
+// the lazy STM — plus the paper's condition-synchronization mechanisms
+// layered on a single HTM-friendly Deschedule primitive:
 //
 //   - Retry:    wait until anything the transaction read changes value.
 //   - Await:    wait until one of an explicit list of addresses changes.
