@@ -92,6 +92,7 @@ func main() {
 	}
 	fmt.Printf("engine=%s workers=%d rounds=%d phase-skew violations=%d — %s\n",
 		*engine, *workers, *rounds, violations.Load(), status)
+	st := sys.Stats.Sum()
 	fmt.Printf("deschedules=%d wakeups=%d serializations=%d\n",
-		sys.Stats.Deschedules.Load(), sys.Stats.Wakeups.Load(), sys.Stats.Serializations.Load())
+		st.Deschedules, st.Wakeups, st.Serializations)
 }

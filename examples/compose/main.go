@@ -83,7 +83,7 @@ func runComposition(sys *tmsync.System, name string, wait func(tx *tmsync.Tx, b 
 		if ip != 0 {
 			violations.Add(1)
 		}
-		if !fed && sys.Stats.Deschedules.Load()+uint64(cv.WaitingLen()) > 0 {
+		if !fed && sys.Stats.Sum().Deschedules+uint64(cv.WaitingLen()) > 0 {
 			time.Sleep(5 * time.Millisecond) // let the waiter go to sleep
 			obs.Atomic(func(tx *tmsync.Tx) {
 				b.put(tx, 55)

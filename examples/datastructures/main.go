@@ -94,6 +94,7 @@ func main() {
 	}
 	fmt.Printf("engine=%s processed %d jobs via queue→map composition; sum %d (want %d) — %s\n",
 		*engine, *jobs, sum, want, status)
+	st := sys.Stats.Sum()
 	fmt.Printf("deschedules=%d wakeups=%d aborts=%d\n",
-		sys.Stats.Deschedules.Load(), sys.Stats.Wakeups.Load(), sys.Stats.Aborts.Load())
+		st.Deschedules, st.Wakeups, st.Aborts)
 }

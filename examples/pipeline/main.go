@@ -156,6 +156,7 @@ func main() {
 	}
 	fmt.Printf("engine=%s pipelined %d items; checksum %x (want %x) — %s\n",
 		*engine, *items, sum, want, status)
+	st := sys.Stats.Sum()
 	fmt.Printf("deschedules=%d wakeups=%d aborts=%d\n",
-		sys.Stats.Deschedules.Load(), sys.Stats.Wakeups.Load(), sys.Stats.Aborts.Load())
+		st.Deschedules, st.Wakeups, st.Aborts)
 }

@@ -95,9 +95,9 @@ func main() {
 
 	fmt.Printf("engine=%s moved %d elements; checksum %d (want %d) — %s\n",
 		*engine, total, sum, want, okStr(sum == want))
+	st := sys.Stats.Sum()
 	fmt.Printf("commits=%d aborts=%d deschedules=%d wakeups=%d\n",
-		sys.Stats.Commits.Load(), sys.Stats.Aborts.Load(),
-		sys.Stats.Deschedules.Load(), sys.Stats.Wakeups.Load())
+		st.Commits, st.Aborts, st.Deschedules, st.Wakeups)
 }
 
 func okStr(ok bool) string {

@@ -264,7 +264,7 @@ func TestComposeRetryIsAtomic(t *testing.T) {
 				if ip != 0 {
 					violations++
 				}
-				if !fed && sys.Stats.Deschedules.Load() > 0 {
+				if !fed && sys.Stats.Sum().Deschedules > 0 {
 					// The composer is asleep (second consume found the
 					// buffer empty and unrolled everything). Feed it.
 					obs.Atomic(func(tx *tm.Tx) {

@@ -135,15 +135,21 @@ type Source interface {
 	// AtLeast advances the clock to at least t.
 	AtLeast(t uint64)
 
+	// Advances returns how many times the shared word has advanced.
+	Advances() uint64
+
 	// Mode identifies the protocol.
 	Mode() Mode
 }
 
 // New builds a Source for mode. casRetries counts failed CASes on the
 // shared word (POF adoptions, AtLeast collisions); advances counts
-// successful advances of it. Either may be nil to discard the count;
-// tm.System wires them to Stats.ClockCASRetries / Stats.ClockAdvances.
-// Unknown modes panic — validate user input with ParseMode first.
+// successful advances of it under POF and Deferred. Global's Commit and
+// Bump leave both alone: its word moves one step per advance, so Advances
+// reads the count off the word and a writer commit touches no second
+// shared line. Either may be nil to discard the count; tm.System wires
+// them to its Stats. Unknown modes panic — validate user input with
+// ParseMode first.
 func New(mode Mode, casRetries, advances *atomic.Uint64) Source {
 	c := counters{retries: casRetries, advances: advances}
 	if c.retries == nil {
@@ -172,11 +178,16 @@ type counters struct {
 
 // word isolates the hot shared clock word on its own cache line so the
 // counters (and anything the runtime allocates adjacently) never false-
-// share with it — the whole point of the POF/Deferred modes is to keep
-// this line quiet.
+// share with it — every writer commit of every thread lands on this line,
+// and the whole point of the POF/Deferred modes is to keep it quiet.
+// A Source is a small heap object, which Go aligns to 16 bytes, not 64:
+// the line now falls on can start up to 48 bytes before it, so only
+// padding on both sides keeps that line inside this struct wherever the
+// allocator puts it.
 //
 //tm:padded
 type word struct {
+	_   [64]byte
 	now atomic.Uint64
 	_   [56]byte
 }
@@ -212,19 +223,19 @@ func (g *global) Now() uint64 { return g.w.now.Load() }
 // so even abort-released versions never run ahead of the clock).
 func (g *global) Commit(start, _ uint64) (uint64, bool) {
 	end := g.w.now.Add(1)
-	g.c.advances.Add(1)
 	// Timestamps are unique, so end == start+1 proves no other writer
 	// committed since this transaction's snapshot.
 	return end, end == start+1
 }
 
-func (g *global) Bump() {
-	g.w.now.Add(1)
-	g.c.advances.Add(1)
-}
+func (g *global) Bump() { g.w.now.Add(1) }
 
 func (g *global) NoteStale(uint64) {}
 func (g *global) AtLeast(t uint64) { atLeast(&g.w, &g.c, t) }
+
+// Advances is the word's value: Commit and Bump move it one step each, so
+// no second counter is kept (an AtLeast jump counts as its distance).
+func (g *global) Advances() uint64 { return g.w.now.Load() }
 
 // pof is GV4: one CAS attempt; losers adopt the winner's timestamp.
 type pof struct {
@@ -272,6 +283,7 @@ func (p *pof) Bump() {
 
 func (p *pof) NoteStale(uint64) {}
 func (p *pof) AtLeast(t uint64) { atLeast(&p.w, &p.c, t) }
+func (p *pof) Advances() uint64 { return p.c.advances.Load() }
 
 // deferred is GV5/TicToc-flavored: commit never touches the shared
 // word; readers that trip over fresh versions advance it via NoteStale.
@@ -311,3 +323,4 @@ func (d *deferred) Bump() {}
 
 func (d *deferred) NoteStale(v uint64) { atLeast(&d.w, &d.c, v) }
 func (d *deferred) AtLeast(t uint64)   { atLeast(&d.w, &d.c, t) }
+func (d *deferred) Advances() uint64   { return d.c.advances.Load() }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestParseMode(t *testing.T) {
@@ -127,18 +128,22 @@ func TestDeferredCommitQuiet(t *testing.T) {
 }
 
 // TestCounters pins the uncontended counter semantics: every global
-// advance is counted, pof counts its successful CAS, and AtLeast on an
-// already-ahead clock counts nothing.
+// advance is counted — read off the word itself, so a jump counts its
+// distance and Commit and Bump write no counter — pof counts its
+// successful CASes, and AtLeast on an already-ahead clock counts nothing.
 func TestCounters(t *testing.T) {
-	for _, m := range []Mode{Global, POF} {
+	for m, want := range map[Mode]uint64{Global: 10, POF: 3} {
 		var retries, advances atomic.Uint64
 		c := New(m, &retries, &advances)
 		c.Commit(0, 0)
 		c.Bump()
+		if m == Global && advances.Load() != 0 {
+			t.Errorf("global Commit/Bump wrote the advances counter (%d): a second shared line per commit", advances.Load())
+		}
 		c.AtLeast(10)
 		c.AtLeast(5) // no-op: already past 5
-		if advances.Load() != 3 {
-			t.Errorf("%s: advances = %d, want 3", m, advances.Load())
+		if c.Advances() != want {
+			t.Errorf("%s: Advances() = %d, want %d", m, c.Advances(), want)
 		}
 		if retries.Load() != 0 {
 			t.Errorf("%s: retries = %d, want 0", m, retries.Load())
@@ -325,5 +330,30 @@ func TestNowMonotonicUnderConcurrency(t *testing.T) {
 		committers.Wait()
 		close(stop)
 		<-samplerDone
+	}
+}
+
+// TestWordLineIsolated pins what word's two-sided padding is for. A Source
+// is allocated 16-byte aligned on the heap (8 at worst), not line aligned,
+// so the cache line the clock word falls on starts anywhere from 0 to 56
+// bytes before it: at every such offset that whole line must lie inside
+// the word struct, whose only other contents are padding — no counter
+// pointer of the Source and no neighbouring heap object shares it.
+func TestWordLineIsolated(t *testing.T) {
+	const line, align = 64, 8
+	var w word
+	now, size := unsafe.Offsetof(w.now), unsafe.Sizeof(w)
+	for base := uintptr(0); base < line; base += align {
+		lo := (base + now) &^ (line - 1)
+		if lo < base || lo+line > base+size {
+			t.Errorf("word at %d mod %d: the clock's line [%d,%d) leaves the struct [%d,%d)", base, line, lo, lo+line, base, base+size)
+		}
+	}
+	for name, off := range map[string]uintptr{
+		"global": unsafe.Offsetof(global{}.w), "pof": unsafe.Offsetof(pof{}.w), "deferred": unsafe.Offsetof(deferred{}.w),
+	} {
+		if off%align != 0 {
+			t.Errorf("%s: word at offset %d, not %d-byte aligned: the offsets above do not cover it", name, off, align)
+		}
 	}
 }

@@ -156,9 +156,9 @@ type waitSignal struct {
 func (s waitSignal) Handle(tx *tm.Tx) tm.Outcome {
 	sys := tx.Sys
 	if s.wrote {
-		sys.Stats.Commits.Add(1)
+		tx.Thr.Stat.Commits.Add(1)
 	} else {
-		sys.Stats.ROCommits.Add(1)
+		tx.Thr.Stat.ROCommits.Add(1)
 	}
 	for _, f := range s.deferred {
 		f()

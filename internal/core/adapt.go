@@ -33,10 +33,10 @@ import (
 
 // controller is the adaptive stripe-sizing policy, sampled on the commit
 // path: every adaptWindow writer commits, the committing thread that
-// closes the window examines the window's contention signals —
-// Stats.WakeChecks and Stats.OrigShardChecks (how much post-commit scan
-// work writers did), Stats.Wakeups (how much of it was useful), and the
-// abort rate — and doubles or halves the stripe count within
+// closes the window examines the window's contention signals, summed
+// over the per-thread stat shards — WakeChecks and OrigShardChecks (how
+// much post-commit scan work writers did), Wakeups (how much of it was
+// useful), and the abort rate — and doubles or halves the stripe count within
 // [Config.MinStripes, Config.MaxStripes] when the futile-scan load
 // crosses the hysteresis thresholds. With Config.ResizeEvery set, the
 // thresholds are replaced by a deterministic forced schedule (the
@@ -52,12 +52,12 @@ type controller struct {
 	// crosses a window boundary tries to make the decision.
 	commits atomic.Uint64
 
-	// Window-start snapshots of the system counters; guarded by
-	// CondSync.resizeMu (only the decision winner touches them).
-	schedIdx                                    int
-	quiet                                       uint64
-	lastWakeChecks, lastOrigChecks, lastWakeups uint64
-	lastCommits, lastAborts, lastAttempts       uint64
+	// last is the window-start sum of the stat shards; with schedIdx and
+	// quiet it is guarded by CondSync.resizeMu (only the decision winner
+	// touches them).
+	schedIdx int
+	quiet    uint64
+	last     tm.Counters
 }
 
 // quietCommits is how many consecutive below-shrink-threshold commits it
@@ -129,20 +129,13 @@ func (cs *CondSync) maybeAdapt() {
 		return
 	}
 
-	st := &cs.sys.Stats
-	wake := st.WakeChecks.Load()
-	orig := st.OrigShardChecks.Load()
-	woke := st.Wakeups.Load()
-	commits := st.Commits.Load()
-	aborts := st.Aborts.Load()
-	attempts := st.Attempts()
-	dChecks := (wake - c.lastWakeChecks) + (orig - c.lastOrigChecks)
-	dWakeups := woke - c.lastWakeups
-	dCommits := commits - c.lastCommits
-	dAborts := aborts - c.lastAborts
-	dAttempts := attempts - c.lastAttempts
-	c.lastWakeChecks, c.lastOrigChecks, c.lastWakeups = wake, orig, woke
-	c.lastCommits, c.lastAborts, c.lastAttempts = commits, aborts, attempts
+	st, last := cs.sys.Stats.Sum(), c.last
+	c.last = st
+	dChecks := (st.WakeChecks - last.WakeChecks) + (st.OrigShardChecks - last.OrigShardChecks)
+	dWakeups := st.Wakeups - last.Wakeups
+	dCommits := st.Commits - last.Commits
+	dAborts := st.Aborts - last.Aborts
+	dAttempts := st.Attempts() - last.Attempts()
 	if dCommits == 0 {
 		return
 	}
@@ -235,7 +228,7 @@ func (cs *CondSync) resizeLocked(stripes int) {
 			}
 			for _, s := range cs.shardsOf(nv, w.Waitset) {
 				sh := &nt.shards[s].waiterShard
-				sh.waiters = append(sh.waiters, w)
+				sh.set(append(sh.waiters, w))
 			}
 			migrated++
 		}
@@ -252,7 +245,7 @@ func (cs *CondSync) resizeLocked(stripes int) {
 			}
 			for _, s := range nv.StripesOf(ow.slots, nil) {
 				sh := &nt.origShards[s].origShard
-				sh.waiters = append(sh.waiters, ow)
+				sh.set(append(sh.waiters, ow))
 			}
 			migrated++
 		}
@@ -260,7 +253,9 @@ func (cs *CondSync) resizeLocked(stripes int) {
 
 	// Publish the new tier BEFORE releasing the old locks: a mutator that
 	// finds a moved shard must be able to load a tier that is at least as
-	// new as the one that moved it. The old lists stay intact for
+	// new as the one that moved it. Its shard lengths were stored above,
+	// before this store, so no scanner can load the new tier and read a
+	// migrated shard as empty. The old lists and lengths stay intact for
 	// scanners that captured the old tier.
 	cs.tier.Store(nt)
 	for i := range old.shards {

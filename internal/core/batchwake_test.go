@@ -38,10 +38,10 @@ func TestStaleTokenDoesNotCauseSpuriousWakeup(t *testing.T) {
 		}()
 		waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
 		time.Sleep(100 * time.Millisecond)
-		if got := sys.Stats.Wakeups.Load(); got != 0 {
+		if got := sys.Stats.Sum().Wakeups; got != 0 {
 			t.Errorf("stale token caused %d spurious wakeup(s); it should have been drained", got)
 		}
-		if got := sys.Stats.Deschedules.Load(); got != 1 {
+		if got := sys.Stats.Sum().Deschedules; got != 1 {
 			t.Errorf("deschedules = %d, want 1 (no futile re-sleep cycles)", got)
 		}
 		writer := sys.NewThread()
@@ -73,7 +73,7 @@ func TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig(t *testing.T) {
 		}()
 		waitCond(t, "orig waiter registered", func() bool { return cs.OrigWaitingLen() == 1 })
 		time.Sleep(100 * time.Millisecond)
-		if got := sys.Stats.Wakeups.Load(); got != 0 {
+		if got := sys.Stats.Sum().Wakeups; got != 0 {
 			t.Errorf("stale token caused %d spurious wakeup(s); it should have been drained", got)
 		}
 		writer := sys.NewThread()
@@ -172,13 +172,13 @@ func TestBatchedSignalsExactlyOncePerCommit(t *testing.T) {
 			return evals.Load() >= waiters && cs.WaitingLen() == waiters
 		})
 
-		batchedBefore := sys.Stats.BatchedSignals.Load()
+		batchedBefore := sys.Stats.Sum().BatchedSignals
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(&word, 1) })
 
 		// The PostCommit hook completes before Atomic returns, so the
 		// batch for this commit has been issued in full here.
-		delta := sys.Stats.BatchedSignals.Load() - batchedBefore
+		delta := sys.Stats.Sum().BatchedSignals - batchedBefore
 		if delta != waiters {
 			t.Errorf("commit batched %d signals, want exactly %d (one per claimable waiter)", delta, waiters)
 		}

@@ -71,10 +71,28 @@ type origWaiter struct {
 // migrated the shard's waiters to a newer generation: mutators that find
 // it set reload the current generation and retry, while scans may keep
 // reading the (intact, now-stale) list safely.
+//
+// n is len(waiters), stored under mu by set and loaded without it by
+// committing writers, which skip the lock — the shard's only shared write
+// — when it reads 0. That loses no wakeup: a waiter stores n (insert)
+// before the double-check transaction that decides whether it sleeps, and
+// a writer loads n after its write-back released its orecs; sync/atomic
+// operations are sequentially consistent, so a writer that reads 0 made
+// its writes visible before that double-check ran, and the waiter does
+// not sleep on them. n never reads 0 while an unclaimed sleeping waiter
+// is listed; a stale non-zero value costs one lock round trip.
 type waiterShard struct {
 	mu      spin.Lock
+	n       atomic.Int32
 	moved   bool
 	waiters []*Waiter
+}
+
+// set replaces the shard's list; the caller holds mu (or owns a tier not
+// yet published).
+func (sh *waiterShard) set(ws []*Waiter) {
+	sh.waiters = ws
+	sh.n.Store(int32(len(ws)))
 }
 
 // paddedShard keeps adjacent shards on distinct cache lines, so that
@@ -88,12 +106,20 @@ type paddedShard struct {
 }
 
 // origShard is one shard of the Retry-Orig registry: the entries whose
-// read-set orecs touch one orec-table stripe. moved works exactly as in
-// waiterShard.
+// read-set orecs touch one orec-table stripe. moved and n work exactly as
+// in waiterShard; what orders n against a committing writer here is
+// origSignal.Handle storing it before validating the read set.
 type origShard struct {
 	mu      spin.Lock
+	n       atomic.Int32
 	moved   bool
 	waiters []*origWaiter
+}
+
+// set replaces the shard's list, as waiterShard.set does.
+func (sh *origShard) set(ws []*origWaiter) {
+	sh.waiters = ws
+	sh.n.Store(int32(len(ws)))
 }
 
 // paddedOrigShard keeps adjacent Retry-Orig registry shards on distinct
@@ -152,12 +178,18 @@ type CondSync struct {
 	// schedule proves the same for the online swap.
 	tier atomic.Pointer[tier]
 
-	// mu/waiters is the unindexed list: waiters without a waitset
-	// (WaitPred's arbitrary predicates) can depend on any location, so
-	// every committing writer re-evaluates them. Unindexed waiters name
-	// no stripes and are untouched by resizes.
-	mu      spin.Lock
-	waiters []*Waiter
+	// unindexed lists the waiters without a waitset (WaitPred's arbitrary
+	// predicates): they can depend on any location, so every committing
+	// writer re-evaluates them. Unindexed waiters name no stripes and are
+	// untouched by resizes (moved stays false).
+	unindexed waiterShard
+
+	// origPublished, if set, runs in origSignal.Handle between publishing
+	// an entry's shard lengths and validating its read set — the window
+	// the empty-shard guard's soundness rests on (tests).
+	//
+	//tm:hook
+	origPublished func()
 
 	// resizeMu serializes online stripe resizes (adaptive-controller
 	// decisions, forced schedules, and tests alike).
@@ -266,9 +298,10 @@ func (ti *tier) unlockOrigShards(ss []uint32) {
 //tm:lockorder-checked
 func (cs *CondSync) insert(w *Waiter) {
 	if len(w.Waitset) == 0 {
-		cs.mu.Lock()
-		cs.waiters = append(cs.waiters, w)
-		cs.mu.Unlock()
+		sh := &cs.unindexed
+		sh.mu.Lock()
+		sh.set(append(sh.waiters, w))
+		sh.mu.Unlock()
 		return
 	}
 	for {
@@ -279,7 +312,7 @@ func (cs *CondSync) insert(w *Waiter) {
 		}
 		for _, s := range ss {
 			sh := &ti.shards[s].waiterShard
-			sh.waiters = append(sh.waiters, w)
+			sh.set(append(sh.waiters, w))
 		}
 		ti.unlockShards(ss)
 		return
@@ -306,9 +339,10 @@ func removeFrom(ws []*Waiter, w *Waiter) []*Waiter {
 //tm:lockorder-checked
 func (cs *CondSync) remove(w *Waiter) {
 	if len(w.Waitset) == 0 {
-		cs.mu.Lock()
-		cs.waiters = removeFrom(cs.waiters, w)
-		cs.mu.Unlock()
+		sh := &cs.unindexed
+		sh.mu.Lock()
+		sh.set(removeFrom(sh.waiters, w))
+		sh.mu.Unlock()
 		return
 	}
 	for {
@@ -319,43 +353,27 @@ func (cs *CondSync) remove(w *Waiter) {
 		}
 		for _, s := range ss {
 			sh := &ti.shards[s].waiterShard
-			sh.waiters = removeFrom(sh.waiters, w)
+			sh.set(removeFrom(sh.waiters, w))
 		}
 		ti.unlockShards(ss)
 		return
 	}
 }
 
-// snapshotShard makes the shallow copy of one shard's waiting list that
-// wakeWaiters iterates (Algorithm 4, wakeWaiters line 1), avoiding
-// contention with concurrent inserts while predicates are evaluated.
+// snapshot appends the shallow copy of the shard's waiting list that
+// wakeWaiters iterates (Algorithm 4, wakeWaiters line 1) to buf, avoiding
+// contention with concurrent inserts while predicates are evaluated. An
+// empty shard costs one load of n and no write; see waiterShard.
 //
 //tm:lockorder-checked
-func (sh *waiterShard) snapshot() []*Waiter {
+func (sh *waiterShard) snapshot(buf []*Waiter) []*Waiter {
+	if sh.n.Load() == 0 {
+		return buf
+	}
 	sh.mu.Lock()
-	if len(sh.waiters) == 0 {
-		sh.mu.Unlock()
-		return nil
-	}
-	out := make([]*Waiter, len(sh.waiters))
-	copy(out, sh.waiters)
+	buf = append(buf, sh.waiters...)
 	sh.mu.Unlock()
-	return out
-}
-
-// snapshotUnindexed copies the unindexed (no-waitset) waiting list.
-//
-//tm:lockorder-checked
-func (cs *CondSync) snapshotUnindexed() []*Waiter {
-	cs.mu.Lock()
-	if len(cs.waiters) == 0 {
-		cs.mu.Unlock()
-		return nil
-	}
-	out := make([]*Waiter, len(cs.waiters))
-	copy(out, cs.waiters)
-	cs.mu.Unlock()
-	return out
+	return buf
 }
 
 // WaitingLen reports the current number of distinct published waiters
@@ -365,11 +383,11 @@ func (cs *CondSync) snapshotUnindexed() []*Waiter {
 //tm:lockorder-checked
 func (cs *CondSync) WaitingLen() int {
 	seen := make(map[*Waiter]struct{})
-	cs.mu.Lock()
-	for _, w := range cs.waiters {
+	cs.unindexed.mu.Lock()
+	for _, w := range cs.unindexed.waiters {
 		seen[w] = struct{}{}
 	}
-	cs.mu.Unlock()
+	cs.unindexed.mu.Unlock()
 	ti := cs.tier.Load()
 	for i := range ti.shards {
 		sh := &ti.shards[i].waiterShard
@@ -419,9 +437,9 @@ func (cs *CondSync) OrigWaitingLen() int {
 func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripes []uint32) {
 	var batch sem.Batch
 	cs.wakeWaiters(t, gen, writeOrecs, writeStripes, &batch)
-	cs.origWake(writeOrecs, &batch)
+	cs.origWake(t, writeOrecs, &batch)
 	if n := batch.SignalAll(); n > 0 {
-		cs.sys.Stats.BatchedSignals.Add(uint64(n))
+		t.Stat.BatchedSignals.Add(uint64(n))
 	}
 	cs.maybeAdapt()
 }
@@ -440,11 +458,15 @@ func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripe
 // conservatively — the touched stripes are re-derived from the lock set
 // under the scan tier's geometry, or everything is scanned when the
 // engine recorded no orecs (the HTM serial fallback). Scanning a tier
-// that has since been migrated away from is also safe: its lists are left
-// intact by the migration, so they still contain every waiter published
-// before this commit's writes became visible, and a waiter published
-// later (necessarily into a newer tier) re-checked its predicate after
-// those writes were already visible.
+// that has since been migrated away from is also safe: its lists and
+// lengths are left intact by the migration, so they still contain every
+// waiter published before this commit's writes became visible, and a
+// waiter published later (necessarily into a newer tier) re-checked its
+// predicate after those writes were already visible.
+//
+// The snapshots are gathered into one buffer before any predicate runs.
+// It starts on this frame — postCommit is never re-entered on a thread —
+// so a commit that finds few waiters, or none, allocates nothing.
 func (cs *CondSync) wakeWaiters(t *tm.Thread, gen uint64, writeOrecs, touched []uint32, batch *sem.Batch) {
 	ti := cs.tier.Load()
 	var stripeBuf [16]uint32
@@ -455,43 +477,60 @@ func (cs *CondSync) wakeWaiters(t *tm.Thread, gen uint64, writeOrecs, touched []
 			touched = nil
 		}
 	}
-	if len(touched) == 0 {
-		cs.wakeAllShards(t, ti, batch)
-		return
-	}
-	var seen map[*Waiter]struct{}
-	for _, s := range touched {
-		for _, w := range ti.shards[s].snapshot() {
-			if len(touched) > 1 {
-				// The waiter may be registered on several touched
-				// stripes: visit once.
-				if seen == nil {
-					seen = make(map[*Waiter]struct{}, 8)
-				}
-				if _, dup := seen[w]; dup {
-					continue
-				}
-				seen[w] = struct{}{}
-			}
-			cs.tryWake(t, w, batch)
+	var scratch [smallScan]*Waiter
+	ws := scratch[:0]
+	scanned := len(touched)
+	if scanned == 0 {
+		// The conservative full scan (also the exact behaviour of a
+		// one-stripe table).
+		scanned = len(ti.shards)
+		for i := range ti.shards {
+			ws = ti.shards[i].snapshot(ws)
+		}
+	} else {
+		for _, s := range touched {
+			ws = ti.shards[s].snapshot(ws)
 		}
 	}
-	for _, w := range cs.snapshotUnindexed() {
+	if scanned > 1 {
+		// A waiter may be registered on several of the scanned stripes:
+		// visit it once.
+		ws = dedupe(ws)
+	}
+	ws = cs.unindexed.snapshot(ws)
+	for _, w := range ws {
 		cs.tryWake(t, w, batch)
 	}
 }
 
-// wakeAllShards is the conservative full scan (also the exact behaviour of
-// a one-stripe table).
-func (cs *CondSync) wakeAllShards(t *tm.Thread, ti *tier, batch *sem.Batch) {
-	for i := range ti.shards {
-		for _, w := range ti.shards[i].snapshot() {
-			cs.tryWake(t, w, batch)
+// smallScan is the number of gathered waiters up to which a wake scan
+// stays on the stack and dedupes by comparing pairs.
+const smallScan = 16
+
+// dedupe removes repeated waiters from ws in place, keeping first
+// occurrences in order.
+func dedupe(ws []*Waiter) []*Waiter {
+	out := ws[:0]
+	if len(ws) <= smallScan {
+	next:
+		for _, w := range ws {
+			for _, x := range out {
+				if x == w {
+					continue next
+				}
+			}
+			out = append(out, w)
+		}
+		return out
+	}
+	seen := make(map[*Waiter]struct{}, len(ws))
+	for _, w := range ws {
+		if _, dup := seen[w]; !dup {
+			seen[w] = struct{}{}
+			out = append(out, w)
 		}
 	}
-	for _, w := range cs.snapshotUnindexed() {
-		cs.tryWake(t, w, batch)
-	}
+	return out
 }
 
 // tryWake evaluates one sleeping waiter's predicate in a fresh (read-only,
@@ -504,7 +543,7 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 	if !w.asleep.Load() {
 		return
 	}
-	cs.sys.Stats.WakeChecks.Add(1)
+	t.Stat.WakeChecks.Add(1)
 	should := false
 	t.Atomic(func(tx *tm.Tx) {
 		should = w.asleep.Load() && w.Pred(tx, w.Args)
@@ -523,7 +562,7 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 // shard (or withdrawn by their owner) are purged in passing.
 //
 //tm:lockorder-checked
-func (cs *CondSync) origWake(writeOrecs []uint32, batch *sem.Batch) {
+func (cs *CondSync) origWake(t *tm.Thread, writeOrecs []uint32, batch *sem.Batch) {
 	if len(writeOrecs) == 0 {
 		return
 	}
@@ -536,11 +575,14 @@ func (cs *CondSync) origWake(writeOrecs []uint32, batch *sem.Batch) {
 	checks := 0
 	for _, s := range stripes {
 		sh := &ti.origShards[s].origShard
+		if sh.n.Load() == 0 {
+			continue
+		}
 		sh.mu.Lock()
 		for i := 0; i < len(sh.waiters); {
 			ow := sh.waiters[i]
 			if ow.woken.Load() {
-				sh.waiters = removeOrigAt(sh.waiters, i)
+				sh.set(removeOrigAt(sh.waiters, i))
 				continue
 			}
 			checks++
@@ -552,7 +594,7 @@ func (cs *CondSync) origWake(writeOrecs []uint32, batch *sem.Batch) {
 				}
 			}
 			if hit && ow.woken.CompareAndSwap(false, true) {
-				sh.waiters = removeOrigAt(sh.waiters, i)
+				sh.set(removeOrigAt(sh.waiters, i))
 				batch.Add(ow.thr.Sem)
 				continue
 			}
@@ -561,7 +603,7 @@ func (cs *CondSync) origWake(writeOrecs []uint32, batch *sem.Batch) {
 		sh.mu.Unlock()
 	}
 	if checks > 0 {
-		cs.sys.Stats.OrigShardChecks.Add(uint64(checks))
+		t.SlowStat.OrigShardChecks.Add(uint64(checks))
 	}
 }
 
@@ -593,7 +635,7 @@ func (cs *CondSync) origWithdraw(ow *origWaiter) {
 			sh := &ti.origShards[s].origShard
 			for i, x := range sh.waiters {
 				if x == ow {
-					sh.waiters = removeOrigAt(sh.waiters, i)
+					sh.set(removeOrigAt(sh.waiters, i))
 					break
 				}
 			}
@@ -621,7 +663,7 @@ type deschedSignal struct {
 
 func (s deschedSignal) Handle(tx *tm.Tx) tm.Outcome {
 	cs, w := s.cs, s.w
-	cs.sys.Stats.Deschedules.Add(1)
+	tx.Thr.Stat.Deschedules.Add(1)
 	deferred := s.deferred
 
 	// Discard any token left over from an earlier sleep cycle BEFORE this
@@ -658,7 +700,7 @@ func (s deschedSignal) Handle(tx *tm.Tx) tm.Outcome {
 		// waker holding a stale registry snapshot claim — and signal — a
 		// waiter that has already departed.
 		w.asleep.Store(false)
-		cs.sys.Stats.Wakeups.Add(1)
+		tx.Thr.Stat.Wakeups.Add(1)
 		cs.remove(w)
 	}
 
@@ -793,7 +835,7 @@ func RetryOrig(tx *tm.Tx) {
 func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 	cs := s.cs
 	tbl := cs.sys.Table
-	cs.sys.Stats.Deschedules.Add(1)
+	tx.Thr.Stat.Deschedules.Add(1)
 	// Discard any stale token from an earlier sleep cycle before this
 	// cycle's registry entry becomes claimable (same rationale as the
 	// Deschedule path: a late batched signal must not satisfy a later
@@ -802,24 +844,36 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 
 	// Atomically with validation, add the calling transaction to the
 	// waiting list (Algorithm 1, Retry lines 3–8): every registry shard
-	// covering the read set is locked at once, the orecs are validated,
-	// and the entry inserted under those locks — each of which is exactly
-	// a lock some committing writer to those orecs must take before
-	// scanning. So per stripe, either the insertion precedes the writer's
-	// scan (the scan finds the entry and wakes it) or the writer's
-	// version bump precedes the validation (which then fails and
-	// restarts); and because the locks are held together, a stripe resize
-	// can never observe a half-inserted entry — the migration takes every
-	// shard lock of the generation before carrying entries over. The
-	// driver has already undone writes and released locks "as if the
-	// transaction never ran", so a valid read is one whose orec is
-	// unlocked at a version no newer than the transaction's start.
+	// covering the read set is locked at once, the entry is inserted and
+	// the orecs validated under those locks, and the entry taken out again
+	// if validation fails. Insertion comes first because a committing
+	// writer skips a shard whose length reads 0 without taking its lock:
+	// with the length stored before the orecs are read, per stripe either
+	// the writer's version bump precedes the validation (which then fails
+	// and restarts), or the writer loads a non-zero length, takes the lock
+	// — held here until the entry's fate is settled — and its scan finds
+	// the entry and wakes it. Validating first would let a writer publish
+	// its orecs and skip the still-empty shard in between, and the entry
+	// would sleep on a version nobody will bump again. Because the locks
+	// are held together, a stripe resize can never observe a half-inserted
+	// entry — the migration takes every shard lock of the generation
+	// before carrying entries over. The driver has already undone writes
+	// and released locks "as if the transaction never ran", so a valid
+	// read is one whose orec is unlocked at a version no newer than the
+	// transaction's start.
 	ow := &origWaiter{thr: tx.Thr, orecs: s.orecs, slots: s.slots}
 	for {
 		ti := cs.tier.Load()
 		ss := ti.view.StripesOf(s.slots, nil)
 		if !ti.lockOrigShards(ss) {
 			continue
+		}
+		for _, st := range ss {
+			sh := &ti.origShards[st].origShard
+			sh.set(append(sh.waiters, ow))
+		}
+		if cs.origPublished != nil {
+			cs.origPublished()
 		}
 		valid := true
 		for _, idx := range s.slots {
@@ -832,10 +886,12 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 				break
 			}
 		}
-		if valid {
+		if !valid {
+			// Still the tail of every list: the locks have been held
+			// since the append.
 			for _, st := range ss {
 				sh := &ti.origShards[st].origShard
-				sh.waiters = append(sh.waiters, ow)
+				sh.set(removeOrigAt(sh.waiters, len(sh.waiters)-1))
 			}
 		}
 		ti.unlockOrigShards(ss)
@@ -846,7 +902,7 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 	}
 
 	cs.sys.SemWait(tx.Thr.Sem)
-	cs.sys.Stats.Wakeups.Add(1)
+	tx.Thr.Stat.Wakeups.Add(1)
 	// Deregister: the claiming waker removed the entry from the shard it
 	// scanned, but entries on the entry's other stripes — or, after a
 	// spurious (stale-token) wakeup, on every stripe — remain. The

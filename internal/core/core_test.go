@@ -330,7 +330,7 @@ func TestRetryOrigBlocksAndWakes(t *testing.T) {
 			})
 			close(done)
 		}()
-		waitCond(t, "deschedule", func() bool { return sys.Stats.Deschedules.Load() >= 1 })
+		waitCond(t, "deschedule", func() bool { return sys.Stats.Sum().Deschedules >= 1 })
 		select {
 		case <-done:
 			t.Fatal("completed while flag == 0")
@@ -363,11 +363,11 @@ func TestRetryOrigWakesOnSilentStore(t *testing.T) {
 			})
 			close(done)
 		}()
-		waitCond(t, "first sleep", func() bool { return sys.Stats.Deschedules.Load() >= 1 })
+		waitCond(t, "first sleep", func() bool { return sys.Stats.Sum().Deschedules >= 1 })
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(&flag, 0) }) // silent store
 		waitCond(t, "futile wakeup and re-sleep", func() bool {
-			return sys.Stats.Wakeups.Load() >= 1 && sys.Stats.Deschedules.Load() >= 2
+			return sys.Stats.Sum().Wakeups >= 1 && sys.Stats.Sum().Deschedules >= 2
 		})
 		select {
 		case <-done:
@@ -478,7 +478,7 @@ func TestWaitPredFastPathHTM(t *testing.T) {
 		close(done)
 	}()
 	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	if sys.Stats.Serializations.Load() != 0 {
+	if sys.Stats.Sum().Serializations != 0 {
 		t.Error("fast path still serialized")
 	}
 	writer := sys.NewThread()
@@ -507,7 +507,7 @@ func TestHTMRetrySerializesForSoftwareMode(t *testing.T) {
 		close(done)
 	}()
 	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	if sys.Stats.Serializations.Load() == 0 {
+	if sys.Stats.Sum().Serializations == 0 {
 		t.Error("Retry under HTM should have used the serial software mode")
 	}
 	writer := sys.NewThread()
@@ -536,7 +536,7 @@ func TestHybridRetryAvoidsSerialization(t *testing.T) {
 		close(done)
 	}()
 	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	if sys.Stats.Serializations.Load() != 0 {
+	if sys.Stats.Sum().Serializations != 0 {
 		t.Error("hybrid Retry serialized; the STM fallback should be concurrent")
 	}
 	writer := sys.NewThread()
@@ -574,12 +574,12 @@ func TestDescheduleStats(t *testing.T) {
 			})
 			close(done)
 		}()
-		waitCond(t, "desched", func() bool { return sys.Stats.Deschedules.Load() == 1 })
+		waitCond(t, "desched", func() bool { return sys.Stats.Sum().Deschedules == 1 })
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(&x, 1) })
 		<-done
-		if sys.Stats.Wakeups.Load() != 1 {
-			t.Errorf("wakeups = %d, want 1", sys.Stats.Wakeups.Load())
+		if sys.Stats.Sum().Wakeups != 1 {
+			t.Errorf("wakeups = %d, want 1", sys.Stats.Sum().Wakeups)
 		}
 	})
 }

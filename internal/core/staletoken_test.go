@@ -131,7 +131,7 @@ func TestStaleTokenSelfClearAcrossResize(t *testing.T) {
 			// arbitration. The hardware engines' software re-execution
 			// legitimately discovers the precondition without sleeping on
 			// some rounds, so the floor is deliberately loose.
-			if got := sys.Stats.Deschedules.Load(); got < uint64(rounds)/6 {
+			if got := sys.Stats.Sum().Deschedules; got < uint64(rounds)/6 {
 				t.Errorf("only %d deschedules over %d rounds; the waiter barely slept", got, rounds)
 			}
 		})

@@ -64,7 +64,7 @@ func TestRetryUnderSpuriousAborts(t *testing.T) {
 			if count != 0 {
 				t.Fatalf("count = %d, want 0", count)
 			}
-			if sys.Stats.SpuriousAborts.Load() == 0 {
+			if sys.Stats.Sum().SpuriousAborts == 0 {
 				t.Error("injection did not fire")
 			}
 		})

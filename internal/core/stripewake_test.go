@@ -68,13 +68,13 @@ func TestWriterWakesExactlyOverlappingWaiters(t *testing.T) {
 		}
 		waitCond(t, "all waiters asleep", func() bool { return cs.WaitingLen() == waiters })
 
-		checksBefore := sys.Stats.WakeChecks.Load()
+		checksBefore := sys.Stats.Sum().WakeChecks
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(addrs[0], 1) })
 
 		// The PostCommit hook runs on the committing thread before Atomic
 		// returns, so the scan for this commit is complete here.
-		delta := sys.Stats.WakeChecks.Load() - checksBefore
+		delta := sys.Stats.Sum().WakeChecks - checksBefore
 		if delta != 1 {
 			t.Errorf("writer commit visited %d waiters; the stripe index should visit exactly the 1 overlapping waiter", delta)
 		}
@@ -160,7 +160,7 @@ func TestOrigWaiterWakesDespitePrecedingIndexedScan(t *testing.T) {
 		// WaitingLen counts only Deschedule waiters; give the orig waiter
 		// time to publish through the deschedule counter instead.
 		waitCond(t, "both waiters asleep", func() bool {
-			return cs.WaitingLen() == 1 && sys.Stats.Deschedules.Load() >= 2
+			return cs.WaitingLen() == 1 && sys.Stats.Sum().Deschedules >= 2
 		})
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(&word, 1) })
@@ -196,10 +196,10 @@ func TestUnindexedWaiterVisitedByEveryCommit(t *testing.T) {
 		}()
 		waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
 
-		checksBefore := sys.Stats.WakeChecks.Load()
+		checksBefore := sys.Stats.Sum().WakeChecks
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(unrelated, 7) })
-		if sys.Stats.WakeChecks.Load() == checksBefore {
+		if sys.Stats.Sum().WakeChecks == checksBefore {
 			t.Error("commit to an unrelated stripe skipped the unindexed waiter")
 		}
 		if cs.WaitingLen() != 1 {

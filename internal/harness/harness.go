@@ -300,9 +300,10 @@ func runOne(s *Scenario, oracle Observation, engine string, m mech.Mechanism, k 
 	start := mono.Now()
 	obs, err := s.Run(sys, m)
 	res.Duration = start.Elapsed()
-	res.Commits = sys.Stats.Commits.Load() + sys.Stats.ROCommits.Load()
-	res.Aborts = sys.Stats.Aborts.Load()
-	res.AbortRate = sys.Stats.AbortRate()
+	st := sys.Stats.Sum()
+	res.Commits = st.Commits + st.ROCommits
+	res.Aborts = st.Aborts
+	res.AbortRate = st.AbortRate()
 	if err != nil {
 		res.Err = err
 		return res

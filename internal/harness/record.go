@@ -53,9 +53,10 @@ func Record(s *Scenario, engine string, m mech.Mechanism, k Knobs) (*trace.Trace
 	start := mono.Now()
 	obs, runErr := runSpecRec(s.sp, sys, m, rec)
 	res.Duration = start.Elapsed()
-	res.Commits = sys.Stats.Commits.Load() + sys.Stats.ROCommits.Load()
-	res.Aborts = sys.Stats.Aborts.Load()
-	res.AbortRate = sys.Stats.AbortRate()
+	st := sys.Stats.Sum()
+	res.Commits = st.Commits + st.ROCommits
+	res.Aborts = st.Aborts
+	res.AbortRate = st.AbortRate()
 	if runErr != nil {
 		res.Err = runErr
 		return rec.Trace(), res, nil

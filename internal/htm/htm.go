@@ -43,7 +43,7 @@ func (*Engine) Begin(tx *tm.Tx) {
 		tx.WantSoftware = false
 		tx.Sys.EnterSerial(tx.Thr)
 		tx.SerialHeld = true
-		tx.Sys.Stats.Serializations.Add(1)
+		tx.Thr.Stat.Serializations.Add(1)
 	default:
 		tx.BeginHW()
 		return

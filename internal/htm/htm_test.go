@@ -27,8 +27,8 @@ func TestSerializationPolicy(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3 (2 hardware + 1 serial)", attempts)
 	}
-	if sys.Stats.Serializations.Load() != 1 {
-		t.Fatalf("serializations = %d", sys.Stats.Serializations.Load())
+	if sys.Stats.Sum().Serializations != 1 {
+		t.Fatalf("serializations = %d", sys.Stats.Sum().Serializations)
 	}
 	if x != 3 {
 		t.Fatalf("x = %d", x)
@@ -48,7 +48,7 @@ func TestHWModeReported(t *testing.T) {
 	if mode != tm.ModeHW {
 		t.Fatalf("mode = %v, want hw", mode)
 	}
-	if sys.Stats.Serializations.Load() != 0 {
+	if sys.Stats.Sum().Serializations != 0 {
 		t.Fatal("uncontended transaction serialized")
 	}
 }
@@ -67,7 +67,7 @@ func TestReadCapacityAbort(t *testing.T) {
 		}
 		tx.Write(&words[0], sum+1) // make it a writer so commit is real
 	})
-	if sys.Stats.CapacityAborts.Load() == 0 {
+	if sys.Stats.Sum().CapacityAborts == 0 {
 		t.Fatal("no capacity abort despite 64 reads against a cap of 8")
 	}
 	if words[0] != 1 {

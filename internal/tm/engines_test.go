@@ -125,8 +125,8 @@ func TestAbortRollsBackWrites(t *testing.T) {
 		if x != 999 {
 			t.Fatalf("final x = %d, want 999", x)
 		}
-		if sys.Stats.ExplicitAborts.Load() != 1 {
-			t.Errorf("explicit aborts = %d, want 1", sys.Stats.ExplicitAborts.Load())
+		if sys.Stats.Sum().ExplicitAborts != 1 {
+			t.Errorf("explicit aborts = %d, want 1", sys.Stats.Sum().ExplicitAborts)
 		}
 	})
 }
@@ -149,8 +149,8 @@ func TestRestartReexecutesImmediately(t *testing.T) {
 		if x != 3 {
 			t.Fatalf("x = %d, want 3", x)
 		}
-		if sys.Stats.ExplicitRestarts.Load() != 2 {
-			t.Errorf("restarts = %d, want 2", sys.Stats.ExplicitRestarts.Load())
+		if sys.Stats.Sum().ExplicitRestarts != 2 {
+			t.Errorf("restarts = %d, want 2", sys.Stats.Sum().ExplicitRestarts)
 		}
 	})
 }
@@ -464,10 +464,10 @@ func TestHTMCapacityFallsBackToSerial(t *testing.T) {
 			t.Fatalf("words[%d] = %d", i, words[i])
 		}
 	}
-	if sys.Stats.CapacityAborts.Load() == 0 {
+	if sys.Stats.Sum().CapacityAborts == 0 {
 		t.Error("expected at least one capacity abort")
 	}
-	if sys.Stats.Serializations.Load() == 0 {
+	if sys.Stats.Sum().Serializations == 0 {
 		t.Error("expected a serialized execution")
 	}
 }
@@ -494,7 +494,7 @@ func TestHTMSpuriousAbortsStillCommit(t *testing.T) {
 	if counter != workers*per {
 		t.Fatalf("counter = %d, want %d", counter, workers*per)
 	}
-	if sys.Stats.SpuriousAborts.Load() == 0 {
+	if sys.Stats.Sum().SpuriousAborts == 0 {
 		t.Error("expected spurious aborts at 20% per access")
 	}
 }
@@ -545,10 +545,10 @@ func TestStatsCommitCounts(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			thr.Atomic(func(tx *tm.Tx) { _ = tx.Read(&x) })
 		}
-		if got := sys.Stats.Commits.Load(); got != 5 {
+		if got := sys.Stats.Sum().Commits; got != 5 {
 			t.Errorf("writer commits = %d, want 5", got)
 		}
-		if got := sys.Stats.ROCommits.Load(); got != 3 {
+		if got := sys.Stats.Sum().ROCommits; got != 3 {
 			t.Errorf("read-only commits = %d, want 3", got)
 		}
 	})
@@ -618,17 +618,15 @@ func TestOldValueFirstEntryWins(t *testing.T) {
 }
 
 func TestStatsAttemptsAndAbortRate(t *testing.T) {
-	var s tm.Stats
-	if s.AbortRate() != 0 {
-		t.Fatalf("empty AbortRate = %v", s.AbortRate())
+	var c tm.Counters
+	if c.AbortRate() != 0 {
+		t.Fatalf("empty AbortRate = %v", c.AbortRate())
 	}
-	s.Commits.Add(6)
-	s.ROCommits.Add(2)
-	s.Aborts.Add(2)
-	if got := s.Attempts(); got != 10 {
+	c = tm.Counters{Commits: 6, ROCommits: 2, Aborts: 2}
+	if got := c.Attempts(); got != 10 {
 		t.Fatalf("Attempts = %d, want 10", got)
 	}
-	if got := s.AbortRate(); got != 0.2 {
+	if got := c.AbortRate(); got != 0.2 {
 		t.Fatalf("AbortRate = %v, want 0.2", got)
 	}
 }

@@ -12,15 +12,14 @@ package tm
 
 // BeginHW starts a hardware attempt. Hardware attempts must not start
 // inside a serial section, and must stand down if one begins while they
-// publish their activity — EnterSerial's drain may not have seen them —
-// so HWActive is only left set once SerialActive has been re-read clear
-// after it.
+// publish their activity — EnterSerial's drain may not have seen them,
+// whether it ran before HWActive was set or walked a thread list this
+// thread had not yet joined — so HWActive is only left set once
+// SerialActive has been re-read clear after it.
 func (tx *Tx) BeginHW() {
 	t := tx.Thr
 	for {
-		for tx.Sys.SerialActive.Load() != 0 {
-			spinYield()
-		}
+		tx.Sys.awaitSerialClear()
 		t.Doomed.Store(false)
 		t.SigReset()
 		t.HWActive.Store(true)
@@ -91,15 +90,14 @@ func (tx *Tx) CommitHW() {
 }
 
 // doomHWReaders is eager invalidation: doom every concurrent hardware
-// attempt whose signature may overlap the write set about to be written
-// back. This is what makes read-only wakeWaiters transactions abort under
-// writer pressure (§2.4.1).
+// attempt whose signature may overlap the write set just published. This
+// is what makes read-only wakeWaiters transactions abort under writer
+// pressure (§2.4.1).
 //
-// The scan walks a Threads() snapshot, as the engines' private copies of
-// it did. Walking the list in place is cheaper, but the time a hardware
-// commit holds its orecs shapes the buffer workload's abort/serialize
-// regime; that change belongs to a PR that measures and claims it
-// (CHANGES.md, PR 12).
+// The scan walks the thread list in place, after Publish has released the
+// commit's orecs. A hardware attempt it misses — one whose signature did
+// not hold the orec yet, or on a thread that registers during the walk —
+// reads that orec at a version newer than its start and aborts there.
 func (tx *Tx) doomHWReaders() {
 	for _, o := range tx.Sys.Threads() {
 		if o == tx.Thr || !o.HWActive.Load() {

@@ -1,6 +1,7 @@
 package tm_test
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +141,85 @@ func TestIrrevocableIdempotent(t *testing.T) {
 		}
 		if x != 9 {
 			t.Fatalf("x = %d", x)
+		}
+	})
+}
+
+// TestThreadListRegistrationDuringSerialEntry covers the lock-free thread
+// walk: EnterSerial drains the threads of whatever list header it loaded,
+// so a thread that registers during the walk is not waited for. It need
+// not be — it begins its first attempt after SerialActive was set, and
+// BeginHW's and PublishStartSerialAware's recheck make it stand down — and
+// this test holds the system to that: while one thread runs irrevocable
+// sections back to back, spawners keep registering fresh threads whose
+// very first attempt starts at once, and no transaction body on any of
+// them may ever observe a serial section in progress.
+func TestThreadListRegistrationDuringSerialEntry(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, sys *tm.System) {
+		// Thread ids are 15 bits: each section admits a few registrations.
+		const spawners, sections, perSection = 3, 300, 9
+		var serial, stop atomic.Bool
+		var overlaps, fresh, budget atomic.Int64
+		var x uint64
+		cells := make([]uint64, spawners*64)
+
+		var wg sync.WaitGroup
+		for s := 0; s < spawners; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if budget.Add(-1) < 0 {
+						budget.Add(1)
+						runtime.Gosched()
+						continue
+					}
+					thr := sys.NewThread()
+					thr.Atomic(func(tx *tm.Tx) {
+						v := tx.Read(&cells[s*64])
+						if serial.Load() {
+							overlaps.Add(1)
+						}
+						tx.Write(&cells[s*64], v+1)
+						if serial.Load() {
+							overlaps.Add(1)
+						}
+					})
+					fresh.Add(1)
+				}
+			}()
+		}
+
+		thr := sys.NewThread()
+		for i := 0; i < sections; i++ {
+			budget.Store(perSection) // registrations race this section's entry
+			thr.Atomic(func(tx *tm.Tx) {
+				tx.Irrevocable()
+				serial.Store(true)
+				tx.Write(&x, tx.Read(&x)+1)
+				for j := 0; j < 200; j++ {
+					runtime.Gosched() // dwell: give a stray attempt time to show itself
+				}
+				serial.Store(false)
+			})
+			for fresh.Load() < int64(i+1)*perSection {
+				runtime.Gosched()
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+
+		if n := overlaps.Load(); n != 0 {
+			t.Errorf("%d transaction bodies on freshly registered threads ran inside a serial section", n)
+		}
+		if x != sections {
+			t.Errorf("x = %d, want %d", x, sections)
+		}
+		if got, want := len(sys.Threads()), int(fresh.Load())+1; got != want {
+			t.Errorf("thread list has %d entries, want %d", got, want)
+		}
+		if st := sys.Stats.Sum(); st.Serializations < sections {
+			t.Errorf("serializations = %d, want at least %d", st.Serializations, sections)
 		}
 	})
 }

@@ -182,14 +182,27 @@ func (tx *Tx) CommitStamp() Stamp {
 }
 
 // Publish makes the attempt's writes durable: it hands the lock set to
-// the post-commit wakeup, releases every lock at the stamp, and — for
-// software attempts on a privatization-safe system — quiesces.
+// the post-commit wakeup, releases every lock at the stamp, on a system
+// with a hardware layer dooms the hardware attempts the write set
+// overlaps — software committers included, or hardware attempts would miss
+// eager invalidation from the software path — and, for software attempts
+// on a privatization-safe system, quiesces.
+//
+// The doom scan walks every thread, so it runs once the locks are
+// released: it is early notice, not protection — a hardware reader that
+// misses it fails the version check of its next read or of its commit —
+// and a hardware commit should hold its orecs no longer than the
+// write-back takes. It runs before the quiescence wait, which is shorter
+// for every hardware attempt that has been told to stop.
 func (tx *Tx) Publish(s Stamp) {
 	tx.WriteOrecs = append(tx.WriteOrecs, tx.Locks...)
 	for _, idx := range tx.Locks {
 		tx.Sys.Table.Set(idx, locktable.UnlockedAt(s.end))
 	}
 	tx.Locks = tx.Locks[:0]
+	if tx.Sys.HWLayer {
+		tx.doomHWReaders()
+	}
 	if tx.Mode == ModeSTM && tx.Sys.Cfg.Quiesce {
 		// The transaction is logically committed: retire its activity
 		// before quiescing, or two committers would wait on each other.
@@ -200,10 +213,7 @@ func (tx *Tx) Publish(s Stamp) {
 
 // CommitRedo is the TL2-style two-phase commit of a redo-log attempt:
 // acquire the write set's orecs, stamp, write the log back, publish.
-// Read-only attempts commit for free. On a system with a hardware layer
-// the write-back also invalidates overlapping hardware readers — software
-// committers included, or hardware attempts would miss eager invalidation
-// from the software path.
+// Read-only attempts commit for free.
 func (tx *Tx) CommitRedo() {
 	if tx.Redo.Len() == 0 {
 		return
@@ -214,9 +224,6 @@ func (tx *Tx) CommitRedo() {
 		}
 	}
 	s := tx.CommitStamp()
-	if tx.Sys.HWLayer {
-		tx.doomHWReaders()
-	}
 	for i := range tx.Redo.Entries {
 		atomic.StoreUint64(tx.Redo.Entries[i].Addr, tx.Redo.Entries[i].Val)
 	}

@@ -1,17 +1,44 @@
 package tm
 
+// serialPolls is how many times a thread re-reads the serial word before
+// each processor yield while it waits on a serial section: for the section
+// to end, for the lock, or for the threads it drains. A serial section is
+// a single transaction, usually over in well under these polls' time, and
+// it is never held across a sleep (ExitSerialIfHeld runs before every
+// Signal handler); yielding at once costs a scheduler round trip per wait
+// — 3 µs against 1 µs for the ops of benchmark/'s buffer workload that
+// fall back to serial mode under htm. The yield stays because goroutines
+// may outnumber processors.
+const serialPolls = 256
+
+// serialWait is one step of such a wait; i counts the caller's steps.
+func serialWait(i int) {
+	if i%serialPolls == serialPolls-1 {
+		spinYield()
+	}
+}
+
+// awaitSerialClear returns once no serial section is active.
+func (s *System) awaitSerialClear() {
+	for i := 0; s.SerialActive.Load() != 0; i++ {
+		serialWait(i)
+	}
+}
+
 // EnterSerial acquires system-wide exclusivity for thread t: it takes the
-// serial lock, announces the serial section, dooms in-flight hardware
-// transactions, and waits for every other thread's current attempt to
-// drain. Used by the HTM fallback path and by irrevocable transactions.
+// serial word (which also announces the section to every beginning
+// attempt), dooms in-flight hardware transactions, and waits for every
+// other thread's current attempt to drain. Used by the HTM fallback path
+// and by irrevocable transactions.
 //
-// Each pass walks its own Threads() snapshot, as the htm engine's private
-// doom-and-drain did before it became this call: how long a serial section
-// takes to establish shapes the buffer workload's abort/serialize regime
-// just as doomHWReaders' snapshot does (CHANGES.md, PR 12).
+// Both passes walk the thread list in place. A thread that registers
+// after a pass loaded the list is not waited for, and need not be: it
+// publishes its first attempt after SerialActive was set, so BeginHW's
+// and PublishStartSerialAware's recheck make it stand down.
 func (s *System) EnterSerial(t *Thread) {
-	s.SerialMu.Lock()
-	s.SerialActive.Store(1)
+	for i := 0; !s.SerialActive.CompareAndSwap(0, 1); i++ {
+		serialWait(i)
+	}
 	for _, o := range s.Threads() {
 		if o != t && o.HWActive.Load() {
 			o.Doomed.Store(true)
@@ -21,13 +48,13 @@ func (s *System) EnterSerial(t *Thread) {
 		if o == t {
 			continue
 		}
-		for {
+		for i := 0; ; i++ {
 			if o.HWActive.Load() {
 				o.Doomed.Store(true)
 			} else if o.ActiveStart.Load() == 0 {
 				break
 			}
-			spinYield()
+			serialWait(i)
 		}
 	}
 }
@@ -41,7 +68,6 @@ func (s *System) ExitSerialIfHeld(tx *Tx) {
 	}
 	tx.SerialHeld = false
 	s.SerialActive.Store(0)
-	s.SerialMu.Unlock()
 }
 
 // PublishStartSerialAware is PublishStart for software engines that must
@@ -51,9 +77,7 @@ func (s *System) ExitSerialIfHeld(tx *Tx) {
 func (t *Thread) PublishStartSerialAware(tx *Tx) uint64 {
 	for {
 		if !tx.SerialHeld {
-			for t.Sys.SerialActive.Load() != 0 {
-				spinYield()
-			}
+			t.Sys.awaitSerialClear()
 		}
 		start := t.PublishStart()
 		if tx.SerialHeld || t.Sys.SerialActive.Load() == 0 {

@@ -15,7 +15,7 @@ package tm
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -291,7 +291,7 @@ func (tx *Tx) Abort(reason AbortReason) {
 //
 //tm:noreturn
 func (tx *Tx) Restart() {
-	tx.Sys.Stats.ExplicitRestarts.Add(1)
+	tx.Thr.SlowStat.ExplicitRestarts.Add(1)
 	panic(restartSig{})
 }
 
@@ -475,20 +475,21 @@ type Tracer interface {
 	TraceEvent(t *Thread, kind TraceKind, arg uint64)
 }
 
-// Stats aggregates runtime counters for a System.
-type Stats struct {
-	Commits          atomic.Uint64
-	ROCommits        atomic.Uint64
-	Aborts           atomic.Uint64
-	ConflictAborts   atomic.Uint64
-	CapacityAborts   atomic.Uint64
-	SpuriousAborts   atomic.Uint64
-	ExplicitAborts   atomic.Uint64
-	ExplicitRestarts atomic.Uint64
-	Deschedules      atomic.Uint64
-	Wakeups          atomic.Uint64
-	FutileWakeups    atomic.Uint64
-	Serializations   atomic.Uint64
+// StatShard is the hot half of one thread's statistics: the counters a
+// transaction's common path advances (commit, conflict abort, serial
+// fallback, sleep and wake, post-commit wake scan). Only the owning thread
+// writes it, so counting costs no cache-line transfer; Stats.Sum adds the
+// shards up. Its eight counters fill exactly the cache line Thread gives
+// them.
+//
+//tm:padded
+type StatShard struct {
+	Commits        atomic.Uint64
+	ROCommits      atomic.Uint64
+	ConflictAborts atomic.Uint64
+	Serializations atomic.Uint64
+	Deschedules    atomic.Uint64
+	Wakeups        atomic.Uint64
 
 	// WakeChecks counts sleeping waiters visited (predicate considered)
 	// by post-commit wakeup scans. With the per-stripe waiter index this
@@ -502,6 +503,18 @@ type Stats struct {
 	// (the per-commit form of Algorithm 4's deferred semaphore
 	// operations).
 	BatchedSignals atomic.Uint64
+}
+
+// SlowStatShard is the other half: counters advanced only where a thread
+// is already off the fast path (a rare abort kind, an explicit restart, a
+// Retry-Orig registry scan that found entries). Thread keeps it apart from
+// StatShard because it is cold enough to share lines with read-only
+// fields; see Thread.
+type SlowStatShard struct {
+	CapacityAborts   atomic.Uint64
+	SpuriousAborts   atomic.Uint64
+	ExplicitAborts   atomic.Uint64
+	ExplicitRestarts atomic.Uint64
 
 	// OrigShardChecks counts Retry-Orig registry entries examined by
 	// committing writers' origWake scans. With the per-stripe registry
@@ -509,6 +522,41 @@ type Stats struct {
 	// its lock set; with one stripe this degenerates to the old global
 	// every-sleeper scan.
 	OrigShardChecks atomic.Uint64
+}
+
+// Counters is a plain-value sum of every thread's StatShard and
+// SlowStatShard, as returned by Stats.Sum.
+type Counters struct {
+	Commits, ROCommits uint64
+	// Aborts is the sum of the four per-reason counts below.
+	Aborts                                                         uint64
+	ConflictAborts, CapacityAborts, SpuriousAborts, ExplicitAborts uint64
+	ExplicitRestarts, Serializations                               uint64
+	Deschedules, Wakeups                                           uint64
+	WakeChecks, BatchedSignals, OrigShardChecks                    uint64
+}
+
+// Attempts returns the total number of finished transaction attempts
+// (commits, read-only commits, and aborts).
+func (c Counters) Attempts() uint64 { return c.Commits + c.ROCommits + c.Aborts }
+
+// AbortRate returns the fraction of attempts that aborted, in [0, 1].
+// The differential harness reports it per engine × mechanism.
+func (c Counters) AbortRate() float64 {
+	n := c.Attempts()
+	if n == 0 {
+		return 0
+	}
+	return float64(c.Aborts) / float64(n)
+}
+
+// Stats is a System's statistics. The counters transactions advance live
+// in per-thread shards (Thread.Stat, Thread.SlowStat) and are read through
+// Sum or Snapshot; only the system-wide events of the slow paths — stripe
+// resizes, and the traffic counts of the non-default clock modes — are
+// counted here directly.
+type Stats struct {
+	sys *System
 
 	// StripeResizes counts online stripe-geometry swaps (adaptive
 	// controller decisions and forced-schedule resizes alike).
@@ -524,58 +572,73 @@ type Stats struct {
 	// registry migration.
 	MigratedWaiters atomic.Uint64
 
-	// ClockAdvances counts successful advances of the shared commit-clock
-	// word: global-mode increments (one per writer commit and rollback),
-	// pof-mode won CASes, and deferred-mode NoteStale/AtLeast raises.
-	// ClockCASRetries counts failed CASes on that word: pof adoptions
-	// (commits that shared the winner's timestamp instead of retrying)
-	// and AtLeast collisions. Together they make commit-clock cache-line
+	// clockAdvances and clockCASRetries are the counters handed to
+	// clock.New: successful advances of the shared commit-clock word
+	// (pof-mode won CASes, deferred-mode NoteStale/AtLeast raises; the
+	// global clock reports its advances off the word itself, one per
+	// writer commit and rollback) and failed CASes on it (pof adoptions —
+	// commits that shared the winner's timestamp instead of retrying —
+	// and AtLeast collisions). Together they make commit-clock cache-line
 	// traffic observable per run instead of merely inferable from
 	// throughput; (advances + retries) / commits is the per-commit
 	// shared-word cost the non-global Config.ClockMode protocols reduce.
-	ClockAdvances   atomic.Uint64
-	ClockCASRetries atomic.Uint64
+	clockAdvances   atomic.Uint64
+	clockCASRetries atomic.Uint64
 }
 
-// Attempts returns the total number of finished transaction attempts
-// (commits, read-only commits, and aborts).
-func (s *Stats) Attempts() uint64 {
-	return s.Commits.Load() + s.ROCommits.Load() + s.Aborts.Load()
-}
-
-// AbortRate returns the fraction of attempts that aborted, in [0, 1].
-// The differential harness reports it per engine × mechanism.
-func (s *Stats) AbortRate() float64 {
-	n := s.Attempts()
-	if n == 0 {
-		return 0
+// Sum adds up the per-thread shards. It may run while threads transact:
+// every counter only grows and is read atomically, so each total is
+// exact for some moment between the call and its return and never falls
+// from one call to the next; different totals may be a few events apart.
+func (s *Stats) Sum() Counters {
+	var c Counters
+	for _, t := range s.sys.Threads() {
+		h, sl := &t.Stat, &t.SlowStat
+		c.Commits += h.Commits.Load()
+		c.ROCommits += h.ROCommits.Load()
+		c.ConflictAborts += h.ConflictAborts.Load()
+		c.Serializations += h.Serializations.Load()
+		c.WakeChecks += h.WakeChecks.Load()
+		c.BatchedSignals += h.BatchedSignals.Load()
+		c.Deschedules += h.Deschedules.Load()
+		c.Wakeups += h.Wakeups.Load()
+		c.CapacityAborts += sl.CapacityAborts.Load()
+		c.SpuriousAborts += sl.SpuriousAborts.Load()
+		c.ExplicitAborts += sl.ExplicitAborts.Load()
+		c.ExplicitRestarts += sl.ExplicitRestarts.Load()
+		c.OrigShardChecks += sl.OrigShardChecks.Load()
 	}
-	return float64(s.Aborts.Load()) / float64(n)
+	c.Aborts = c.ConflictAborts + c.CapacityAborts + c.SpuriousAborts + c.ExplicitAborts
+	return c
 }
 
-// Snapshot returns a plain-value copy of the counters.
+// Snapshot returns a plain-value copy of every counter by name: the sums
+// of the per-thread shards, the system-wide counters, and the clock
+// word's traffic. futile_wakeups is kept for the benchmark's ratio; no
+// code path counts one, so it reads 0.
 func (s *Stats) Snapshot() map[string]uint64 {
+	c := s.Sum()
 	return map[string]uint64{
-		"commits":           s.Commits.Load(),
-		"ro_commits":        s.ROCommits.Load(),
-		"aborts":            s.Aborts.Load(),
-		"conflict_aborts":   s.ConflictAborts.Load(),
-		"capacity_aborts":   s.CapacityAborts.Load(),
-		"spurious_aborts":   s.SpuriousAborts.Load(),
-		"explicit_aborts":   s.ExplicitAborts.Load(),
-		"explicit_restarts": s.ExplicitRestarts.Load(),
-		"deschedules":       s.Deschedules.Load(),
-		"wakeups":           s.Wakeups.Load(),
-		"futile_wakeups":    s.FutileWakeups.Load(),
-		"serializations":    s.Serializations.Load(),
-		"wake_checks":       s.WakeChecks.Load(),
-		"batched_signals":   s.BatchedSignals.Load(),
-		"orig_shard_checks": s.OrigShardChecks.Load(),
+		"commits":           c.Commits,
+		"ro_commits":        c.ROCommits,
+		"aborts":            c.Aborts,
+		"conflict_aborts":   c.ConflictAborts,
+		"capacity_aborts":   c.CapacityAborts,
+		"spurious_aborts":   c.SpuriousAborts,
+		"explicit_aborts":   c.ExplicitAborts,
+		"explicit_restarts": c.ExplicitRestarts,
+		"deschedules":       c.Deschedules,
+		"wakeups":           c.Wakeups,
+		"futile_wakeups":    0,
+		"serializations":    c.Serializations,
+		"wake_checks":       c.WakeChecks,
+		"batched_signals":   c.BatchedSignals,
+		"orig_shard_checks": c.OrigShardChecks,
 		"stripe_resizes":    s.StripeResizes.Load(),
 		"gen_aborts":        s.GenAborts.Load(),
 		"migrated_waiters":  s.MigratedWaiters.Load(),
-		"clock_advances":    s.ClockAdvances.Load(),
-		"clock_cas_retries": s.ClockCASRetries.Load(),
+		"clock_advances":    s.sys.Clock.Advances(),
+		"clock_cas_retries": s.clockCASRetries.Load(),
 	}
 }
 
@@ -779,13 +842,18 @@ type System struct {
 	// when one is enabled; tm itself never inspects it.
 	Ext any
 
-	// SerialMu is the global serialization lock used by the HTM engine's
-	// fallback path and by irrevocable sections.
-	SerialMu     sync.Mutex
+	// SerialActive is the global serialization lock used by the HTM
+	// engine's fallback path and by irrevocable sections, and the flag
+	// every beginning attempt polls: 1 while a serial section is being
+	// established or runs (EnterSerial / ExitSerialIfHeld).
 	SerialActive atomic.Int32
 
+	// threads is the registered-thread list, published copy-on-write:
+	// NewThread (serialized by mu) stores the new element first and a
+	// header covering it second, so a reader walks whatever header it
+	// loaded in place, with no lock and no copy.
 	mu      spin.Lock
-	threads []*Thread
+	threads atomic.Pointer[[]*Thread]
 	nextID  atomic.Uint64
 
 	pool blockPool
@@ -802,7 +870,8 @@ type System struct {
 func NewSystem(cfg Config, mk func(*System) Engine) *System {
 	cfg = cfg.withDefaults()
 	s := &System{Cfg: cfg, Table: locktable.NewResizable(cfg.TableSize, cfg.Stripes, cfg.MaxStripes)}
-	s.Clock = clock.New(clock.Mode(cfg.ClockMode), &s.Stats.ClockCASRetries, &s.Stats.ClockAdvances)
+	s.Stats.sys = s
+	s.Clock = clock.New(clock.Mode(cfg.ClockMode), &s.Stats.clockCASRetries, &s.Stats.clockAdvances)
 	s.pool.init()
 	s.Engine = mk(s)
 	return s
@@ -823,23 +892,18 @@ func (s *System) SemWait(sm *sem.Sem) {
 	sm.Wait()
 }
 
-// Threads returns a snapshot of all threads registered with the system.
+// Threads returns the threads registered with the system so far, in
+// registration order. The slice is the live list, not a copy: it only
+// grows and its entries never change, so callers walk it in place and must
+// not modify it. A thread registered during the walk may be missing; it
+// has not begun a transaction the caller could have had to wait for (see
+// BeginHW and PublishStartSerialAware for serial sections, Quiesce for
+// privatization).
 func (s *System) Threads() []*Thread {
-	s.mu.Lock()
-	out := make([]*Thread, len(s.threads))
-	copy(out, s.threads)
-	s.mu.Unlock()
-	return out
-}
-
-// threadsUnlocked is used on the quiescence hot path, where the slice only
-// grows and entries are immutable once published.
-// Callers must tolerate a slightly stale length.
-func (s *System) threadsUnlocked() []*Thread {
-	s.mu.Lock()
-	t := s.threads
-	s.mu.Unlock()
-	return t
+	if l := s.threads.Load(); l != nil {
+		return slices.Clip(*l)
+	}
+	return nil
 }
 
 // Quiesce blocks until every transaction that was active with a start time
@@ -875,8 +939,7 @@ func (s *System) threadsUnlocked() []*Thread {
 //     read at the new snapshot, so a transaction extended past end has
 //     proven it observed none of the pre-commit state.
 func (s *System) Quiesce(self *Thread, end uint64) {
-	threads := s.threadsUnlocked()
-	for _, t := range threads {
+	for _, t := range s.Threads() {
 		if t == self {
 			continue
 		}
@@ -895,11 +958,35 @@ func (s *System) Quiesce(self *Thread, end uint64) {
 
 // Thread is the per-worker handle. Each goroutine that executes
 // transactions must own exactly one Thread, created with NewThread.
+//
+// The field order is the cache-line plan. A Thread is larger than 512
+// bytes and holds pointers, so Go allocates it with an 8-byte header in
+// front, in slots of the 704-byte size class — eleven lines — that follow
+// one another: a field at offset x sits at x+8 in its slot, and a line's
+// neighbour in the adjacent-line pair a remote read also pulls in may be
+// the line before or the line after, depending on the slot. Four blocks:
+//
+//   - the descriptor and the contention back-off, written by the owner
+//     during an attempt and read by nobody else;
+//   - the polled block, starting a line: fields other threads read
+//     (Quiesce reads ActiveStart; hardware-layer committers and
+//     EnterSerial read HWActive, Doomed and Sig);
+//   - the quiet block: fields that are fixed once NewThread returns or
+//     change only where the thread is off the fast path anyway. It fills
+//     the rest of the polled block's last line and the two lines after it,
+//     which keeps the owner block below out of every adjacent-line pair a
+//     remote poll pulls in: with per-commit scratch there, the `private`
+//     workload of benchmark/ loses 5–8 % throughput and 9–15 % p90 on
+//     every engine;
+//   - the owner block: what the owner writes on every commit — the hot
+//     stat shard on one line, the wake-scan scratch on the next.
+//
+// With the header the struct must stay within 696 bytes to keep its size
+// class; the next one, 768, costs the `sleepers` workload of benchmark/
+// 4–7 % of its live heap. internal/tm's layout test pins all of this.
 type Thread struct {
-	ID  uint64
-	Sys *System
-	Tx  Tx
-	Sem *sem.Sem
+	Tx      Tx
+	backoff spin.Backoff
 
 	// ActiveStart publishes the start time of an in-flight attempt for
 	// quiescence (0 = no attempt in flight).
@@ -912,13 +999,14 @@ type Thread struct {
 	Doomed   atomic.Bool
 	Sig      [SigWords]atomic.Uint64
 
-	// Everything above is polled by other threads (Quiesce reads
-	// ActiveStart; hardware-layer committers read HWActive, Doomed and
-	// Sig); everything below is written by the owner on every commit. Two
-	// cache lines keep the owner's scratch out of the adjacent-line pair a
-	// remote poll pulls in: without them the `private` workload of
-	// benchmark/ loses 5–8 % throughput and 9–15 % p90 on every engine.
-	_ [128]byte
+	ID       uint64
+	Sys      *System
+	Sem      *sem.Sem
+	SlowStat SlowStatShard
+	_        [48]byte
+
+	// Stat starts the owner block on a line of its own.
+	Stat StatShard
 
 	// postOrecs/postStripes are the scratch buffers the driver copies a
 	// committed attempt's write orecs and stripes into before handing
@@ -927,11 +1015,9 @@ type Thread struct {
 	// itself, so a callback that commits its own transaction on this
 	// thread allocates a fresh buffer instead of clobbering the capture
 	// the outer commit's wake scan is about to use.
-	postOrecs   []uint32
-	postStripes []uint32
-
+	postOrecs    []uint32
+	postStripes  []uint32
 	inPostCommit bool
-	backoff      spin.Backoff
 }
 
 // SigWords is the size of the simulated hardware signature (512 bits).
@@ -948,7 +1034,15 @@ func (s *System) NewThread() *Thread {
 	t.Tx.Sys = s
 	t.Tx.rng = id*0x9e3779b97f4a7c15 + 1
 	s.mu.Lock()
-	s.threads = append(s.threads, t)
+	// append writes the new element past every published header's length
+	// (or into a fresh, geometrically larger array), so no reader can
+	// observe it before the header that covers it is stored.
+	var l []*Thread
+	if cur := s.threads.Load(); cur != nil {
+		l = *cur
+	}
+	l = append(l, t)
+	s.threads.Store(&l)
 	s.mu.Unlock()
 	return t
 }
@@ -1113,7 +1207,7 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 		tx.WantIrrevocable = false
 		t.Sys.EnterSerial(t)
 		tx.SerialHeld = true
-		t.Sys.Stats.Serializations.Add(1)
+		t.Stat.Serializations.Add(1)
 	}
 	t.Sys.Engine.Begin(tx)
 	fn(tx)
@@ -1139,9 +1233,9 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 	tx.OnCommit = nil
 	tx.resetAfterAttempt(true)
 	if wrote {
-		t.Sys.Stats.Commits.Add(1)
+		t.Stat.Commits.Add(1)
 	} else {
-		t.Sys.Stats.ROCommits.Add(1)
+		t.Stat.ROCommits.Add(1)
 	}
 	for _, f := range deferred {
 		f()
@@ -1156,17 +1250,15 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 }
 
 func (t *Thread) recordAbort(r AbortReason) {
-	st := &t.Sys.Stats
-	st.Aborts.Add(1)
 	switch r {
 	case AbortConflict:
-		st.ConflictAborts.Add(1)
+		t.Stat.ConflictAborts.Add(1)
 	case AbortCapacity:
-		st.CapacityAborts.Add(1)
+		t.SlowStat.CapacityAborts.Add(1)
 	case AbortSpurious:
-		st.SpuriousAborts.Add(1)
+		t.SlowStat.SpuriousAborts.Add(1)
 	case AbortExplicit:
-		st.ExplicitAborts.Add(1)
+		t.SlowStat.ExplicitAborts.Add(1)
 	}
 }
 
