@@ -13,7 +13,6 @@
 //	go run ./cmd/tmcheck -budget 30s            # as many scenarios as fit
 //	go run ./cmd/tmcheck -parsec -scale 2       # PARSEC skeletons instead
 //	go run ./cmd/tmcheck -n 5 -inject           # prove the checker detects faults
-//	go run ./cmd/tmcheck -n 15 -adaptive        # forced online stripe resizes (1->4->64->16)
 //	go run ./cmd/tmcheck -n 15 -clock pof       # GV4 pass-on-CAS-failure commit clock
 //	go run ./cmd/tmcheck -n 15 -clock deferred -ext  # GV5-style deferred clock + timestamp extension
 //	go run ./cmd/tmcheck -n 20 -zipf 1.2        # Zipf-skewed key contention
@@ -23,9 +22,8 @@
 //	go run ./cmd/tmcheck -replay 'traces/*.trace'  # differential replay of recorded traces
 //
 // Mode flags are validated for coherence before anything runs: -stripes
-// pins a static count and therefore contradicts -adaptive's forced resize
-// schedule, -resize-every modifies only -adaptive, and -clock must name a
-// known commit-clock mode (global, pof, deferred). -replay reruns
+// must be a power of two within the table and -clock must name a known
+// commit-clock mode (global, pof, deferred). -replay reruns
 // committed traces, so it contradicts every flag that shapes generation
 // (-seed, -n, -threads, -ops, -zipf, -read-mostly, -phases, -inject,
 // -parsec, -record); knob flags remain allowed and override the trace's
@@ -61,8 +59,6 @@ func main() {
 	budget := flag.Duration("budget", 0, "stop starting new scenarios after this much time (0 = no budget)")
 	engine := flag.String("engine", "", "restrict to one engine (default: all four)")
 	stripes := flag.Int("stripes", 0, "orec-table stripe count for every system (0 = default); any power of two must yield identical outcomes")
-	adaptive := flag.Bool("adaptive", false, "force a deterministic online stripe-resize schedule (1 -> 4 -> 64 -> 16, cycling) while the suite runs; resizing is a pure performance mechanism, so outcomes must be identical")
-	resizeEvery := flag.Int("resize-every", 10, "writer commits between forced resizes (with -adaptive)")
 	clockMode := flag.String("clock", "", "commit-clock mode for every system: global (default), pof (pass-on-CAS-failure), or deferred (no per-commit clock bump); a pure timestamp-protocol knob, so outcomes must be identical")
 	ext := flag.Bool("ext", false, "enable timestamp extension (read-time snapshot extension) on the software paths: eager, lazy and hybrid's software mode; hardware attempts and the htm engine ignore it; must yield identical outcomes")
 	only := flag.String("mech", "", "restrict to one mechanism (default: all applicable)")
@@ -78,7 +74,7 @@ func main() {
 	flag.Parse()
 
 	// Flag-coherence validation. Each mode flag selects one experiment;
-	// some overlap (a clock mode under forced resizes is a meaningful
+	// some overlap (a clock mode at a pinned stripe count is a meaningful
 	// cross), others contradict each other outright, and a contradiction
 	// accepted silently is a green run that never tested what the
 	// invocation claimed.
@@ -90,12 +86,6 @@ func main() {
 	}
 	if *stripes < 0 || (*stripes > 0 && *stripes&(*stripes-1) != 0) || *stripes > locktable.DefaultSize {
 		fail("-stripes %d must be a power of two in [1, %d] (or 0 for the default)", *stripes, locktable.DefaultSize)
-	}
-	if *stripes > 0 && *adaptive {
-		fail("-stripes pins a static stripe count and contradicts -adaptive's forced resize schedule; pick one")
-	}
-	if explicit["resize-every"] && !*adaptive {
-		fail("-resize-every modifies -adaptive and does nothing alone; add -adaptive or drop it")
 	}
 	if *parsec && *inject {
 		// Fault injection rewrites generated programs; the PARSEC
@@ -151,18 +141,6 @@ func main() {
 	}
 
 	knobs := harness.Knobs{Stripes: *stripes, ClockMode: *clockMode, TimestampExtension: *ext}
-	if *adaptive {
-		// The forced schedule drives the stripe count through growth,
-		// large jumps, and shrinkage (1 -> 4 -> 64 -> 16, cycling) while
-		// waiters sleep across the swaps; every engine x mechanism run
-		// must still match the sequential oracle exactly.
-		if *resizeEvery <= 0 {
-			fail("-resize-every must be positive")
-		}
-		knobs.Stripes = 1 // start deliberately wrong: the old global table
-		knobs.ResizeEvery = *resizeEvery
-		knobs.ResizeSchedule = []int{4, 64, 16, 1}
-	}
 
 	var rep harness.Report
 	start := mono.Now()
@@ -268,9 +246,6 @@ func main() {
 			}
 			if explicit["ext"] {
 				k.TimestampExtension = *ext
-			}
-			if explicit["adaptive"] {
-				k.Stripes, k.ResizeEvery, k.ResizeSchedule = knobs.Stripes, knobs.ResizeEvery, knobs.ResizeSchedule
 			}
 			s.Name = filepath.Base(file)
 			runOne(s, k)

@@ -129,7 +129,6 @@ func (v *Var) Wait(tx *tm.Tx) {
 		w:            w,
 		wrote:        wrote,
 		deferred:     deferred,
-		gen:          tx.TableView.Gen,
 		writeOrecs:   append([]uint32(nil), tx.WriteOrecs...),
 		writeStripes: append([]uint32(nil), tx.WriteStripes...),
 	})
@@ -142,11 +141,7 @@ type waitSignal struct {
 	deferred []func()
 
 	// writeOrecs/writeStripes carry the punctuation commit's captured
-	// write set to the post-commit wake scan in Handle; gen is the
-	// orec-table stripe geometry they were named under (an online resize
-	// between the punctuation commit and the scan makes the hook
-	// re-derive or full-scan, exactly as for an ordinary commit).
-	gen          uint64
+	// write set to the post-commit wake scan in Handle.
 	writeOrecs   []uint32
 	writeStripes []uint32
 }
@@ -164,7 +159,7 @@ func (s waitSignal) Handle(tx *tm.Tx) tm.Outcome {
 		f()
 	}
 	if s.wrote && sys.PostCommit != nil {
-		sys.PostCommit(tx.Thr, s.gen, s.writeOrecs, s.writeStripes)
+		sys.PostCommit(tx.Thr, s.writeOrecs, s.writeStripes)
 	}
 	sys.SemWait(s.w.s)
 	// Withdraw the queue entry if a stale token woke us before a

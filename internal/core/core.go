@@ -16,7 +16,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -33,16 +32,16 @@ type Pred func(tx *tm.Tx, args []uint64) bool
 
 // Waiter is one published deschedule request. A fresh Waiter is created
 // per deschedule so that late wakeWaiters scans holding a stale snapshot
-// of the registry only ever observe immutable fields. Which waiter-index
-// shards the waiter occupies is a pure function of its waitset and the
-// registry generation's stripe geometry, recomputed per generation (the
-// waiter itself records nothing: an online stripe resize migrates it to
-// the new geometry's shards without touching it).
+// of the registry only ever observe immutable fields.
 type Waiter struct {
 	Thr     *tm.Thread
 	Pred    Pred
 	Args    []uint64
 	Waitset []tm.AddrVal
+
+	// shards is the ascending set of waiter-index shards covering Waitset,
+	// computed by insert and reused by remove; only the owner reads it.
+	shards []uint32
 
 	// asleep is true from publication until a waker (or the waiter
 	// itself, deciding not to sleep) claims the wakeup with a CAS;
@@ -56,21 +55,15 @@ type Waiter struct {
 // (orec-table stripe) its read set covers; woken arbitrates between
 // concurrent wakers on different shards, the entry's own withdrawal, and
 // a spurious (stale-token) wakeup — whichever wins the CAS owns the
-// entry's single wakeup. slots duplicates the orecs keys as a slice so
-// shard membership can be recomputed under any stripe geometry.
+// entry's single wakeup.
 type origWaiter struct {
 	thr   *tm.Thread
 	orecs map[uint32]struct{}
-	slots []uint32
 	woken atomic.Bool
 }
 
 // waiterShard is one shard of the waiter index: the waiters whose
-// waitsets touch one orec-table stripe. moved is set — under mu, with
-// every shard of the generation locked — when an online stripe resize has
-// migrated the shard's waiters to a newer generation: mutators that find
-// it set reload the current generation and retry, while scans may keep
-// reading the (intact, now-stale) list safely.
+// waitsets touch one orec-table stripe.
 //
 // n is len(waiters), stored under mu by set and loaded without it by
 // committing writers, which skip the lock — the shard's only shared write
@@ -84,12 +77,10 @@ type origWaiter struct {
 type waiterShard struct {
 	mu      spin.Lock
 	n       atomic.Int32
-	moved   bool
 	waiters []*Waiter
 }
 
-// set replaces the shard's list; the caller holds mu (or owns a tier not
-// yet published).
+// set replaces the shard's list; the caller holds mu.
 func (sh *waiterShard) set(ws []*Waiter) {
 	sh.waiters = ws
 	sh.n.Store(int32(len(ws)))
@@ -106,13 +97,12 @@ type paddedShard struct {
 }
 
 // origShard is one shard of the Retry-Orig registry: the entries whose
-// read-set orecs touch one orec-table stripe. moved and n work exactly as
-// in waiterShard; what orders n against a committing writer here is
+// read-set orecs touch one orec-table stripe. n works exactly as in
+// waiterShard; what orders n against a committing writer here is
 // origSignal.Handle storing it before validating the read set.
 type origShard struct {
 	mu      spin.Lock
 	n       atomic.Int32
-	moved   bool
 	waiters []*origWaiter
 }
 
@@ -131,57 +121,32 @@ type paddedOrigShard struct {
 	_ [(64 - unsafe.Sizeof(origShard{})%64) % 64]byte
 }
 
-// tier is one generation of the sharded condition-synchronization
-// registries: the per-stripe waiter index and the sharded Retry-Orig
-// registry, both sized to one stripe geometry of the orec table. An
-// online stripe resize builds a fresh tier for the new geometry, migrates
-// every live waiter into it under all of the old tier's shard locks, and
-// publishes it; the old tier's lists are left intact, so a committing
-// writer that loaded the old tier before the swap still finds every
-// waiter that was published before its commit (see wakeWaiters).
-type tier struct {
-	view       locktable.View
-	shards     []paddedShard
-	origShards []paddedOrigShard
-}
-
-func newTier(view locktable.View) *tier {
-	return &tier{
-		view:       view,
-		shards:     make([]paddedShard, view.NumStripes()),
-		origShards: make([]paddedOrigShard, view.NumStripes()),
-	}
-}
-
 // CondSync is the condition-synchronization runtime attached to one
 // tm.System.
 type CondSync struct {
 	sys *tm.System
 
-	// tier is the current generation of the sharded registries:
+	// shards is the per-stripe waiter index, one shard per orec-table
+	// stripe, sized by Enable: a waiter with a waitset registers on exactly
+	// the stripes covering its waitset addresses, and a committing writer
+	// visits only the shards of stripes in its write set (Algorithm 4's
+	// wakeup made O(write set) instead of O(waiters)).
 	//
-	//   - the per-stripe waiter index, one shard per orec-table stripe: a
-	//     waiter with a waitset registers on exactly the stripes covering
-	//     its waitset addresses, and a committing writer visits only the
-	//     shards of stripes in its write set (Algorithm 4's wakeup made
-	//     O(write set) instead of O(waiters));
-	//   - the sharded Retry-Orig registry. Algorithm 1 guards the
-	//     registry with a single global lock to make read-set validation
-	//     atomic with insertion; here that atomicity is preserved across
-	//     the shards covering an entry's read set, taken together, so a
-	//     committing writer's origWake takes only the locks of stripes in
-	//     its captured lock set.
+	// origShards is the sharded Retry-Orig registry. Algorithm 1 guards
+	// the registry with a single global lock to make read-set validation
+	// atomic with insertion; here that atomicity is preserved across the
+	// shards covering an entry's read set, taken together, so a committing
+	// writer's origWake takes only the locks of stripes in its write set.
 	//
-	// A one-stripe geometry degenerates to the old global list and global
+	// A one-stripe table degenerates to the old global list and global
 	// registry, which the differential harness uses to prove the sharding
-	// observably equivalent; running the suite under a forced resize
-	// schedule proves the same for the online swap.
-	tier atomic.Pointer[tier]
+	// observably equivalent.
+	shards     []paddedShard
+	origShards []paddedOrigShard
 
 	// unindexed lists the waiters without a waitset (WaitPred's arbitrary
 	// predicates): they can depend on any location, so every committing
-	// writer re-evaluates them. Unindexed waiters name no stripes and are
-	// untouched by resizes (moved stays false).
+	// writer re-evaluates them.
 	unindexed waiterShard
 
 	// origPublished, if set, runs in origSignal.Handle between publishing
@@ -190,21 +155,14 @@ type CondSync struct {
 	//
 	//tm:hook
 	origPublished func()
-
-	// resizeMu serializes online stripe resizes (adaptive-controller
-	// decisions, forced schedules, and tests alike).
-	resizeMu sync.Mutex
-
-	ctl controller
 }
 
 // Enable attaches a condition-synchronization runtime to sys and installs
 // the post-commit wakeWaiters hook. It must be called once, before any
 // transactions run.
 func Enable(sys *tm.System) *CondSync {
-	cs := &CondSync{sys: sys}
-	cs.tier.Store(newTier(sys.Table.Current()))
-	cs.ctl.init(sys.Cfg)
+	n := sys.Table.NumStripes()
+	cs := &CondSync{sys: sys, shards: make([]paddedShard, n), origShards: make([]paddedOrigShard, n)}
 	sys.Ext = cs
 	sys.PostCommit = cs.postCommit
 	return cs
@@ -220,48 +178,32 @@ func For(tx *tm.Tx) *CondSync {
 }
 
 // shardsOf maps a waitset to the deduplicated, ascending set of
-// waiter-index shards covering its addresses under view v. Ascending
-// order matters: every multi-shard lock acquisition in this package goes
-// low-to-high, which (together with the migration locking every shard the
-// same way) rules out deadlock.
-func (cs *CondSync) shardsOf(v locktable.View, ws []tm.AddrVal) []uint32 {
-	if len(ws) == 0 {
-		return nil
-	}
+// waiter-index shards covering its addresses. Ascending order matters:
+// every multi-shard lock acquisition in this package goes low-to-high,
+// which rules out deadlock between two mutators whose shard sets overlap.
+func (cs *CondSync) shardsOf(ws []tm.AddrVal) []uint32 {
 	tbl := cs.sys.Table
 	slots := make([]uint32, len(ws))
 	for i := range ws {
 		slots[i] = tbl.IndexOf(ws[i].Addr)
 	}
-	return v.StripesOf(slots, nil)
+	return tbl.StripesOf(slots, nil)
 }
 
-// lockShards acquires the waiter-index shard locks for the given
-// ascending stripe set. If any shard was migrated to a newer tier it
-// releases everything acquired and reports false: the caller must reload
-// the current tier and retry. Holding every covering lock at once (rather
-// than one at a time) means a mutation is atomic with respect to the
-// migration, which takes all of a generation's locks — a waiter can never
-// be half-inserted when its shards are carried to a new geometry.
+// lockShards acquires the waiter-index shard locks for the given ascending
+// stripe set. Holding every covering lock at once (rather than one at a
+// time) keeps a waiter from ever being visible half-inserted.
 //
 //tm:lockorder-checked
-func (ti *tier) lockShards(ss []uint32) bool {
-	for i, s := range ss {
-		sh := &ti.shards[s].waiterShard
-		sh.mu.Lock()
-		if sh.moved {
-			for j := i; j >= 0; j-- {
-				ti.shards[ss[j]].mu.Unlock()
-			}
-			return false
-		}
+func (cs *CondSync) lockShards(ss []uint32) {
+	for _, s := range ss {
+		cs.shards[s].mu.Lock()
 	}
-	return true
 }
 
-func (ti *tier) unlockShards(ss []uint32) {
+func (cs *CondSync) unlockShards(ss []uint32) {
 	for _, s := range ss {
-		ti.shards[s].mu.Unlock()
+		cs.shards[s].mu.Unlock()
 	}
 }
 
@@ -269,31 +211,23 @@ func (ti *tier) unlockShards(ss []uint32) {
 // registry shards.
 //
 //tm:lockorder-checked
-func (ti *tier) lockOrigShards(ss []uint32) bool {
-	for i, s := range ss {
-		sh := &ti.origShards[s].origShard
-		sh.mu.Lock()
-		if sh.moved {
-			for j := i; j >= 0; j-- {
-				ti.origShards[ss[j]].mu.Unlock()
-			}
-			return false
-		}
+func (cs *CondSync) lockOrigShards(ss []uint32) {
+	for _, s := range ss {
+		cs.origShards[s].mu.Lock()
 	}
-	return true
 }
 
-func (ti *tier) unlockOrigShards(ss []uint32) {
+func (cs *CondSync) unlockOrigShards(ss []uint32) {
 	for _, s := range ss {
-		ti.origShards[s].mu.Unlock()
+		cs.origShards[s].mu.Unlock()
 	}
 }
 
 // insert publishes a waiter: indexed waiters register on every shard their
-// waitset touches under the current stripe geometry (a writer that changes
-// a waitset value necessarily writes an address covered by one of those
-// stripes, so no wakeup can be missed); waiters without a waitset go to
-// the unindexed list scanned by every committing writer.
+// waitset touches (a writer that changes a waitset value necessarily writes
+// an address covered by one of those stripes, so no wakeup can be missed);
+// waiters without a waitset go to the unindexed list scanned by every
+// committing writer.
 //
 //tm:lockorder-checked
 func (cs *CondSync) insert(w *Waiter) {
@@ -304,19 +238,13 @@ func (cs *CondSync) insert(w *Waiter) {
 		sh.mu.Unlock()
 		return
 	}
-	for {
-		ti := cs.tier.Load()
-		ss := cs.shardsOf(ti.view, w.Waitset)
-		if !ti.lockShards(ss) {
-			continue
-		}
-		for _, s := range ss {
-			sh := &ti.shards[s].waiterShard
-			sh.set(append(sh.waiters, w))
-		}
-		ti.unlockShards(ss)
-		return
+	w.shards = cs.shardsOf(w.Waitset)
+	cs.lockShards(w.shards)
+	for _, s := range w.shards {
+		sh := &cs.shards[s].waiterShard
+		sh.set(append(sh.waiters, w))
 	}
+	cs.unlockShards(w.shards)
 }
 
 func removeFrom(ws []*Waiter, w *Waiter) []*Waiter {
@@ -330,11 +258,7 @@ func removeFrom(ws []*Waiter, w *Waiter) []*Waiter {
 	return ws
 }
 
-// remove withdraws a waiter from the current tier. If the waiter was
-// inserted under an older geometry, the migration has carried it (still
-// asleep) into the current tier's shards — recomputing the shard set from
-// the waitset finds it there; a waiter whose wakeup was already claimed
-// when a migration ran was dropped by it, making this a no-op.
+// remove withdraws a waiter from the shards insert registered it on.
 //
 //tm:lockorder-checked
 func (cs *CondSync) remove(w *Waiter) {
@@ -345,19 +269,12 @@ func (cs *CondSync) remove(w *Waiter) {
 		sh.mu.Unlock()
 		return
 	}
-	for {
-		ti := cs.tier.Load()
-		ss := cs.shardsOf(ti.view, w.Waitset)
-		if !ti.lockShards(ss) {
-			continue
-		}
-		for _, s := range ss {
-			sh := &ti.shards[s].waiterShard
-			sh.set(removeFrom(sh.waiters, w))
-		}
-		ti.unlockShards(ss)
-		return
+	cs.lockShards(w.shards)
+	for _, s := range w.shards {
+		sh := &cs.shards[s].waiterShard
+		sh.set(removeFrom(sh.waiters, w))
 	}
+	cs.unlockShards(w.shards)
 }
 
 // snapshot appends the shallow copy of the shard's waiting list that
@@ -388,9 +305,8 @@ func (cs *CondSync) WaitingLen() int {
 		seen[w] = struct{}{}
 	}
 	cs.unindexed.mu.Unlock()
-	ti := cs.tier.Load()
-	for i := range ti.shards {
-		sh := &ti.shards[i].waiterShard
+	for i := range cs.shards {
+		sh := &cs.shards[i].waiterShard
 		sh.mu.Lock()
 		for _, w := range sh.waiters {
 			seen[w] = struct{}{}
@@ -409,9 +325,8 @@ func (cs *CondSync) WaitingLen() int {
 //tm:lockorder-checked
 func (cs *CondSync) OrigWaitingLen() int {
 	seen := make(map[*origWaiter]struct{})
-	ti := cs.tier.Load()
-	for i := range ti.origShards {
-		sh := &ti.origShards[i].origShard
+	for i := range cs.origShards {
+		sh := &cs.origShards[i].origShard
 		sh.mu.Lock()
 		for _, ow := range sh.waiters {
 			if !ow.woken.Load() {
@@ -434,14 +349,13 @@ func (cs *CondSync) OrigWaitingLen() int {
 // per-commit batch, and every semaphore signal is issued after the last
 // shard lock has been released: the per-commit form of Algorithm 4's
 // deferred semaphore operations.
-func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripes []uint32) {
+func (cs *CondSync) postCommit(t *tm.Thread, writeOrecs, writeStripes []uint32) {
 	var batch sem.Batch
-	cs.wakeWaiters(t, gen, writeOrecs, writeStripes, &batch)
-	cs.origWake(t, writeOrecs, &batch)
+	cs.wakeWaiters(t, writeStripes, &batch)
+	cs.origWake(t, writeOrecs, writeStripes, &batch)
 	if n := batch.SignalAll(); n > 0 {
 		t.Stat.BatchedSignals.Add(uint64(n))
 	}
-	cs.maybeAdapt()
 }
 
 // wakeWaiters implements the bottom half of Algorithm 4, indexed by
@@ -451,45 +365,23 @@ func (cs *CondSync) postCommit(t *tm.Thread, gen uint64, writeOrecs, writeStripe
 // list. Should a writer commit ever fail to record its stripes, fall back
 // to scanning every shard rather than risk a lost wakeup.
 //
-// The scan runs against the tier current at scan time, which may be a
-// different generation than the commit's: engines abort stale-generation
-// writers at commit time, but a resize can still land between an
-// attempt's generation check and this scan. Mismatches are handled
-// conservatively — the touched stripes are re-derived from the lock set
-// under the scan tier's geometry, or everything is scanned when the
-// engine recorded no orecs (the HTM serial fallback). Scanning a tier
-// that has since been migrated away from is also safe: its lists and
-// lengths are left intact by the migration, so they still contain every
-// waiter published before this commit's writes became visible, and a
-// waiter published later (necessarily into a newer tier) re-checked its
-// predicate after those writes were already visible.
-//
 // The snapshots are gathered into one buffer before any predicate runs.
 // It starts on this frame — postCommit is never re-entered on a thread —
 // so a commit that finds few waiters, or none, allocates nothing.
-func (cs *CondSync) wakeWaiters(t *tm.Thread, gen uint64, writeOrecs, touched []uint32, batch *sem.Batch) {
-	ti := cs.tier.Load()
-	var stripeBuf [16]uint32
-	if gen != ti.view.Gen {
-		if len(writeOrecs) > 0 {
-			touched = ti.view.StripesOf(writeOrecs, stripeBuf[:0])
-		} else {
-			touched = nil
-		}
-	}
+func (cs *CondSync) wakeWaiters(t *tm.Thread, touched []uint32, batch *sem.Batch) {
 	var scratch [smallScan]*Waiter
 	ws := scratch[:0]
 	scanned := len(touched)
 	if scanned == 0 {
 		// The conservative full scan (also the exact behaviour of a
 		// one-stripe table).
-		scanned = len(ti.shards)
-		for i := range ti.shards {
-			ws = ti.shards[i].snapshot(ws)
+		scanned = len(cs.shards)
+		for i := range cs.shards {
+			ws = cs.shards[i].snapshot(ws)
 		}
 	} else {
 		for _, s := range touched {
-			ws = ti.shards[s].snapshot(ws)
+			ws = cs.shards[s].snapshot(ws)
 		}
 	}
 	if scanned > 1 {
@@ -556,25 +448,20 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 // origWake implements Algorithm 1's TxCommit lines 10–15 over the sharded
 // registry: intersect the just-committed writer's lock set with each
 // sleeping transaction's read metadata and wake on overlap. Only the
-// registry shards of stripes the lock set covers are visited — an entry
-// sharing no stripe with the lock set cannot intersect it orec-by-orec,
-// so skipping its shard loses nothing. Entries claimed through another
-// shard (or withdrawn by their owner) are purged in passing.
+// registry shards of the stripes the commit recorded as it acquired that
+// lock set are visited — an entry sharing no stripe with the lock set
+// cannot intersect it orec-by-orec, so skipping its shard loses nothing.
+// Entries claimed through another shard (or withdrawn by their owner) are
+// purged in passing.
 //
 //tm:lockorder-checked
-func (cs *CondSync) origWake(t *tm.Thread, writeOrecs []uint32, batch *sem.Batch) {
+func (cs *CondSync) origWake(t *tm.Thread, writeOrecs, writeStripes []uint32, batch *sem.Batch) {
 	if len(writeOrecs) == 0 {
 		return
 	}
-	// The covering stripes are always derived here, under the scan tier's
-	// own geometry, so the scan and the registry agree on what a stripe
-	// means regardless of which generation the writer committed under.
-	ti := cs.tier.Load()
-	var stripeBuf [16]uint32
-	stripes := ti.view.StripesOf(writeOrecs, stripeBuf[:0])
 	checks := 0
-	for _, s := range stripes {
-		sh := &ti.origShards[s].origShard
+	for _, s := range writeStripes {
+		sh := &cs.origShards[s].origShard
 		if sh.n.Load() == 0 {
 			continue
 		}
@@ -615,34 +502,25 @@ func removeOrigAt(ws []*origWaiter, i int) []*origWaiter {
 	return ws[:len(ws)-1]
 }
 
-// origWithdraw removes an entry from every registry shard covering its
-// read set under the current tier, first racing any concurrent waker for
-// the entry's single wakeup (the claim also stops a concurrent migration
-// from carrying the entry to a newer tier). If the entry wins, no signal
-// is in flight and the withdrawal is silent; if a waker won, its token
-// may already be buffered — or may still be sitting in the waker's batch
-// — so the best-effort drain here is backstopped by the drain at the
-// start of the next sleep cycle.
-func (cs *CondSync) origWithdraw(ow *origWaiter) {
+// origWithdraw removes an entry from the registry shards ss it was
+// registered on, first racing any concurrent waker for the entry's single
+// wakeup. If the entry wins, no signal is in flight and the withdrawal is
+// silent; if a waker won, its token may already be buffered — or may still
+// be sitting in the waker's batch — so the best-effort drain here is
+// backstopped by the drain at the start of the next sleep cycle.
+func (cs *CondSync) origWithdraw(ow *origWaiter, ss []uint32) {
 	claimed := !ow.woken.CompareAndSwap(false, true)
-	for {
-		ti := cs.tier.Load()
-		ss := ti.view.StripesOf(ow.slots, nil)
-		if !ti.lockOrigShards(ss) {
-			continue
-		}
-		for _, s := range ss {
-			sh := &ti.origShards[s].origShard
-			for i, x := range sh.waiters {
-				if x == ow {
-					sh.set(removeOrigAt(sh.waiters, i))
-					break
-				}
+	cs.lockOrigShards(ss)
+	for _, s := range ss {
+		sh := &cs.origShards[s].origShard
+		for i, x := range sh.waiters {
+			if x == ow {
+				sh.set(removeOrigAt(sh.waiters, i))
+				break
 			}
 		}
-		ti.unlockOrigShards(ss)
-		break
 	}
+	cs.unlockOrigShards(ss)
 	if claimed {
 		ow.thr.Sem.TryDrain()
 	}
@@ -802,7 +680,7 @@ func fastPathEnabled(tx *tm.Tx) bool {
 // origSignal implements the sleep half of Algorithm 1, carrying the read
 // metadata captured when Retry was called (the descriptor is reset before
 // Handle runs). slots duplicates the orecs keys as a slice so Handle can
-// group them by registry shard without re-walking the map.
+// group them by registry shard and validate them without walking the map.
 type origSignal struct {
 	cs    *CondSync
 	start uint64
@@ -854,51 +732,41 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 	// — held here until the entry's fate is settled — and its scan finds
 	// the entry and wakes it. Validating first would let a writer publish
 	// its orecs and skip the still-empty shard in between, and the entry
-	// would sleep on a version nobody will bump again. Because the locks
-	// are held together, a stripe resize can never observe a half-inserted
-	// entry — the migration takes every shard lock of the generation
-	// before carrying entries over. The driver has already undone writes
-	// and released locks "as if the transaction never ran", so a valid
-	// read is one whose orec is unlocked at a version no newer than the
-	// transaction's start.
-	ow := &origWaiter{thr: tx.Thr, orecs: s.orecs, slots: s.slots}
-	for {
-		ti := cs.tier.Load()
-		ss := ti.view.StripesOf(s.slots, nil)
-		if !ti.lockOrigShards(ss) {
-			continue
+	// would sleep on a version nobody will bump again. The driver has
+	// already undone writes and released locks "as if the transaction never
+	// ran", so a valid read is one whose orec is unlocked at a version no
+	// newer than the transaction's start.
+	ow := &origWaiter{thr: tx.Thr, orecs: s.orecs}
+	ss := tbl.StripesOf(s.slots, nil)
+	cs.lockOrigShards(ss)
+	for _, st := range ss {
+		sh := &cs.origShards[st].origShard
+		sh.set(append(sh.waiters, ow))
+	}
+	if cs.origPublished != nil {
+		cs.origPublished()
+	}
+	valid := true
+	for _, idx := range s.slots {
+		w := tbl.Get(idx)
+		if locktable.Locked(w) || locktable.Version(w) > s.start {
+			// A concurrent modification means re-execution may already
+			// be profitable; restart instead of risking a missed wakeup.
+			valid = false
+			break
 		}
+	}
+	if !valid {
+		// Still the tail of every list: the locks have been held since
+		// the append.
 		for _, st := range ss {
-			sh := &ti.origShards[st].origShard
-			sh.set(append(sh.waiters, ow))
+			sh := &cs.origShards[st].origShard
+			sh.set(removeOrigAt(sh.waiters, len(sh.waiters)-1))
 		}
-		if cs.origPublished != nil {
-			cs.origPublished()
-		}
-		valid := true
-		for _, idx := range s.slots {
-			w := tbl.Get(idx)
-			if locktable.Locked(w) || locktable.Version(w) > s.start {
-				// A concurrent modification means re-execution may
-				// already be profitable; restart instead of risking a
-				// missed wakeup.
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			// Still the tail of every list: the locks have been held
-			// since the append.
-			for _, st := range ss {
-				sh := &ti.origShards[st].origShard
-				sh.set(removeOrigAt(sh.waiters, len(sh.waiters)-1))
-			}
-		}
-		ti.unlockOrigShards(ss)
-		if !valid {
-			return tm.OutcomeRetryNow
-		}
-		break
+	}
+	cs.unlockOrigShards(ss)
+	if !valid {
+		return tm.OutcomeRetryNow
 	}
 
 	cs.sys.SemWait(tx.Thr.Sem)
@@ -908,7 +776,7 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 	// spurious (stale-token) wakeup, on every stripe — remain. The
 	// withdrawal also self-claims on a spurious wakeup, so no snapshot-
 	// holding waker can signal this departed entry.
-	cs.origWithdraw(ow)
+	cs.origWithdraw(ow, ss)
 	tx.Attempts = 0
 	return tm.OutcomeRetryNow
 }

@@ -72,9 +72,8 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 			if n := cs.OrigWaitingLen(); n != 0 {
 				t.Errorf("%d entries left in the registry", n)
 			}
-			ti := cs.tier.Load()
-			for i := range ti.origShards {
-				if n := ti.origShards[i].n.Load(); n != 0 {
+			for i := range cs.origShards {
+				if n := cs.origShards[i].n.Load(); n != 0 {
 					t.Errorf("orig shard %d length reads %d after the failed validation undid the insert", i, n)
 				}
 			}
@@ -83,20 +82,19 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 }
 
 // TestEmptyShardLengthsTrackLists pins n == len(waiters) on every shard
-// of every family across insert, remove and migration, including the old
-// tier's shards a resize leaves behind for late scanners.
+// of every family across insert and remove.
 func TestEmptyShardLengthsTrackLists(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Stripes: 4, MaxStripes: 64, Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{Stripes: 4, Quiesce: true}, eager.New)
 	cs := Enable(sys)
-	check := func(when string, ti *tier) {
+	check := func(when string) {
 		t.Helper()
-		for i := range ti.shards {
-			if sh := &ti.shards[i]; int(sh.n.Load()) != len(sh.waiters) {
+		for i := range cs.shards {
+			if sh := &cs.shards[i]; int(sh.n.Load()) != len(sh.waiters) {
 				t.Errorf("%s: waiter shard %d: n=%d, list has %d", when, i, sh.n.Load(), len(sh.waiters))
 			}
 		}
-		for i := range ti.origShards {
-			if sh := &ti.origShards[i]; int(sh.n.Load()) != len(sh.waiters) {
+		for i := range cs.origShards {
+			if sh := &cs.origShards[i]; int(sh.n.Load()) != len(sh.waiters) {
 				t.Errorf("%s: orig shard %d: n=%d, list has %d", when, i, sh.n.Load(), len(sh.waiters))
 			}
 		}
@@ -115,22 +113,11 @@ func TestEmptyShardLengthsTrackLists(t *testing.T) {
 		cs.insert(w)
 		ws = append(ws, w)
 	}
-	old := cs.tier.Load()
-	check("after insert", old)
-	cs.Resize(64)
-	check("old tier after resize", old)
-	check("new tier after resize", cs.tier.Load())
-	total := 0
-	for i := range cs.tier.Load().shards {
-		total += int(cs.tier.Load().shards[i].n.Load())
-	}
-	if total == 0 {
-		t.Error("migration published a tier whose every shard reads empty")
-	}
+	check("after insert")
 	for _, w := range ws {
 		cs.remove(w)
 	}
-	check("after remove", cs.tier.Load())
+	check("after remove")
 	if n := cs.WaitingLen(); n != 0 {
 		t.Errorf("%d waiters left", n)
 	}

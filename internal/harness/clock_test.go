@@ -5,10 +5,9 @@ package harness
 // GV5-style deferred) underneath every engine. Shared timestamps and a
 // clock that only moves on too-new observations change which commits
 // validate and which extend, but must never change an observable
-// outcome. Running the generated suite under every mode — bare, with
-// timestamp extension (the configuration deferred is designed for), and
-// crossed with forced online resizes — pins that claim against the
-// sequential oracle.
+// outcome. Running the generated suite under every mode — bare and with
+// timestamp extension (the configuration deferred is designed for) — pins
+// that claim against the sequential oracle.
 
 import (
 	"testing"
@@ -38,32 +37,6 @@ func TestGeneratedSuiteIdenticalAcrossClockModes(t *testing.T) {
 					if !r.Pass {
 						t.Errorf("clock=%s ext=%v: %s", mode, ext, r.String())
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestGeneratedSuiteIdenticalClockModesUnderResizes crosses the clock
-// protocols with forced online stripe resizes, which abort commits between
-// timestamp and release.
-func TestGeneratedSuiteIdenticalClockModesUnderResizes(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		s := Generate(seed, GenConfig{})
-		for _, mode := range []string{"pof", "deferred"} {
-			k := Knobs{
-				ClockMode:      mode,
-				Stripes:        1,
-				ResizeEvery:    5,
-				ResizeSchedule: []int{4, 64, 16, 1},
-			}
-			for _, r := range RunScenarioKnobs(s, Engines, "", k) {
-				if !r.Pass {
-					t.Errorf("clock=%s knobs=%+v: %s", mode, k, r.String())
 				}
 			}
 		}

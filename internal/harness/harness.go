@@ -46,21 +46,10 @@ var Engines = []string{"eager", "lazy", "htm", "hybrid"}
 // sweeps over performance-only parameters (which must not change any
 // observable outcome).
 type Knobs struct {
-	// Stripes overrides the initial orec-table stripe count (0 = default).
-	// It also sizes the per-stripe waiter index and the sharded Retry-Orig
+	// Stripes overrides the orec-table stripe count (0 = default). It
+	// also sizes the per-stripe waiter index and the sharded Retry-Orig
 	// registry, which have one shard per stripe.
 	Stripes int
-	// MinStripes/MaxStripes enable the adaptive stripe controller when
-	// they differ (0 = pinned at Stripes); the controller resizes the
-	// table online within the bounds.
-	MinStripes, MaxStripes int
-	// ResizeEvery/ResizeSchedule force a deterministic online resize
-	// schedule: every ResizeEvery writer commits the stripe count moves
-	// to the next schedule entry, cycling. Online resizing is a pure
-	// performance mechanism, so any schedule must yield identical
-	// observable outcomes — the property tmcheck -adaptive checks.
-	ResizeEvery    int
-	ResizeSchedule []int
 	// ClockMode selects the commit-timestamp protocol
 	// (tm.Config.ClockMode): "" or "global", "pof", "deferred". Another
 	// pure performance knob — every mode must yield identical observable
@@ -90,10 +79,6 @@ func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
 	}
 	cfg := tm.Config{
 		Stripes:            k.Stripes,
-		MinStripes:         k.MinStripes,
-		MaxStripes:         k.MaxStripes,
-		ResizeEvery:        k.ResizeEvery,
-		ResizeSchedule:     k.ResizeSchedule,
 		ClockMode:          k.ClockMode,
 		TimestampExtension: k.TimestampExtension,
 	}

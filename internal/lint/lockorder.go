@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // LockOrder polices the sharded-registry locking protocol that the
@@ -18,16 +17,15 @@ import (
 //     has been argued through.
 //  2. Inside a checked helper, a loop that acquires shard locks by index
 //     must ascend: every multi-shard acquisition goes low-to-high, which
-//     (together with the migration locking every shard the same way)
-//     rules out deadlock. Descending unlock loops are fine — release
-//     order is irrelevant.
-//  3. Inside a checked helper that locks both families, every
-//     waiter-index shard lock must be acquired before any Retry-Orig
-//     registry shard lock, matching the total order resizeLocked
-//     documents (waiter shards, then orig shards, each ascending).
+//     rules out deadlock between two mutators whose waitsets (or read
+//     sets) cover overlapping stripes. Descending unlock loops are fine —
+//     release order is irrelevant.
+//
+// No helper holds locks of both shard families at once, so there is no
+// order between the families to police.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "restrict direct registry-shard locking to //tm:lockorder-checked helpers with ascending, waiter-before-orig acquisition",
+	Doc:  "restrict direct registry-shard locking to //tm:lockorder-checked helpers with ascending acquisition",
 	Run:  runLockOrder,
 }
 
@@ -38,41 +36,18 @@ func runLockOrder(p *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checked := groupHasDirective(fn.Doc, DirLockorderChecked)
-			var waiterLocks, origLocks []token.Pos
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, base, kind := shardLockCall(p, call)
-				if sel == nil {
-					return true
-				}
-				if !checked {
-					p.Reportf(call.Pos(),
-						"direct %s on a registry shard outside a //tm:lockorder-checked helper: shard acquisition order is load-bearing (see core.resizeLocked)",
-						kind)
-					return true
-				}
-				if exprMentionsOrig(base) {
-					origLocks = append(origLocks, call.Pos())
-				} else {
-					waiterLocks = append(waiterLocks, call.Pos())
-				}
-				return true
-			})
-			if !checked {
-				continue
-			}
-			// Family order: every waiter-index lock before any orig lock.
-			for _, wp := range waiterLocks {
-				for _, op := range origLocks {
-					if op < wp {
-						p.Reportf(wp,
-							"waiter-index shard lock acquired after a Retry-Orig registry shard lock: the documented total order is waiter shards first (deadlock freedom, core.resizeLocked)")
+			if !groupHasDirective(fn.Doc, DirLockorderChecked) {
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if kind := shardLockCall(p, call); kind != "" {
+							p.Reportf(call.Pos(),
+								"direct %s on a registry shard outside a //tm:lockorder-checked helper: shard acquisition order is load-bearing (see core.lockShards)",
+								kind)
+						}
 					}
-				}
+					return true
+				})
+				continue
 			}
 			// Ascending loops: a for-loop that acquires shard locks must
 			// not step its index downward.
@@ -86,7 +61,7 @@ func runLockOrder(p *Pass) {
 					if !ok {
 						return true
 					}
-					if sel, _, kind := shardLockCall(p, call); sel != nil {
+					if kind := shardLockCall(p, call); kind != "" {
 						p.Reportf(call.Pos(),
 							"%s on a registry shard inside a descending index loop: multi-shard acquisition must ascend (deadlock freedom)", kind)
 					}
@@ -99,22 +74,22 @@ func runLockOrder(p *Pass) {
 }
 
 // shardLockCall matches calls of the form <base>.mu.Lock() or
-// <base>.mu.TryLock() where <base>'s type is registry-shaped. It returns
-// the mu selector, the base expression, and the method name.
-func shardLockCall(p *Pass, call *ast.CallExpr) (sel *ast.SelectorExpr, base ast.Expr, kind string) {
+// <base>.mu.TryLock() where <base>'s type is registry-shaped, returning
+// the method as written ("mu.Lock()"), or "" for any other call.
+func shardLockCall(p *Pass, call *ast.CallExpr) string {
 	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || (fun.Sel.Name != "Lock" && fun.Sel.Name != "TryLock") {
-		return nil, nil, ""
+		return ""
 	}
 	mu, ok := ast.Unparen(fun.X).(*ast.SelectorExpr)
 	if !ok || mu.Sel.Name != "mu" {
-		return nil, nil, ""
+		return ""
 	}
 	tv, ok := p.Info.Types[mu.X]
 	if !ok || !isRegistryShaped(tv.Type, p.Pkg) {
-		return nil, nil, ""
+		return ""
 	}
-	return mu, mu.X, "mu." + fun.Sel.Name + "()"
+	return "mu." + fun.Sel.Name + "()"
 }
 
 // isRegistryShaped reports whether t (after one deref) is a struct —
@@ -130,20 +105,6 @@ func isRegistryShaped(t types.Type, from *types.Package) bool {
 	}
 	_, isSlice := v.Type().Underlying().(*types.Slice)
 	return isSlice
-}
-
-// exprMentionsOrig reports whether any identifier in the expression names
-// the Retry-Orig family (contains "orig", any case) — the syntactic family
-// tag distinguishing origShards from the waiter-index shards.
-func exprMentionsOrig(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && strings.Contains(strings.ToLower(id.Name), "orig") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // descendingPost reports whether a for-loop post statement steps its

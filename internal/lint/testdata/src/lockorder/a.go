@@ -1,7 +1,6 @@
 // Fixture for the lockorder analyzer: direct locking of registry-shaped
 // shards (a mu beside a waiters slice) is restricted to
-// //tm:lockorder-checked helpers, which must acquire ascending and
-// waiter-family before orig-family.
+// //tm:lockorder-checked helpers, which must acquire ascending.
 package lockorder
 
 import "sync"
@@ -27,14 +26,6 @@ func unvetted(r *registry) {
 }
 
 //tm:lockorder-checked
-func wrongFamilyOrder(r *registry) {
-	r.origShards[0].mu.Lock()
-	r.shards[0].mu.Lock() // want `waiter-index shard lock acquired after a Retry-Orig`
-	r.shards[0].mu.Unlock()
-	r.origShards[0].mu.Unlock()
-}
-
-//tm:lockorder-checked
 func descendingAcquire(r *registry) {
 	for i := len(r.shards) - 1; i >= 0; i-- {
 		r.shards[i].mu.Lock() // want `inside a descending index loop`
@@ -46,18 +37,12 @@ func descendingAcquire(r *registry) {
 
 //tm:lockorder-checked
 func vettedTotalOrder(r *registry) {
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-	}
 	for i := range r.origShards {
 		r.origShards[i].mu.Lock()
 	}
 	// Release order is irrelevant; descending unlocks are fine.
 	for i := len(r.origShards) - 1; i >= 0; i-- {
 		r.origShards[i].mu.Unlock()
-	}
-	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].mu.Unlock()
 	}
 }
 

@@ -8,7 +8,6 @@ package locktable
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -77,13 +76,9 @@ func UnlockedAt(version uint64) uint64 { return version << versionShift }
 // padded to it so that metadata of adjacent chunks never shares a line.
 const cacheLine = 64
 
-// chunk is one physical shard of the orec storage: its own orec array,
-// separately allocated so that hot orecs of different chunks live on
-// different cache lines, with the header padded out to a line boundary.
-// Chunks are allocated once, at the finest stripe granularity the table
-// will ever use (MaxStripes), so that online stripe resizing never has to
-// move an orec word: a logical stripe is always a contiguous union of
-// chunks, and only the slot→stripe mapping (the View) changes.
+// chunk is the orec storage of one stripe: its own orec array, separately
+// allocated so that hot orecs of different stripes live on different cache
+// lines, with the header padded out to a line boundary.
 //
 //tm:padded
 type chunk struct {
@@ -91,46 +86,20 @@ type chunk struct {
 	_     [(cacheLine - unsafe.Sizeof([]atomic.Uint64(nil))%cacheLine) % cacheLine]byte
 }
 
-// View is one generation of the table's slot→stripe mapping. Orec slots
-// and their contents are generation-independent (IndexOf/Get/CAS/Set never
-// change meaning); a View only decides which stripe a slot belongs to, so
-// swapping Views at runtime is a pure re-labelling. Views are immutable:
-// code that must name stripes consistently across an operation (a
-// transaction attempt, a registry scan) captures one View and uses it
-// throughout, comparing Gen to detect that the table has moved on.
-type View struct {
-	// Gen is the geometry generation, strictly increasing across resizes.
-	Gen   uint64
-	shift uint32 // slot >> shift = stripe id
-	n     int    // stripe count
-}
-
-// NumStripes returns the view's stripe count.
-func (v View) NumStripes() int { return v.n }
-
-// StripeOf returns the stripe owning slot idx under this view. Every slot
-// belongs to exactly one stripe, and the same address always maps to the
-// same stripe within a generation (IndexOf is a pure function of the
-// address).
-func (v View) StripeOf(idx uint32) uint32 { return idx >> v.shift }
-
-// Table is a fixed-size, power-of-two array of orecs, sharded into a
-// power-of-two number of cache-line-padded storage chunks. Distinct
-// addresses may hash to the same orec (false conflicts), exactly as in
-// word-based STM. Slot indexes are global (0..Len-1) and stable for the
-// table's lifetime; the logical stripe count is a generation-tagged View
-// loaded through an atomic pointer and may be changed online with Resize.
+// Table is a fixed-size, power-of-two array of orecs, split into a
+// power-of-two number of stripes, each a cache-line-padded storage chunk.
+// Distinct addresses may hash to the same orec (false conflicts), exactly
+// as in word-based STM. Slot indexes are global (0..Len-1); both they and
+// the stripe geometry are fixed for the table's lifetime.
 //
 //tm:orec-table
 type Table struct {
-	mask       uintptr
-	size       int
-	chunkShift uint32 // slot >> chunkShift = chunk id
-	chunkMask  uint32 // slot & chunkMask = index within the chunk
-	chunks     []chunk
-	maxStripes int
-	geo        atomic.Pointer[View]
-	resizeMu   sync.Mutex
+	mask   uintptr
+	size   int
+	shift  uint32 // slot >> shift = stripe id
+	inMask uint32 // slot & inMask = index within the stripe's chunk
+	n      int    // stripe count
+	chunks []chunk
 }
 
 // DefaultSize is the default number of orecs (1<<16, 512 KiB).
@@ -152,109 +121,45 @@ func New(size int) *Table {
 }
 
 // NewSharded returns a table with size orecs split into the given number
-// of stripes. Both must be powers of two, with 1 <= stripes <= size. The
-// table can be resized online only down (Resize within [1, stripes]); use
-// NewResizable to reserve headroom for growth.
+// of stripes. Both must be powers of two, with 1 <= stripes <= size.
 func NewSharded(size, stripes int) *Table {
-	return NewResizable(size, stripes, stripes)
-}
-
-// NewResizable returns a table with size orecs, an initial stripe count,
-// and physical storage laid out for online resizing anywhere within
-// [1, maxStripes]. All three must be powers of two, with
-// 1 <= stripes <= maxStripes <= size.
-func NewResizable(size, stripes, maxStripes int) *Table {
 	if size <= 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("locktable: size %d is not a positive power of two", size))
 	}
 	if stripes <= 0 || stripes&(stripes-1) != 0 {
 		panic(fmt.Sprintf("locktable: stripe count %d is not a positive power of two", stripes))
 	}
-	if maxStripes <= 0 || maxStripes&(maxStripes-1) != 0 {
-		panic(fmt.Sprintf("locktable: max stripe count %d is not a positive power of two", maxStripes))
+	if stripes > size {
+		panic(fmt.Sprintf("locktable: stripe count %d exceeds table size %d", stripes, size))
 	}
-	if stripes > maxStripes {
-		panic(fmt.Sprintf("locktable: stripe count %d exceeds max %d", stripes, maxStripes))
-	}
-	if maxStripes > size {
-		panic(fmt.Sprintf("locktable: stripe count %d exceeds table size %d", maxStripes, size))
-	}
-	per := size / maxStripes
+	per := size / stripes
 	t := &Table{
-		mask:       uintptr(size - 1),
-		size:       size,
-		chunkShift: uint32(bits.TrailingZeros(uint(per))),
-		chunkMask:  uint32(per - 1),
-		chunks:     make([]chunk, maxStripes),
-		maxStripes: maxStripes,
+		mask:   uintptr(size - 1),
+		size:   size,
+		shift:  uint32(bits.TrailingZeros(uint(per))),
+		inMask: uint32(per - 1),
+		n:      stripes,
+		chunks: make([]chunk, stripes),
 	}
 	for i := range t.chunks {
 		t.chunks[i].orecs = make([]atomic.Uint64, per)
 	}
-	t.geo.Store(&View{Gen: 1, shift: shiftFor(size, stripes), n: stripes})
 	return t
-}
-
-func shiftFor(size, stripes int) uint32 {
-	return uint32(bits.TrailingZeros(uint(size / stripes)))
-}
-
-// Current returns the table's current stripe geometry.
-func (t *Table) Current() View { return *t.geo.Load() }
-
-// Gen returns the current geometry generation.
-func (t *Table) Gen() uint64 { return t.geo.Load().Gen }
-
-// MaxStripes returns the largest stripe count Resize accepts.
-func (t *Table) MaxStripes() int { return t.maxStripes }
-
-// Resize publishes a new stripe geometry with the given count and returns
-// it. The count must be a power of two in [1, MaxStripes]. Orec words are
-// untouched — slots keep their indexes and contents — so transactions
-// racing the resize stay correct; only code that names stripes must notice
-// the generation change. Resizing to the current count is a no-op (no
-// generation bump, so in-flight transactions are not disturbed).
-func (t *Table) Resize(stripes int) View {
-	if stripes <= 0 || stripes&(stripes-1) != 0 || stripes > t.maxStripes {
-		panic(fmt.Sprintf("locktable: resize to %d stripes (want a power of two in [1, %d])", stripes, t.maxStripes))
-	}
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	cur := t.geo.Load()
-	if cur.n == stripes {
-		return *cur
-	}
-	nv := &View{Gen: cur.Gen + 1, shift: shiftFor(t.size, stripes), n: stripes}
-	t.geo.Store(nv)
-	return *nv
-}
-
-// ViewAt returns the geometry the table would have at the given stripe
-// count, without publishing it (generation 0, never equal to a live
-// generation). Planning helper: callers that lay out addresses for a
-// geometry the adaptive controller is expected to reach use it to name
-// stripes of that future geometry.
-func (t *Table) ViewAt(stripes int) View {
-	if stripes <= 0 || stripes&(stripes-1) != 0 || stripes > t.maxStripes {
-		panic(fmt.Sprintf("locktable: view at %d stripes (want a power of two in [1, %d])", stripes, t.maxStripes))
-	}
-	return View{shift: shiftFor(t.size, stripes), n: stripes}
 }
 
 // Len returns the number of orecs in the table.
 func (t *Table) Len() int { return t.size }
 
-// NumStripes returns the current number of stripes.
-func (t *Table) NumStripes() int { return t.geo.Load().n }
+// NumStripes returns the number of stripes.
+func (t *Table) NumStripes() int { return t.n }
 
-// StripeLen returns the number of orec slots per stripe under the current
-// geometry.
-func (t *Table) StripeLen() int { return t.size / t.geo.Load().n }
+// StripeLen returns the number of orec slots per stripe.
+func (t *Table) StripeLen() int { return t.size / t.n }
 
-// StripeOf returns the stripe owning slot idx under the current geometry.
-// Code that must name stripes consistently across several calls should
-// capture Current() once and use View.StripeOf instead.
-func (t *Table) StripeOf(idx uint32) uint32 { return t.geo.Load().StripeOf(idx) }
+// StripeOf returns the stripe owning slot idx. Every slot belongs to
+// exactly one stripe, and the same address always maps to the same stripe
+// (IndexOf is a pure function of the address).
+func (t *Table) StripeOf(idx uint32) uint32 { return idx >> t.shift }
 
 // IndexOf returns the table slot covering addr. Word-aligned addresses are
 // mixed with a Fibonacci multiplier so that adjacent words land on
@@ -266,7 +171,7 @@ func (t *Table) IndexOf(addr *uint64) uint32 {
 }
 
 func (t *Table) slot(idx uint32) *atomic.Uint64 {
-	return &t.chunks[idx>>t.chunkShift].orecs[idx&t.chunkMask]
+	return &t.chunks[idx>>t.shift].orecs[idx&t.inMask]
 }
 
 // Get returns the orec word for slot idx.
@@ -285,20 +190,14 @@ func (t *Table) Set(idx uint32, w uint64) { t.slot(idx).Store(w) }
 func (t *Table) ForAddr(addr *uint64) uint64 { return t.Get(t.IndexOf(addr)) }
 
 // StripesOf appends to buf[:0] the deduplicated stripes covering the given
-// orec slots under the current geometry; see View.StripesOf.
-func (t *Table) StripesOf(slots []uint32, buf []uint32) []uint32 {
-	return t.Current().StripesOf(slots, buf)
-}
-
-// StripesOf appends to buf[:0] the deduplicated stripes covering the given
 // orec slots, in ascending order. Slot sets are small relative to the
 // stripe count, so an insertion sort with linear dedup beats sorting a
-// copy or building a map; buf lets hot paths (the post-commit wake scan)
-// reuse one scratch slice across calls.
-func (v View) StripesOf(slots []uint32, buf []uint32) []uint32 {
+// copy or building a map; buf lets callers reuse one scratch slice across
+// calls.
+func (t *Table) StripesOf(slots []uint32, buf []uint32) []uint32 {
 	out := buf[:0]
 	for _, idx := range slots {
-		s := idx >> v.shift
+		s := idx >> t.shift
 		pos := len(out)
 		for pos > 0 && out[pos-1] >= s {
 			if out[pos-1] == s {

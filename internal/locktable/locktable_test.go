@@ -286,152 +286,6 @@ func TestStripesSpreadAddresses(t *testing.T) {
 	}
 }
 
-// TestResizePartitionProperty: after any sequence of online resizes, the
-// current geometry still partitions the slot range exactly once — every
-// slot belongs to exactly one in-range stripe and the stripes split the
-// space into equal parts — and slot contents survive untouched.
-func TestResizePartitionProperty(t *testing.T) {
-	const size = 1 << 10
-	tbl := NewResizable(size, 1, 256)
-	tbl.Set(17, UnlockedAt(99))
-	counts := make([]int, 256)
-	check := func(stripes int) {
-		v := tbl.Current()
-		if v.NumStripes() != stripes {
-			t.Fatalf("NumStripes = %d, want %d", v.NumStripes(), stripes)
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for idx := 0; idx < size; idx++ {
-			s := v.StripeOf(uint32(idx))
-			if int(s) >= stripes {
-				t.Fatalf("stripes=%d: slot %d maps to out-of-range stripe %d", stripes, idx, s)
-			}
-			counts[s]++
-		}
-		for s := 0; s < stripes; s++ {
-			if counts[s] != size/stripes {
-				t.Fatalf("stripes=%d: stripe %d owns %d slots, want %d", stripes, s, counts[s], size/stripes)
-			}
-		}
-		if Version(tbl.Get(17)) != 99 {
-			t.Fatalf("stripes=%d: slot contents changed across resize", stripes)
-		}
-	}
-	check(1)
-	gen := tbl.Gen()
-	f := func(steps []uint8) bool {
-		for _, step := range steps {
-			n := 1 << (step % 9) // 1..256
-			v := tbl.Resize(n)
-			if v.NumStripes() != n {
-				return false
-			}
-			if g := tbl.Gen(); g < gen {
-				t.Fatalf("generation went backwards: %d -> %d", gen, g)
-			} else {
-				gen = g
-			}
-			check(n)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResizeGenerationBumpsExactlyOnChange: resizing to a new count bumps
-// the generation once; resizing to the current count is a no-op.
-func TestResizeGenerationBumpsExactlyOnChange(t *testing.T) {
-	tbl := NewResizable(1<<8, 4, 64)
-	g0 := tbl.Gen()
-	if v := tbl.Resize(4); v.Gen != g0 {
-		t.Fatalf("no-op resize bumped generation %d -> %d", g0, v.Gen)
-	}
-	v := tbl.Resize(8)
-	if v.Gen != g0+1 {
-		t.Fatalf("resize bumped generation %d -> %d, want +1", g0, v.Gen)
-	}
-	if tbl.NumStripes() != 8 || tbl.StripeLen() != (1<<8)/8 {
-		t.Fatalf("resize not visible: stripes=%d stripeLen=%d", tbl.NumStripes(), tbl.StripeLen())
-	}
-}
-
-// TestResizeRejectsBadCounts pins Resize's validation: non-powers of two,
-// non-positive counts, and counts beyond the table's physical headroom.
-func TestResizeRejectsBadCounts(t *testing.T) {
-	tbl := NewResizable(1<<8, 4, 64)
-	for _, n := range []int{0, -1, 3, 12, 128, 1 << 8} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Resize(%d) did not panic", n)
-				}
-			}()
-			tbl.Resize(n)
-		}()
-	}
-}
-
-// TestStripesOfDedupAcrossGenerations: StripesOf on a captured View keeps
-// deduplicating and sorting correctly no matter how the table has been
-// resized since — and old and new views disagree only in labelling, never
-// in which slots share a stripe within one view.
-func TestStripesOfDedupAcrossGenerations(t *testing.T) {
-	tbl := NewResizable(1<<12, 4, 1<<10)
-	words := make([]uint64, 256)
-	views := []View{tbl.Current()}
-	for _, n := range []int{64, 1 << 10, 16, 1} {
-		views = append(views, tbl.Resize(n))
-	}
-	f := func(which []uint16) bool {
-		slots := make([]uint32, 0, len(which))
-		for _, w := range which {
-			slots = append(slots, tbl.IndexOf(&words[int(w)%len(words)]))
-		}
-		for _, v := range views {
-			got := v.StripesOf(append([]uint32(nil), slots...), nil)
-			want := make(map[uint32]bool)
-			for _, s := range slots {
-				want[v.StripeOf(s)] = true
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for i, s := range got {
-				if !want[s] {
-					return false
-				}
-				if i > 0 && got[i-1] >= s {
-					return false // not strictly ascending
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestViewAtMatchesPublishedGeometry: the planning view for a count maps
-// slots to stripes exactly as the published geometry at that count does.
-func TestViewAtMatchesPublishedGeometry(t *testing.T) {
-	tbl := NewResizable(1<<10, 1, 256)
-	for _, n := range []int{1, 4, 64, 256} {
-		planned := tbl.ViewAt(n)
-		live := tbl.Resize(n)
-		for idx := uint32(0); idx < uint32(tbl.Len()); idx += 7 {
-			if planned.StripeOf(idx) != live.StripeOf(idx) {
-				t.Fatalf("stripes=%d: ViewAt maps slot %d to %d, live geometry to %d",
-					n, idx, planned.StripeOf(idx), live.StripeOf(idx))
-			}
-		}
-	}
-}
-
 // TestCrossStripeSlotsIndependent: Get/Set/CAS on slots in different
 // stripes do not interfere (the global-slot API survives the sharding).
 func TestCrossStripeSlotsIndependent(t *testing.T) {

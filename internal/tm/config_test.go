@@ -11,8 +11,7 @@ import (
 
 // TestConfigRejects pins where a malformed Config fails: in NewSystem, on
 // the constructing goroutine, with a "tm:" message — never as a locktable
-// panic, and never later on a committing thread (a forced-resize schedule
-// is first consulted ResizeEvery writer commits into the run).
+// panic.
 func TestConfigRejects(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -22,13 +21,6 @@ func TestConfigRejects(t *testing.T) {
 		{"TableSize negative", tm.Config{TableSize: -64}},
 		{"Stripes not a power of two", tm.Config{Stripes: 3}},
 		{"Stripes negative", tm.Config{Stripes: -4}},
-		{"MinStripes not a power of two", tm.Config{MinStripes: 6}},
-		{"MinStripes negative", tm.Config{MinStripes: -1}},
-		{"MaxStripes not a power of two", tm.Config{MaxStripes: 48}},
-		{"MaxStripes negative", tm.Config{MaxStripes: -8}},
-		{"ResizeEvery negative", tm.Config{ResizeEvery: -1}},
-		{"ResizeSchedule zero entry", tm.Config{ResizeEvery: 5, ResizeSchedule: []int{4, 0}}},
-		{"ResizeSchedule entry not a power of two", tm.Config{ResizeEvery: 5, ResizeSchedule: []int{4, 12}}},
 		{"ClockMode unknown", tm.Config{ClockMode: "bogus"}},
 		{"HTMReadCap negative", tm.Config{HTMReadCap: -1}},
 		{"HTMWriteCap negative", tm.Config{HTMWriteCap: -1}},
@@ -53,16 +45,10 @@ func TestConfigRejects(t *testing.T) {
 // contract: well-formed values that merely disagree with one another are
 // reconciled, not rejected.
 func TestConfigClampsOutOfRangeStripeBounds(t *testing.T) {
-	for _, cfg := range []tm.Config{
-		{TableSize: 64, Stripes: 128},
-		{Stripes: 64, MaxStripes: 16},
-		{Stripes: 4, MinStripes: 16, MaxStripes: 8},
-		{TableSize: 16, ResizeEvery: 5, ResizeSchedule: []int{64}},
-	} {
-		c := tm.NewSystem(cfg, eager.New).Cfg
-		if !(c.MinStripes <= c.Stripes && c.Stripes <= c.MaxStripes && c.MaxStripes <= c.TableSize) {
-			t.Errorf("%+v resolved to TableSize=%d Stripes=%d in [%d, %d]", cfg, c.TableSize, c.Stripes, c.MinStripes, c.MaxStripes)
-		}
+	cfg := tm.Config{TableSize: 64, Stripes: 128}
+	sys := tm.NewSystem(cfg, eager.New)
+	if c := sys.Cfg; c.Stripes != 64 || sys.Table.NumStripes() != 64 {
+		t.Errorf("%+v resolved to TableSize=%d Stripes=%d over a %d-stripe table, want 64 stripes", cfg, c.TableSize, c.Stripes, sys.Table.NumStripes())
 	}
 }
 

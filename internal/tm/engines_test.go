@@ -558,11 +558,9 @@ func TestPostCommitHookFiresOnWritesOnly(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, sys *tm.System) {
 		var fired int
 		var sawStripes int
-		var sawGen uint64
-		sys.PostCommit = func(t *tm.Thread, gen uint64, writeOrecs, writeStripes []uint32) {
+		sys.PostCommit = func(t *tm.Thread, writeOrecs, writeStripes []uint32) {
 			fired++
 			sawStripes += len(writeStripes)
-			sawGen = gen
 		}
 		thr := sys.NewThread()
 		var x uint64
@@ -574,9 +572,6 @@ func TestPostCommitHookFiresOnWritesOnly(t *testing.T) {
 		}
 		if sawStripes != 2 {
 			t.Fatalf("PostCommit saw %d write stripes across 2 writer commits, want 2", sawStripes)
-		}
-		if sawGen != sys.Table.Gen() {
-			t.Fatalf("PostCommit saw table generation %d, want %d", sawGen, sys.Table.Gen())
 		}
 	})
 }

@@ -29,7 +29,6 @@ func (tx *Tx) BeginHW() {
 		t.HWActive.Store(false)
 	}
 	tx.Mode = ModeHW
-	tx.StampTableView()
 	tx.Start = t.PublishStart()
 }
 

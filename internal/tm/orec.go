@@ -14,12 +14,10 @@ import (
 // exactly these sites; a soundness fix to the protocol lands here and
 // nowhere else.
 
-// BeginSoftware starts an instrumented software attempt: it stamps the
-// table geometry, samples the clock and publishes the attempt for
-// quiescence (Algorithm 9, TxBegin), waiting out any serial section.
+// BeginSoftware starts an instrumented software attempt: it samples the
+// clock and publishes the attempt for quiescence (Algorithm 9, TxBegin), waiting out any serial section.
 func (tx *Tx) BeginSoftware() {
 	tx.Mode = ModeSTM
-	tx.StampTableView()
 	tx.Start = tx.Thr.PublishStartSerialAware(tx)
 }
 
@@ -169,15 +167,13 @@ type Stamp struct{ end uint64 }
 // CommitStamp takes the attempt's commit timestamp (Algorithm 9, TxCommit)
 // and proves the attempt may publish at it: the read set validates unless
 // the clock shows no other writer could have committed since Start (the
-// TL2 end == start+1 fast path), and the table geometry the write stripes
-// were named under is still current. It aborts otherwise; the caller must
+// TL2 end == start+1 fast path). It aborts otherwise; the caller must
 // already hold every lock it will publish.
 func (tx *Tx) CommitStamp() Stamp {
 	end, exclusive := tx.Sys.Clock.Commit(tx.Start, tx.MaxLockVer)
 	if !exclusive && !tx.ValidateReads() {
 		tx.Abort(AbortConflict)
 	}
-	tx.RevalidateTableGen()
 	return Stamp{end}
 }
 

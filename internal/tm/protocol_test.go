@@ -225,28 +225,3 @@ func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
 		}
 	})
 }
-
-// TestProtocolGenAbort: a writer whose table geometry moved between Begin
-// and Commit aborts (its write stripes were named under the old geometry),
-// is counted in GenAborts, and leaks no lock.
-func TestProtocolGenAbort(t *testing.T) {
-	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		cfg.Stripes, cfg.MaxStripes = 1, 4
-		sys := tm.NewSystem(cfg, p.mk)
-		thr := sys.NewThread()
-		var x uint64
-		attempts := 0
-		thr.Atomic(func(tx *tm.Tx) {
-			p.enter(t, tx)
-			attempts++
-			tx.Write(&x, 9)
-			if attempts == 1 {
-				sys.Table.Resize(4)
-			}
-		})
-		if got := sys.Stats.GenAborts.Load(); attempts < 2 || got != 1 || x != 9 {
-			t.Fatalf("attempts=%d GenAborts=%d x=%d, want ≥2, 1, 9", attempts, got, x)
-		}
-		assertNoOrecLocked(t, sys)
-	})
-}

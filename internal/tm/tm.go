@@ -164,16 +164,14 @@ type Tx struct {
 	// attempt's write set touched, recorded by the engines as write
 	// ownership is established (lock acquisition; serial-mode stores).
 	// The post-commit wakeup visits only these stripes, making Algorithm
-	// 4's wakeWaiters O(write set) instead of O(waiters). Stripe ids are
-	// relative to TableView's geometry.
+	// 4's wakeWaiters O(write set) instead of O(waiters).
 	WriteStripes []uint32
 
-	// TableView is the orec-table stripe geometry the attempt runs under,
-	// stamped by the engine in Begin and revalidated at commit: an online
-	// stripe resize between the two bumps the table generation, and a
-	// writer whose stripe set was recorded under a stale geometry aborts
-	// and re-executes against the new table (RevalidateTableGen).
-	TableView locktable.View
+	// Three spare words that keep every field below, and so every Thread
+	// field behind the descriptor, at the offset Thread's cache-line plan
+	// was measured with. Closing the gap is a layout change to be measured
+	// on its own.
+	_ [3]uint64
 
 	// OnCommit holds actions deferred until the attempt commits (e.g.
 	// condition-variable signals, which must not fire from an attempt
@@ -244,32 +242,13 @@ func (tx *Tx) OldValue(addr *uint64) (uint64, bool) {
 // distinct stripe, bounded by the table's stripe count — so a linear
 // dedup scan beats a map.
 func (tx *Tx) NoteWriteStripe(idx uint32) {
-	s := tx.TableView.StripeOf(idx)
+	s := tx.Sys.Table.StripeOf(idx)
 	for _, x := range tx.WriteStripes {
 		if x == s {
 			return
 		}
 	}
 	tx.WriteStripes = append(tx.WriteStripes, s)
-}
-
-// StampTableView captures the orec-table stripe geometry for the attempt.
-// Engines call it from Begin so that every stripe the attempt names
-// (NoteWriteStripe) is relative to one consistent generation.
-func (tx *Tx) StampTableView() { tx.TableView = tx.Sys.Table.Current() }
-
-// RevalidateTableGen aborts the attempt if the orec-table stripe geometry
-// changed since Begin. Engines call it in Commit, before making a writer's
-// effects durable: the attempt's WriteStripes were named under TableView's
-// generation, and the post-commit wakeup must not be handed stripe ids
-// from a geometry the condition-synchronization registries have migrated
-// away from. Aborting re-executes the transaction against the new table —
-// the per-transaction cost of an online stripe resize.
-func (tx *Tx) RevalidateTableGen() {
-	if tx.TableView.Gen != tx.Sys.Table.Gen() {
-		tx.Sys.Stats.GenAborts.Add(1)
-		tx.Abort(AbortConflict)
-	}
 }
 
 // LogWait appends an address/value pair to the waitset.
@@ -552,25 +531,10 @@ func (c Counters) AbortRate() float64 {
 
 // Stats is a System's statistics. The counters transactions advance live
 // in per-thread shards (Thread.Stat, Thread.SlowStat) and are read through
-// Sum or Snapshot; only the system-wide events of the slow paths — stripe
-// resizes, and the traffic counts of the non-default clock modes — are
-// counted here directly.
+// Sum or Snapshot; only the traffic counts of the non-default clock modes
+// are counted here directly.
 type Stats struct {
 	sys *System
-
-	// StripeResizes counts online stripe-geometry swaps (adaptive
-	// controller decisions and forced-schedule resizes alike).
-	StripeResizes atomic.Uint64
-
-	// GenAborts counts commit-time aborts caused by a stripe resize
-	// landing between an attempt's Begin and its Commit — the
-	// per-transaction cost of an epoch swap.
-	GenAborts atomic.Uint64
-
-	// MigratedWaiters counts sleeping waiters (Deschedule and Retry-Orig
-	// entries together) carried across stripe-geometry swaps by the
-	// registry migration.
-	MigratedWaiters atomic.Uint64
 
 	// clockAdvances and clockCASRetries are the counters handed to
 	// clock.New: successful advances of the shared commit-clock word
@@ -613,8 +577,7 @@ func (s *Stats) Sum() Counters {
 }
 
 // Snapshot returns a plain-value copy of every counter by name: the sums
-// of the per-thread shards, the system-wide counters, and the clock
-// word's traffic. futile_wakeups is kept for the benchmark's ratio; no
+// of the per-thread shards and the clock word's traffic. futile_wakeups is kept for the benchmark's ratio; no
 // code path counts one, so it reads 0.
 func (s *Stats) Snapshot() map[string]uint64 {
 	c := s.Sum()
@@ -634,9 +597,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"wake_checks":       c.WakeChecks,
 		"batched_signals":   c.BatchedSignals,
 		"orig_shard_checks": c.OrigShardChecks,
-		"stripe_resizes":    s.StripeResizes.Load(),
-		"gen_aborts":        s.GenAborts.Load(),
-		"migrated_waiters":  s.MigratedWaiters.Load(),
 		"clock_advances":    s.sys.Clock.Advances(),
 		"clock_cas_retries": s.clockCASRetries.Load(),
 	}
@@ -646,30 +606,13 @@ func (s *Stats) Snapshot() map[string]uint64 {
 type Config struct {
 	// TableSize is the number of orecs (power of two). 0 selects the default.
 	TableSize int
-	// Stripes is the initial number of cache-line-padded orec-table
-	// stripes (power of two, at most TableSize). 0 selects the default
-	// (locktable.DefaultStripes, clamped to the table size). Stripe count
-	// is a pure performance knob: any value yields identical observable
-	// behaviour, which the differential harness checks at {1, 4, 64} and
-	// under forced online resizes.
+	// Stripes is the number of cache-line-padded orec-table stripes (power
+	// of two; a value above TableSize is clamped to it), fixed for the
+	// system's lifetime. 0 selects the default (locktable.DefaultStripes).
+	// Stripe count is a pure performance knob: any value yields identical
+	// observable behaviour, which the differential harness checks at
+	// {1, 4, 64}.
 	Stripes int
-	// MinStripes / MaxStripes bound the adaptive stripe controller
-	// (package core): when MaxStripes > MinStripes, the controller samples
-	// contention over fixed commit windows and doubles or halves the
-	// stripe count online within these bounds. Both default to Stripes,
-	// which pins the count (MinStripes == MaxStripes disables adaptation).
-	// Both must be powers of two with MinStripes <= Stripes <= MaxStripes
-	// <= TableSize.
-	MinStripes, MaxStripes int
-	// ResizeEvery, with ResizeSchedule, replaces the adaptive policy with
-	// a deterministic forced-resize schedule: every ResizeEvery writer
-	// commits the controller resizes to the next count in ResizeSchedule,
-	// cycling. A testing knob: the differential harness uses it to prove
-	// online resizing observably inert (tmcheck -adaptive).
-	ResizeEvery int
-	// ResizeSchedule lists the forced-resize stripe counts (powers of
-	// two); see ResizeEvery.
-	ResizeSchedule []int
 	// Quiesce enables privatization safety: a committing writer waits for
 	// all concurrent transactions that started before its commit.
 	Quiesce bool
@@ -714,9 +657,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	// Reject malformed values here, at system construction, with tm's own
-	// message: locktable would panic on some of them only later — a bad
-	// forced-resize schedule on a committing application thread at its
-	// first resize.
+	// message rather than a locktable panic.
 	pow2 := func(name string, v int) { // zero selects the field's default
 		if v < 0 || v&(v-1) != 0 {
 			panic(fmt.Sprintf("tm: %s %d is not a positive power of two", name, v))
@@ -729,14 +670,6 @@ func (c Config) withDefaults() Config {
 	}
 	pow2("TableSize", c.TableSize)
 	pow2("Stripes", c.Stripes)
-	pow2("MinStripes", c.MinStripes)
-	pow2("MaxStripes", c.MaxStripes)
-	for _, s := range c.ResizeSchedule {
-		if s <= 0 || s&(s-1) != 0 {
-			panic(fmt.Sprintf("tm: ResizeSchedule entry %d is not a positive power of two", s))
-		}
-	}
-	nonNeg("ResizeEvery", c.ResizeEvery)
 	nonNeg("HTMReadCap", c.HTMReadCap)
 	nonNeg("HTMWriteCap", c.HTMWriteCap)
 	nonNeg("HTMSpuriousAbortPerMille", c.HTMSpuriousAbortPerMille)
@@ -748,34 +681,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Stripes == 0 {
 		c.Stripes = locktable.DefaultStripes
-		if c.Stripes > c.TableSize {
-			c.Stripes = c.TableSize
-		}
 	}
-	if c.MinStripes == 0 {
-		c.MinStripes = c.Stripes
-	}
-	if c.MaxStripes == 0 {
-		// Default to a pinned count, except that a forced-resize schedule
-		// implies headroom for its largest entry.
-		c.MaxStripes = c.Stripes
-		for _, s := range c.ResizeSchedule {
-			if s > c.MaxStripes {
-				c.MaxStripes = s
-			}
-		}
-	}
-	if c.MaxStripes > c.TableSize {
-		c.MaxStripes = c.TableSize
-	}
-	if c.MinStripes > c.MaxStripes {
-		c.MinStripes = c.MaxStripes
-	}
-	if c.Stripes < c.MinStripes {
-		c.Stripes = c.MinStripes
-	}
-	if c.Stripes > c.MaxStripes {
-		c.Stripes = c.MaxStripes
+	if c.Stripes > c.TableSize {
+		c.Stripes = c.TableSize
 	}
 	if c.HTMReadCap == 0 {
 		c.HTMReadCap = 4096
@@ -805,15 +713,12 @@ type System struct {
 	// writeOrecs and writeStripes are the committed attempt's lock set
 	// and the stripes it covers, captured by the driver before any
 	// OnCommit callback or nested transaction could overwrite per-thread
-	// state. gen is the orec-table geometry generation the stripes were
-	// named under (the attempt's TableView): a hook whose registries have
-	// moved to a newer generation must re-derive stripes from writeOrecs
-	// or fall back to a full scan. The hook must treat the slices as
-	// read-only and must not retain them past its return: the driver
-	// recycles the backing arrays for the thread's next commit.
+	// state. The hook must treat the slices as read-only and must not
+	// retain them past its return: the driver recycles the backing arrays
+	// for the thread's next commit.
 	//
 	//tm:hook
-	PostCommit func(t *Thread, gen uint64, writeOrecs, writeStripes []uint32)
+	PostCommit func(t *Thread, writeOrecs, writeStripes []uint32)
 
 	// Tracer, if set, receives driver-level execution events — aborts,
 	// restarts, condition-synchronization blocks and wakes, and thread
@@ -869,7 +774,7 @@ type System struct {
 // capture the system's clock and table.
 func NewSystem(cfg Config, mk func(*System) Engine) *System {
 	cfg = cfg.withDefaults()
-	s := &System{Cfg: cfg, Table: locktable.NewResizable(cfg.TableSize, cfg.Stripes, cfg.MaxStripes)}
+	s := &System{Cfg: cfg, Table: locktable.NewSharded(cfg.TableSize, cfg.Stripes)}
 	s.Stats.sys = s
 	s.Clock = clock.New(clock.Mode(cfg.ClockMode), &s.Stats.clockCASRetries, &s.Stats.clockAdvances)
 	s.pool.init()
@@ -1227,7 +1132,6 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 	// it on return; our locals stay intact throughout.
 	writeOrecs := append(t.postOrecs[:0], tx.WriteOrecs...)
 	writeStripes := append(t.postStripes[:0], tx.WriteStripes...)
-	gen := tx.TableView.Gen
 	t.postOrecs, t.postStripes = nil, nil
 	deferred := tx.OnCommit
 	tx.OnCommit = nil
@@ -1242,7 +1146,7 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 	}
 	if wrote && t.Sys.PostCommit != nil && !t.inPostCommit {
 		t.inPostCommit = true
-		t.Sys.PostCommit(t, gen, writeOrecs, writeStripes)
+		t.Sys.PostCommit(t, writeOrecs, writeStripes)
 		t.inPostCommit = false
 	}
 	t.postOrecs, t.postStripes = writeOrecs[:0], writeStripes[:0]

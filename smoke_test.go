@@ -127,7 +127,6 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "3", "-seed", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "4", "-mech", "retry-orig", "-engine", "eager"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-adaptive", "-resize-every", "5"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "pof"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-ext"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-zipf", "1.2"}, "OK: every engine x mechanism pair matched"},
@@ -262,8 +261,6 @@ func TestSmokeTmlintJSON(t *testing.T) {
 func TestSmokeTmcheckRejectsContradictoryFlags(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmcheck")
 	for _, args := range [][]string{
-		{"-n", "1", "-stripes", "4", "-adaptive"},
-		{"-n", "1", "-resize-every", "5"},
 		{"-n", "1", "-clock", "bogus"},
 		{"-zipf", "-0.5"},
 		{"-phases", "10:bogus"},
