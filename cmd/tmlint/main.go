@@ -2,11 +2,7 @@
 // over the named packages. It is the CI gate for the runtime's
 // concurrency invariants: shard-lock ordering, atomic-field discipline,
 // no blocking inside transactions, monotonic measurement timing,
-// cache-line padding, and nil-guarded hooks — plus the flow-sensitive
-// clock–version protocol checks built on internal/lint/flow (bumporder,
-// commitstamp, extrecheck, lockverflow), which machine-check the
-// serializability invariants the commit/rollback/extension paths rest
-// on.
+// cache-line padding, and nil-guarded hooks.
 //
 // Usage:
 //

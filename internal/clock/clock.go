@@ -92,8 +92,6 @@ func ParseMode(s string) (Mode, error) {
 
 // Source is a logical commit-timestamp source. Implementations are
 // safe for concurrent use; the zero time is 0.
-//
-//tm:clock-source
 type Source interface {
 	// Now returns the current logical time. Transactions snapshot it
 	// at begin.

@@ -6,6 +6,10 @@
 // no-blocking-actions-inside-a-transaction discipline the paper's
 // condition-synchronization mechanisms exist to replace. Each analyzer
 // here encodes one of those invariants so CI, not a reviewer, enforces it.
+// All six are per-site AST and type checks. The ordering facts of the
+// orec/clock protocol (bump before release, recheck after extension, stamp
+// from Clock.Commit) are not policed here: internal/tm/protocol_test.go
+// checks them by running the protocol.
 //
 // The suite is deliberately built on the standard library alone (go/ast,
 // go/parser, go/types): the API mirrors golang.org/x/tools/go/analysis —
@@ -45,16 +49,6 @@ const (
 	DirWallclock        = "tm:wallclock"
 	DirLockorderChecked = "tm:lockorder-checked"
 	DirHook             = "tm:hook"
-
-	// Flow-analyzer directives (the clock–version protocol vocabulary).
-	DirRollback    = "tm:rollback"     // this function is an engine rollback path
-	DirRepublish   = "tm:republish"    // this call republishes an orec word
-	DirLockAcquire = "tm:lock-acquire" // this call/site acquires an orec lock
-	DirExtend      = "tm:extend"       // this function implements timestamp extension
-	DirNoReturn    = "tm:noreturn"     // this function never returns normally
-	DirOrecTable   = "tm:orec-table"   // this type is an orec table (Get/Set/CAS)
-	DirClockSource = "tm:clock-source" // this type is a transactional clock source
-	DirCommitStamp = "tm:commit-stamp" // this type carries a Clock.Commit timestamp
 )
 
 // An Analyzer is one invariant checker. Run inspects the package held by

@@ -187,19 +187,11 @@ func (l *Loader) load(importPath, dir string, filenames []string) (*Package, err
 		}
 		files = append(files, f)
 	}
-	return l.check(importPath, dir, files)
-}
-
-// check type-checks files, already parsed into the loader's FileSet, as
-// the package importPath. Imports resolve relative to the directories in
-// the files' recorded names, whatever source text they were parsed from.
-func (l *Loader) check(importPath, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: l.imp, Sizes: l.sizes}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)

@@ -95,132 +95,6 @@ type almost struct {
 		wantMsg: "cache line",
 	},
 	{
-		analyzer: "bumporder",
-		src: `package seed
-
-//tm:orec-table
-type table struct{ w [4]uint64 }
-
-func (t *table) Get(i int) uint64    { return t.w[i] }
-func (t *table) Set(i int, v uint64) { t.w[i] = v }
-
-//tm:clock-source
-type clock struct{ t uint64 }
-
-func (c *clock) Bump() { c.t++ }
-
-//tm:rollback
-func release(t *table, c *clock, locks []int) {
-	for _, i := range locks {
-		t.Set(i, t.Get(i)+2)
-	}
-	c.Bump()
-}
-`,
-		wantMsg: "not dominated by a Clock.Bump call",
-	},
-	{
-		analyzer: "commitstamp",
-		src: `package seed
-
-//tm:orec-table
-type table struct{ w [4]uint64 }
-
-func (t *table) Set(i int, v uint64) { t.w[i] = v }
-
-//tm:clock-source
-type clock struct{ t uint64 }
-
-func (c *clock) Now() uint64 { return c.t }
-
-func (c *clock) Commit(start, max uint64) uint64 { c.t++; return c.t }
-
-func publish(t *table, c *clock, locks []int) {
-	now := c.Now()
-	_ = c.Commit(now, 0)
-	for _, i := range locks {
-		t.Set(i, now<<1)
-	}
-}
-`,
-		wantMsg: "stale Clock.Now sample",
-	},
-	{
-		analyzer: "extrecheck",
-		src: `package seed
-
-//tm:orec-table
-type table struct{ w [4]uint64 }
-
-func (t *table) Get(i int) uint64 { return t.w[i] }
-
-//tm:clock-source
-type clock struct{ t uint64 }
-
-func (c *clock) Now() uint64 { c.t++; return c.t }
-
-type tx struct {
-	Start uint64
-	clk   *clock
-}
-
-//tm:extend
-func (x *tx) tryExtend() bool {
-	x.Start = x.clk.Now()
-	return true
-}
-
-func read(x *tx, t *table, i int) uint64 {
-	w := t.Get(i)
-	if x.tryExtend() && t.Get(i) == w {
-		return w >> 1
-	}
-	return 0
-}
-`,
-		wantMsg: "without a ver <= tx.Start recheck",
-	},
-	{
-		analyzer: "lockverflow",
-		src: `package seed
-
-//tm:orec-table
-type table struct{ w [4]uint64 }
-
-func (t *table) Get(i int) uint64 { return t.w[i] }
-
-func (t *table) CAS(i int, old, new uint64) bool {
-	if t.w[i] != old {
-		return false
-	}
-	t.w[i] = new
-	return true
-}
-
-//tm:clock-source
-type clock struct{ t uint64 }
-
-func (c *clock) Commit(start, max uint64) uint64 { c.t++; return c.t }
-
-type tx struct {
-	Start      uint64
-	MaxLockVer uint64
-}
-
-func commit(x *tx, t *table, c *clock, locks []int) uint64 {
-	for _, i := range locks {
-		w := t.Get(i)
-		//tm:lock-acquire
-		if !t.CAS(i, w, w|1) {
-			return 0
-		}
-	}
-	return c.Commit(x.Start, x.MaxLockVer)
-}
-`,
-		wantMsg: "no reaching Tx.MaxLockVer update before the Clock.Commit call",
-	},
-	{
 		analyzer: "hooknil",
 		src: `package seed
 

@@ -8,18 +8,11 @@ import (
 	"strings"
 )
 
-// Analyzers is the full tmlint suite, in reporting order. The first six
-// are the AST-level checks from the original suite; bumporder,
-// commitstamp, extrecheck, and lockverflow are the flow-sensitive
-// clock–version protocol checks built on internal/lint/flow.
+// Analyzers is the full tmlint suite, in reporting order.
 var Analyzers = []*Analyzer{
 	AtomicField,
-	BumpOrder,
-	CommitStamp,
-	ExtRecheck,
 	HookNil,
 	LockOrder,
-	LockVerFlow,
 	MonoClock,
 	NoBlockInAtomic,
 	PadCheck,

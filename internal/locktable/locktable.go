@@ -91,8 +91,6 @@ type chunk struct {
 // Distinct addresses may hash to the same orec (false conflicts), exactly
 // as in word-based STM. Slot indexes are global (0..Len-1); both they and
 // the stripe geometry are fixed for the table's lifetime.
-//
-//tm:orec-table
 type Table struct {
 	mask   uintptr
 	size   int

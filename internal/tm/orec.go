@@ -10,12 +10,15 @@ import (
 // engine is a composition of the steps in this file: eager is an undo log
 // plus encounter-time Acquire, lazy a redo log plus CommitRedo, and the
 // hardware modes of htm and hybrid (hw.go) run CommitRedo under the
-// simulated-hardware layer. The four flow analyzers of cmd/tmlint police
-// exactly these sites; a soundness fix to the protocol lands here and
-// nowhere else.
+// simulated-hardware layer. A soundness fix to the protocol lands here
+// and nowhere else, and each fact it rests on is checked once, by running
+// it: protocol_test.go states the contract on every engine path × clock
+// mode, and TestProtocolMutationDrill (root smoke_test.go) reverts each
+// fix in this file and demands that suite fail.
 
 // BeginSoftware starts an instrumented software attempt: it samples the
-// clock and publishes the attempt for quiescence (Algorithm 9, TxBegin), waiting out any serial section.
+// clock and publishes the attempt for quiescence (Algorithm 9, TxBegin),
+// waiting out any serial section.
 func (tx *Tx) BeginSoftware() {
 	tx.Mode = ModeSTM
 	tx.Start = tx.Thr.PublishStartSerialAware(tx)
@@ -67,7 +70,8 @@ func (tx *Tx) covered(w uint64) bool {
 // extension and the re-execution after an abort must start late enough to
 // read it. After a successful extension the sample in hand is still
 // current iff the extended start covers its version and the orec is
-// unchanged, and both rechecks are load-bearing. Under global/pof a
+// unchanged, and both rechecks are load-bearing
+// (TestProtocolExtensionRechecks, cases ver and word). Under global/pof a
 // rollback can republish a version the clock has not reached yet, so the
 // extended start may still predate ver — accepting the sample then would
 // record a read (or lock an orec) the snapshot never covered. The word
@@ -97,8 +101,6 @@ func (tx *Tx) Covers(idx uint32, w uint64, extend bool) bool {
 // what makes this sound under shared and deferred timestamps: a version
 // that merely stayed <= the new start could still have been republished
 // by an intervening commit.
-//
-//tm:extend
 func (tx *Tx) tryExtend() bool {
 	now := tx.Sys.Clock.Now()
 	for i := range tx.Reads {
@@ -122,7 +124,6 @@ func (tx *Tx) tryExtend() bool {
 // its stripe for the post-commit wakeup. It aborts if w is locked or the
 // orec moved since it was sampled.
 func (tx *Tx) Acquire(idx uint32, w uint64) {
-	//tm:lock-acquire
 	if locktable.Locked(w) || !tx.Sys.Table.CAS(idx, w, locktable.LockedBy(tx.Thr.ID, locktable.Version(w))) {
 		tx.Abort(AbortConflict)
 	}
@@ -233,8 +234,6 @@ func (tx *Tx) CommitRedo() {
 // when they become visible — a version ahead of the clock could be handed
 // out again by a concurrent Commit, breaking the strict per-orec version
 // increase that timestamp extension relies on. Idempotent.
-//
-//tm:rollback
 func (tx *Tx) ReleaseLocks() {
 	if len(tx.Locks) == 0 {
 		return

@@ -225,3 +225,109 @@ func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
 		}
 	})
 }
+
+// scriptedClock is the system's clock with Now under the test's control:
+// now maps the real reading to the one the protocol sees. It reaches the
+// window between a read's sample and its post-extension rechecks from a
+// single goroutine, because tryExtend samples Now exactly there.
+type scriptedClock struct {
+	clock.Source
+	now func(real uint64) uint64
+}
+
+func (c *scriptedClock) Now() uint64 { return c.now(c.Source.Now()) }
+
+// TestProtocolExtensionRechecks: a successful extension proves the read
+// set at the new start, not the sample in hand, so Covers rechecks the
+// sample twice and each recheck is the only thing standing between a
+// schedule and a wrong read.
+//
+// ver: the orec carries an unlocked version the clock has not reached (a
+// rollback's republish can run ahead of it) and Now keeps lagging it, so
+// the extension succeeds at a start that still predates the version. The
+// read must abort and re-execute; it is never accepted uncovered.
+//
+// word: x and y are only ever written together. The attempt samples x,
+// and a second commit to both lands after that sample, inside the
+// extension's Now. The extended start covers the new y, so accepting the
+// stale sample of x would hand the body a torn pair: the first attempt
+// must abort and the retry read the newer values.
+func TestProtocolExtensionRechecks(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		if !p.extends {
+			t.Skip("path never extends")
+		}
+		cfg.TimestampExtension = true
+
+		t.Run("ver", func(t *testing.T) {
+			sys := tm.NewSystem(cfg, p.mk)
+			thr := sys.NewThread()
+			x := uint64(9)
+			idx := sys.Table.IndexOf(&x)
+			ver := locktable.Version(sys.Table.Get(idx)) + 9 // well ahead of the clock
+			sys.Table.Set(idx, locktable.UnlockedAt(ver))
+			lagging := true
+			sys.Clock = &scriptedClock{sys.Clock, func(real uint64) uint64 {
+				if lagging {
+					return min(real, ver-1)
+				}
+				return real
+			}}
+			attempts := 0
+			var got uint64
+			thr.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				if attempts++; attempts == 2 {
+					lagging = false
+					sys.Clock.AtLeast(ver)
+				}
+				got = tx.Read(&x)
+				if tx.Start < ver {
+					t.Errorf("attempt %d accepted version %d at start %d", attempts, ver, tx.Start)
+				}
+			})
+			if attempts != 2 || got != 9 {
+				t.Errorf("attempts=%d got=%d, want 2, 9", attempts, got)
+			}
+		})
+
+		t.Run("word", func(t *testing.T) {
+			sys := tm.NewSystem(cfg, p.mk)
+			t1, t2 := sys.NewThread(), sys.NewThread()
+			ws := distinctWords(t, sys, 2)
+			x, y := ws[0], ws[1]
+			writeBoth := func(v uint64) {
+				t2.Atomic(func(tx2 *tm.Tx) {
+					tx2.Write(x, v)
+					tx2.Write(y, v)
+				})
+			}
+			armed, base := false, sys.Clock
+			sys.Clock = &scriptedClock{base, func(real uint64) uint64 {
+				if !armed {
+					return real
+				}
+				armed = false
+				writeBoth(7)
+				return base.Now()
+			}}
+			attempts := 0
+			var gotX, gotY uint64
+			t1.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				if attempts++; attempts == 1 {
+					writeBoth(5)
+					armed = true
+				}
+				gotX = tx.Read(x)
+				if armed {
+					t.Fatal("the read of a too-new x never sampled the clock")
+				}
+				gotY = tx.Read(y)
+			})
+			if attempts != 2 || gotX != 7 || gotY != 7 {
+				t.Errorf("attempts=%d x=%d y=%d, want 2, 7, 7", attempts, gotX, gotY)
+			}
+		})
+	})
+}

@@ -258,8 +258,6 @@ func (tx *Tx) LogWait(addr *uint64, val uint64) {
 
 // Abort explicitly aborts the current attempt with the given reason. It
 // unwinds to the driver, which rolls back and re-executes after backoff.
-//
-//tm:noreturn
 func (tx *Tx) Abort(reason AbortReason) {
 	panic(abortSig{reason: reason})
 }
@@ -267,8 +265,6 @@ func (tx *Tx) Abort(reason AbortReason) {
 // Restart aborts the current attempt and re-executes immediately, without
 // backoff growth. This is the "Restart" baseline of the evaluation: abort
 // and immediately re-attempt whenever a precondition does not hold.
-//
-//tm:noreturn
 func (tx *Tx) Restart() {
 	tx.Thr.SlowStat.ExplicitRestarts.Add(1)
 	panic(restartSig{})
@@ -277,8 +273,6 @@ func (tx *Tx) Restart() {
 // RestartTagged aborts the current attempt and re-executes it with IsRetry
 // set, so the engine logs an address/value waitset on every read
 // (restart-to-populate of Algorithm 5).
-//
-//tm:noreturn
 func (tx *Tx) RestartTagged() {
 	tx.IsRetry = true
 	panic(restartSig{})
@@ -288,8 +282,6 @@ func (tx *Tx) RestartTagged() {
 // instrumented software mode. Hardware transactions use it when they need
 // escape actions (Retry, Await, WaitPred); software engines treat it as a
 // plain immediate restart.
-//
-//tm:noreturn
 func (tx *Tx) RestartSoftware() {
 	tx.WantSoftware = true
 	panic(restartSig{})
@@ -577,8 +569,9 @@ func (s *Stats) Sum() Counters {
 }
 
 // Snapshot returns a plain-value copy of every counter by name: the sums
-// of the per-thread shards and the clock word's traffic. futile_wakeups is kept for the benchmark's ratio; no
-// code path counts one, so it reads 0.
+// of the per-thread shards and the clock word's traffic. futile_wakeups
+// is kept for the benchmark's ratio; no code path counts one, so it
+// reads 0.
 func (s *Stats) Snapshot() map[string]uint64 {
 	c := s.Sum()
 	return map[string]uint64{

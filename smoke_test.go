@@ -140,9 +140,7 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmlint", []string{"./..."}, "tmlint: ok"},
 		{"tmlint", []string{"-tests", "./..."}, "tmlint: ok"},
 		{"tmlint", []string{"-list"}, "lockorder"},
-		{"tmlint", []string{"-list"}, "bumporder"},
 		{"tmlint", []string{"-analyzers", "monoclock,padcheck", "./internal/core/"}, "tmlint: ok"},
-		{"tmlint", []string{"-analyzers", "bumporder,commitstamp,extrecheck,lockverflow", "./internal/stm/...", "./internal/hybrid/", "./internal/htm/"}, "tmlint: ok"},
 		{"tmlint", []string{"-json", "./internal/locktable/"}, `"ok": true`},
 	}
 	for _, c := range cases {
@@ -181,14 +179,16 @@ func TestSmokeTmcheckRecordReplay(t *testing.T) {
 }
 
 // TestSmokeTmlintUsage pins the lint driver's CLI contract: no package
-// patterns (or an unknown analyzer name) is a usage error, exit 2, with
-// the usage text on stderr — so the CI gate can distinguish "misinvoked"
-// from "found violations" (exit 1) from "clean" (exit 0).
+// patterns (or an unknown analyzer name — a retired one included) is a
+// usage error, exit 2, with the usage text on stderr — so the CI gate can
+// distinguish "misinvoked" from "found violations" (exit 1) from "clean"
+// (exit 0).
 func TestSmokeTmlintUsage(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmlint")
 	for _, args := range [][]string{
 		{},
 		{"-analyzers", "nosuch", "./..."},
+		{"-analyzers", "bumporder", "./..."},
 	} {
 		t.Run(strings.Join(args, "_"), func(t *testing.T) {
 			out, err := exec.Command(bin, args...).CombinedOutput()
@@ -203,19 +203,20 @@ func TestSmokeTmlintUsage(t *testing.T) {
 	}
 }
 
-// TestSmokeTmlintJSON pins the machine-readable output contract: a
-// firing fixture package must exit 1 and emit a JSON report whose
-// violations carry the analyzer name, position, message, and the //tm:
-// directives in effect at the reported line.
+// TestSmokeTmlintJSON pins the machine-readable output contract: firing
+// fixture packages must exit 1 and emit a JSON report whose violations
+// carry the analyzer name, position, message, and the //tm: directives in
+// effect at the reported line (padcheck reports at the annotated type, so
+// its violations are the ones that carry one).
 func TestSmokeTmlintJSON(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmlint")
-	fixture := filepath.Join("internal", "lint", "testdata", "src", "lockverflow")
-	cmd := exec.Command(bin, "-json", "-analyzers", "lockverflow", fixture)
+	src := filepath.Join("internal", "lint", "testdata", "src")
+	cmd := exec.Command(bin, "-json", "-analyzers", "hooknil,padcheck", filepath.Join(src, "hooknil"), filepath.Join(src, "padcheck"))
 	cmd.Dir = repoRoot(t)
 	out, err := cmd.Output()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("tmlint -json on firing fixture: want exit status 1, got err=%v\n%s", err, out)
+		t.Fatalf("tmlint -json on firing fixtures: want exit status 1, got err=%v\n%s", err, out)
 	}
 	var rep struct {
 		OK         bool     `json:"ok"`
@@ -233,25 +234,151 @@ func TestSmokeTmlintJSON(t *testing.T) {
 	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("tmlint -json output is not valid JSON: %v\n%s", err, out)
 	}
-	if rep.OK || rep.Packages != 1 || len(rep.Violations) == 0 {
+	if rep.OK || rep.Packages != 2 || len(rep.Violations) == 0 {
 		t.Fatalf("unexpected report shape: %+v", rep)
 	}
+	fired := map[string]bool{}
 	foundDirective := false
 	for _, v := range rep.Violations {
-		if v.Analyzer != "lockverflow" {
-			t.Errorf("violation names analyzer %q, want lockverflow", v.Analyzer)
-		}
-		if !strings.Contains(v.File, "lockverflow") || v.Line == 0 || v.Col == 0 || v.Message == "" {
-			t.Errorf("violation missing position or message: %+v", v)
+		fired[v.Analyzer] = true
+		// Each fixture directory is named after the one analyzer it fires.
+		if filepath.Base(filepath.Dir(v.File)) != v.Analyzer || v.Line == 0 || v.Col == 0 || v.Message == "" {
+			t.Errorf("violation missing analyzer, position or message: %+v", v)
 		}
 		for _, d := range v.Directives {
-			if d == "tm:lock-acquire" {
+			if d == "tm:padded" {
 				foundDirective = true
 			}
 		}
 	}
+	if !fired["hooknil"] || !fired["padcheck"] {
+		t.Errorf("want violations from both hooknil and padcheck: %+v", rep.Violations)
+	}
 	if !foundDirective {
-		t.Errorf("no violation carried the tm:lock-acquire directive context: %+v", rep.Violations)
+		t.Errorf("no padcheck violation carried the tm:padded directive context: %+v", rep.Violations)
+	}
+}
+
+// TestProtocolMutationDrill proves the runtime suite is what guards the
+// orec protocol: each row reverts one soundness fix in internal/tm/orec.go
+// with a one-line edit, builds the package with the edited file overlaid
+// (nothing on disk changes), and demands that `go test -run TestProtocol
+// ./internal/tm` fail, naming the test that states the broken fact — or,
+// where the Stamp type makes the revert unwritable, that the package not
+// build. The unmutated overlay must pass, and every edit must apply exactly
+// once: a protocol refactor that renames what a row targets fails here
+// instead of silently passing.
+func TestProtocolMutationDrill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the internal/tm protocol suite once per mutation")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	orec := filepath.Join(repoRoot(t), "internal", "tm", "orec.go")
+	data, err := os.ReadFile(orec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(data)
+
+	// runProtocol runs the protocol suite with orec.go replaced by mutated.
+	runProtocol := func(t *testing.T, mutated string) (string, error) {
+		t.Helper()
+		dir := t.TempDir()
+		file := filepath.Join(dir, "orec.go")
+		if err := os.WriteFile(file, []byte(mutated), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		overlay, err := json.Marshal(map[string]map[string]string{"Replace": {orec: file}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlayFile := filepath.Join(dir, "overlay.json")
+		if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command("go", "test", "-overlay="+overlayFile, "-count=1", "-timeout=2m", "-run", "TestProtocol", "./internal/tm")
+		cmd.Dir = repoRoot(t)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+
+	if out, err := runProtocol(t, src); err != nil {
+		t.Fatalf("unmutated protocol does not pass its suite: %v\n%s", err, out)
+	}
+
+	const buildFailed = "[build failed]"
+	for _, tc := range []struct {
+		name     string
+		old, new string
+		want     string // the TestProtocol* test that must fail, or buildFailed
+	}{
+		{
+			name: "rollback releases before the clock bump",
+			old:  "\ttx.Sys.Clock.Bump()\n\tfor _, idx := range tx.Locks {",
+			new:  "\tfor _, idx := range tx.Locks {",
+			want: "TestProtocolRollbackRepublishes",
+		},
+		{
+			name: "extension accepts without the ver <= Start recheck",
+			old:  "tx.tryExtend() && ver <= tx.Start && ",
+			new:  "tx.tryExtend() && ",
+			want: "TestProtocolExtensionRechecks",
+		},
+		{
+			name: "extension accepts without the orec word recheck",
+			old:  "ver <= tx.Start && tx.Sys.Table.Get(idx) == w {",
+			new:  "ver <= tx.Start {",
+			want: "TestProtocolExtensionRechecks",
+		},
+		{
+			name: "acquisition forgets MaxLockVer",
+			old:  "\ttx.MaxLockVer = max(tx.MaxLockVer, locktable.Version(w))\n",
+			new:  "",
+			want: "TestProtocolVersionsStrictlyIncrease",
+		},
+		{
+			name: "publish from Clock.Now inside the protocol",
+			old:  "locktable.UnlockedAt(s.end)",
+			new:  "locktable.UnlockedAt(tx.Sys.Clock.Now())",
+			want: "TestProtocolExtension",
+		},
+		{
+			name: "stamp forged from Clock.Now",
+			old:  "return Stamp{end}",
+			new:  "_ = end\n\treturn Stamp{tx.Sys.Clock.Now()}",
+			want: "TestProtocolExtension",
+		},
+		{
+			name: "publish handed Clock.Now instead of a stamp",
+			old:  "tx.Publish(s)",
+			new:  "tx.Publish(tx.Sys.Clock.Now())",
+			want: buildFailed,
+		},
+		{
+			name: "rollback republishes at the unchanged version",
+			old:  "locktable.UnlockedAt(locktable.Version(w)+1)",
+			new:  "locktable.UnlockedAt(locktable.Version(w))",
+			want: "TestProtocolRollbackRepublishes",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := strings.Count(src, tc.old); n != 1 {
+				t.Fatalf("orec.go: want exactly one occurrence of %q to mutate, found %d", tc.old, n)
+			}
+			out, err := runProtocol(t, strings.Replace(src, tc.old, tc.new, 1))
+			if err == nil {
+				t.Fatalf("the protocol suite passes with the fix reverted:\n%s", out)
+			}
+			want := "--- FAIL: " + tc.want + " "
+			if tc.want == buildFailed {
+				want = buildFailed
+			}
+			if !strings.Contains(out, want) {
+				t.Errorf("the run failed without %q:\n%s", want, out)
+			}
+		})
 	}
 }
 
