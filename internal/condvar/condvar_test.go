@@ -1,6 +1,7 @@
 package condvar_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -190,10 +191,19 @@ func TestSignalNoWaitersIsNoop(t *testing.T) {
 
 func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 	// Punctuation commit must publish writes made before the Wait even
-	// when the engine buffers them (lazy, HTM).
+	// when the engine buffers them (lazy, HTM), and must hand the
+	// post-commit wake scan the orec slot of every word it stored to —
+	// Wait calls the hook itself, with its own copy of the write orecs.
 	forEach(t, func(t *testing.T, sys *tm.System) {
 		cv := condvar.New()
 		var a, b, gate uint64
+		posted := make(chan []uint32, 1)
+		sys.PostCommit = func(_ *tm.Thread, writeOrecs, _ []uint32) {
+			select {
+			case posted <- slices.Clone(writeOrecs):
+			default: // only the first writer commit is the punctuation commit
+			}
+		}
 		done := make(chan struct{})
 		go func() {
 			thr := sys.NewThread()
@@ -208,6 +218,16 @@ func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 			close(done)
 		}()
 		waitCond(t, "queued", func() bool { return cv.WaitingLen() == 1 })
+		select {
+		case orecs := <-posted:
+			for _, w := range []*uint64{&a, &b} {
+				if idx := sys.Table.IndexOf(w); !slices.Contains(orecs, idx) {
+					t.Errorf("punctuation commit stored to a word under orec slot %d, write orecs are %v", idx, orecs)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("punctuation commit never reached the PostCommit hook")
+		}
 		obs := sys.NewThread()
 		var sa, sb uint64
 		obs.Atomic(func(tx *tm.Tx) { sa, sb = tx.Read(&a), tx.Read(&b) })

@@ -9,13 +9,15 @@
 // transaction back completely, publishes a predicate f and parameters p
 // into a registry of waiting threads, double-checks f(p) in a fresh
 // transaction, and sleeps on a private semaphore. After any writer
-// commits, wakeWaiters re-evaluates each sleeping waiter's predicate —
-// a read-only computation over shared memory, performed strictly after
-// commit — and signals threads whose preconditions now hold. Wakeup is
-// value-based, so silent stores never wake a waiter.
+// commits, wakeWaiters re-evaluates the predicate of each sleeping waiter
+// the commit may concern — a read-only computation over shared memory,
+// performed strictly after commit — and signals threads whose
+// preconditions now hold. Wakeup is value-based, so silent stores never
+// wake a waiter.
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -39,9 +41,17 @@ type Waiter struct {
 	Args    []uint64
 	Waitset []tm.AddrVal
 
-	// shards is the ascending set of waiter-index shards covering Waitset,
+	// slots is the ascending set of orec slots covering Waitset, written
+	// by insert before the waiter is listed and read by committing
+	// writers under the shard lock: a commit that wrote none of them
+	// stored to no waitset word and skips the waiter (concerns).
+	slots []uint32
+
+	// shards is the ascending set of waiter-index shards covering slots,
 	// computed by insert and reused by remove; only the owner reads it.
-	shards []uint32
+	// shardBuf backs it while the waitset spans few stripes.
+	shards   []uint32
+	shardBuf [4]uint32
 
 	// asleep is true from publication until a waker (or the waiter
 	// itself, deciding not to sleep) claims the wakeup with a CAS;
@@ -129,7 +139,8 @@ type CondSync struct {
 	// shards is the per-stripe waiter index, one shard per orec-table
 	// stripe, sized by Enable: a waiter with a waitset registers on exactly
 	// the stripes covering its waitset addresses, and a committing writer
-	// visits only the shards of stripes in its write set (Algorithm 4's
+	// visits only the shards of stripes in its write set, and there runs
+	// predicates only for waiters sharing an orec with it (Algorithm 4's
 	// wakeup made O(write set) instead of O(waiters)).
 	//
 	// origShards is the sharded Retry-Orig registry. Algorithm 1 guards
@@ -177,17 +188,43 @@ func For(tx *tm.Tx) *CondSync {
 	return cs
 }
 
-// shardsOf maps a waitset to the deduplicated, ascending set of
-// waiter-index shards covering its addresses. Ascending order matters:
-// every multi-shard lock acquisition in this package goes low-to-high,
-// which rules out deadlock between two mutators whose shard sets overlap.
-func (cs *CondSync) shardsOf(ws []tm.AddrVal) []uint32 {
+// index fills in w.slots and w.shards, the deduplicated, ascending orec
+// slots covering the waitset and the waiter-index shards covering those.
+// Ascending shard order matters: every multi-shard lock acquisition in
+// this package goes low-to-high, which rules out deadlock between two
+// mutators whose shard sets overlap.
+func (cs *CondSync) index(w *Waiter) {
 	tbl := cs.sys.Table
-	slots := make([]uint32, len(ws))
-	for i := range ws {
-		slots[i] = tbl.IndexOf(ws[i].Addr)
+	slots := make([]uint32, len(w.Waitset))
+	for i := range w.Waitset {
+		slots[i] = tbl.IndexOf(w.Waitset[i].Addr)
 	}
-	return tbl.StripesOf(slots, nil)
+	slices.Sort(slots)
+	w.slots = slices.Compact(slots)
+	w.shards = tbl.StripesOf(w.slots, w.shardBuf[:0])
+}
+
+// maxSlotCompares bounds what concerns spends per waiter: past it (a Retry
+// waitset holding a whole read set, met by a large write set) evaluating
+// the predicate is no dearer than deciding whether it can be skipped.
+const maxSlotCompares = 256
+
+// concerns reports whether a commit that stored to the words covered by
+// writeOrecs may have changed a value w waits on. The answer is true
+// whenever it cannot be ruled out: no waitset (WaitPred), no write orecs
+// recorded, or too many pairs to compare.
+func (w *Waiter) concerns(writeOrecs []uint32) bool {
+	if len(w.slots) == 0 || len(writeOrecs) == 0 || len(w.slots)*len(writeOrecs) > maxSlotCompares {
+		return true
+	}
+	for _, s := range w.slots {
+		for _, o := range writeOrecs {
+			if s == o {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // lockShards acquires the waiter-index shard locks for the given ascending
@@ -225,9 +262,9 @@ func (cs *CondSync) unlockOrigShards(ss []uint32) {
 
 // insert publishes a waiter: indexed waiters register on every shard their
 // waitset touches (a writer that changes a waitset value necessarily writes
-// an address covered by one of those stripes, so no wakeup can be missed);
-// waiters without a waitset go to the unindexed list scanned by every
-// committing writer.
+// an address covered by one of the waiter's orec slots, hence by one of
+// those stripes, so no wakeup can be missed); waiters without a waitset go
+// to the unindexed list scanned by every committing writer.
 //
 //tm:lockorder-checked
 func (cs *CondSync) insert(w *Waiter) {
@@ -238,7 +275,7 @@ func (cs *CondSync) insert(w *Waiter) {
 		sh.mu.Unlock()
 		return
 	}
-	w.shards = cs.shardsOf(w.Waitset)
+	cs.index(w)
 	cs.lockShards(w.shards)
 	for _, s := range w.shards {
 		sh := &cs.shards[s].waiterShard
@@ -277,18 +314,24 @@ func (cs *CondSync) remove(w *Waiter) {
 	cs.unlockShards(w.shards)
 }
 
-// snapshot appends the shallow copy of the shard's waiting list that
-// wakeWaiters iterates (Algorithm 4, wakeWaiters line 1) to buf, avoiding
-// contention with concurrent inserts while predicates are evaluated. An
-// empty shard costs one load of n and no write; see waiterShard.
+// snapshot appends to buf the shallow copy of the shard's waiting list
+// that wakeWaiters iterates (Algorithm 4, wakeWaiters line 1), avoiding
+// contention with concurrent inserts while predicates are evaluated. A
+// waiter the commit's write orecs do not concern is left out here, under
+// the lock, at the cost of a few compares. An empty shard costs one load
+// of n and no write; see waiterShard.
 //
 //tm:lockorder-checked
-func (sh *waiterShard) snapshot(buf []*Waiter) []*Waiter {
+func (sh *waiterShard) snapshot(buf []*Waiter, writeOrecs []uint32) []*Waiter {
 	if sh.n.Load() == 0 {
 		return buf
 	}
 	sh.mu.Lock()
-	buf = append(buf, sh.waiters...)
+	for _, w := range sh.waiters {
+		if w.concerns(writeOrecs) {
+			buf = append(buf, w)
+		}
+	}
 	sh.mu.Unlock()
 	return buf
 }
@@ -340,7 +383,7 @@ func (cs *CondSync) OrigWaitingLen() int {
 
 // postCommit is installed as the system's PostCommit hook; it runs on the
 // committing thread strictly after the writer's effects are visible, with
-// the attempt's lock set and write-stripe set captured by the driver (so
+// the attempt's write orecs and write-stripe set captured by the driver (so
 // neither OnCommit callbacks nor the nested predicate transactions below
 // can clobber them).
 //
@@ -351,24 +394,26 @@ func (cs *CondSync) OrigWaitingLen() int {
 // deferred semaphore operations.
 func (cs *CondSync) postCommit(t *tm.Thread, writeOrecs, writeStripes []uint32) {
 	var batch sem.Batch
-	cs.wakeWaiters(t, writeStripes, &batch)
+	cs.wakeWaiters(t, writeOrecs, writeStripes, &batch)
 	cs.origWake(t, writeOrecs, writeStripes, &batch)
 	if n := batch.SignalAll(); n > 0 {
 		t.Stat.BatchedSignals.Add(uint64(n))
 	}
 }
 
-// wakeWaiters implements the bottom half of Algorithm 4, indexed by
-// stripe: visit the waiter shards of exactly the stripes the committed
-// write set touched — a waiter whose waitset is disjoint from the write
-// set shares no stripe with it and is never examined — plus the unindexed
-// list. Should a writer commit ever fail to record its stripes, fall back
-// to scanning every shard rather than risk a lost wakeup.
+// wakeWaiters implements the bottom half of Algorithm 4, narrowed twice.
+// By stripe: visit the waiter shards of exactly the stripes the committed
+// write set touched, plus the unindexed list. By orec: of the waiters found
+// there, examine those whose waitset shares an orec slot with the write
+// set — any other waits on words this commit did not store to, and the
+// commit that does store to one will examine it. Both narrowings are
+// conservative: a commit that recorded no stripes scans every shard, and
+// one that recorded no orecs examines every waiter it meets.
 //
 // The snapshots are gathered into one buffer before any predicate runs.
 // It starts on this frame — postCommit is never re-entered on a thread —
 // so a commit that finds few waiters, or none, allocates nothing.
-func (cs *CondSync) wakeWaiters(t *tm.Thread, touched []uint32, batch *sem.Batch) {
+func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32, batch *sem.Batch) {
 	var scratch [smallScan]*Waiter
 	ws := scratch[:0]
 	scanned := len(touched)
@@ -377,11 +422,11 @@ func (cs *CondSync) wakeWaiters(t *tm.Thread, touched []uint32, batch *sem.Batch
 		// one-stripe table).
 		scanned = len(cs.shards)
 		for i := range cs.shards {
-			ws = cs.shards[i].snapshot(ws)
+			ws = cs.shards[i].snapshot(ws, writeOrecs)
 		}
 	} else {
 		for _, s := range touched {
-			ws = cs.shards[s].snapshot(ws)
+			ws = cs.shards[s].snapshot(ws, writeOrecs)
 		}
 	}
 	if scanned > 1 {
@@ -389,9 +434,15 @@ func (cs *CondSync) wakeWaiters(t *tm.Thread, touched []uint32, batch *sem.Batch
 		// visit it once.
 		ws = dedupe(ws)
 	}
-	ws = cs.unindexed.snapshot(ws)
+	ws = cs.unindexed.snapshot(ws, writeOrecs)
+	checks := 0
 	for _, w := range ws {
-		cs.tryWake(t, w, batch)
+		if cs.tryWake(t, w, batch) {
+			checks++
+		}
+	}
+	if checks > 0 {
+		t.Stat.WakeChecks.Add(uint64(checks))
 	}
 }
 
@@ -426,16 +477,16 @@ func dedupe(ws []*Waiter) []*Waiter {
 }
 
 // tryWake evaluates one sleeping waiter's predicate in a fresh (read-only,
-// hardware-friendly) transaction; if the waiter should wake, claim it with
+// hardware-friendly) transaction and reports that it did; a waiter already
+// claimed costs no transaction. If the waiter should wake, claim it with
 // a CAS and hand its semaphore to the per-commit batch (the claim makes
 // the wakeup this commit's responsibility; the signal itself is deferred
 // until every shard has been scanned — Algorithm 4 line 9, applied
 // per commit rather than per waiter).
-func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
+func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) bool {
 	if !w.asleep.Load() {
-		return
+		return false
 	}
-	t.Stat.WakeChecks.Add(1)
 	should := false
 	t.Atomic(func(tx *tm.Tx) {
 		should = w.asleep.Load() && w.Pred(tx, w.Args)
@@ -443,6 +494,7 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 	if should && w.asleep.CompareAndSwap(true, false) {
 		batch.Add(w.Thr.Sem)
 	}
+	return true
 }
 
 // origWake implements Algorithm 1's TxCommit lines 10–15 over the sharded
@@ -452,13 +504,11 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) {
 // lock set are visited — an entry sharing no stripe with the lock set
 // cannot intersect it orec-by-orec, so skipping its shard loses nothing.
 // Entries claimed through another shard (or withdrawn by their owner) are
-// purged in passing.
+// purged in passing. On an engine that rejects Retry-Orig every shard stays
+// empty, and the scan is one load of n per write stripe.
 //
 //tm:lockorder-checked
 func (cs *CondSync) origWake(t *tm.Thread, writeOrecs, writeStripes []uint32, batch *sem.Batch) {
-	if len(writeOrecs) == 0 {
-		return
-	}
 	checks := 0
 	for _, s := range writeStripes {
 		sh := &cs.origShards[s].origShard

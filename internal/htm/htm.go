@@ -71,11 +71,10 @@ func (*Engine) Write(tx *tm.Tx, addr *uint64, val uint64) {
 		return
 	}
 	// Serial-mode stores bypass orec acquisition (the section runs
-	// alone), but the post-commit wakeup still needs to know which
-	// stripes the write set covers, so record the covering orec's stripe
-	// here. The orec itself is not logged: the write-orec capture feeds
-	// only Retry-Orig, which this engine rejects.
-	tx.NoteWriteStripe(tx.Sys.Table.IndexOf(addr))
+	// alone), but the post-commit wakeup still picks the waiters to
+	// examine by the orecs and stripes the write set covers, so record
+	// the covering orec here.
+	tx.NoteWriteOrec(tx.Sys.Table.IndexOf(addr))
 	tx.Undo = append(tx.Undo, tm.UndoEntry{Addr: addr, Old: atomic.LoadUint64(addr)})
 	atomic.StoreUint64(addr, val)
 }
@@ -85,10 +84,6 @@ func (*Engine) Write(tx *tm.Tx, addr *uint64, val uint64) {
 func (*Engine) Commit(tx *tm.Tx) {
 	if tx.Mode == tm.ModeHW {
 		tx.CommitHW()
-		// The lock set feeds only Retry-Orig, which this engine rejects,
-		// and an empty one lets origWake return without touching its
-		// registry locks. Wakeups ride on WriteStripes instead.
-		tx.WriteOrecs = tx.WriteOrecs[:0]
 		return
 	}
 	if len(tx.Undo) > 0 {

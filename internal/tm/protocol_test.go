@@ -10,6 +10,7 @@ package tm_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"tmsync/internal/clock"
@@ -26,8 +27,10 @@ type protocolPath struct {
 	name     string
 	mk       func(*tm.System) tm.Engine
 	mode     tm.Mode // the mode attempts must execute in
-	software bool    // force hybrid's software mode
+	software bool    // force the software mode (hybrid's STM, htm's serial)
 	extends  bool    // honours Config.TimestampExtension
+
+	irrevocable bool // the body asks for an irrevocable section first
 }
 
 var protocolPaths = []protocolPath{
@@ -57,7 +60,11 @@ func (p protocolPath) enter(t *testing.T, tx *tm.Tx) {
 }
 
 func forEachProtocolPath(t *testing.T, fn func(t *testing.T, p protocolPath, cfg tm.Config)) {
-	for _, p := range protocolPaths {
+	forEachPath(t, protocolPaths, fn)
+}
+
+func forEachPath(t *testing.T, paths []protocolPath, fn func(t *testing.T, p protocolPath, cfg tm.Config)) {
+	for _, p := range paths {
 		for _, mode := range clock.Modes() {
 			t.Run(fmt.Sprintf("%s/%s", p.name, mode), func(t *testing.T) {
 				// A generous hardware budget: under the deferred clock an
@@ -329,5 +336,58 @@ func TestProtocolExtensionRechecks(t *testing.T) {
 				t.Errorf("attempts=%d x=%d y=%d, want 2, 7, 7", attempts, gotX, gotY)
 			}
 		})
+	})
+}
+
+// TestProtocolWriteOrecsCoverWrites: the post-commit wakeup examines only
+// the waiters whose waitset shares an orec slot with the write orecs the
+// PostCommit hook is handed, so on every way a write can commit that set
+// must hold the covering slot of every word stored to — locked or not —
+// and, the filter being a product of sizes, hold it once. Beyond the
+// paths the rest of this file runs, that is htm's serial mode and an
+// irrevocable section on each engine.
+func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
+	paths := append([]protocolPath{
+		{name: "htm-serial", mk: htm.New, mode: tm.ModeSerial, software: true},
+		{name: "eager-irrevocable", mk: eager.New, mode: tm.ModeSTM, irrevocable: true},
+		{name: "lazy-irrevocable", mk: lazy.New, mode: tm.ModeSTM, irrevocable: true},
+		{name: "htm-irrevocable", mk: htm.New, mode: tm.ModeSerial, irrevocable: true},
+		{name: "hybrid-irrevocable", mk: hybrid.New, mode: tm.ModeSTM, irrevocable: true},
+	}, protocolPaths...)
+	forEachPath(t, paths, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		sys := tm.NewSystem(cfg, p.mk)
+		var orecs, stripes []uint32
+		fired := 0
+		sys.PostCommit = func(_ *tm.Thread, writeOrecs, writeStripes []uint32) {
+			fired++
+			orecs = append(orecs, writeOrecs...)
+			stripes = append(stripes, writeStripes...)
+		}
+		ws := distinctWords(t, sys, 3)
+		sys.NewThread().Atomic(func(tx *tm.Tx) {
+			if p.irrevocable {
+				tx.Irrevocable()
+			}
+			p.enter(t, tx)
+			for i, w := range ws {
+				tx.Write(w, uint64(i)+1)
+			}
+			tx.Write(ws[0], tx.Read(ws[0])+10) // a second store under a slot already held
+		})
+		if fired != 1 {
+			t.Fatalf("PostCommit fired %d times, want 1", fired)
+		}
+		for i, w := range ws {
+			idx := sys.Table.IndexOf(w)
+			if !slices.Contains(orecs, idx) {
+				t.Errorf("word %d was stored to but its orec slot %d is not in the write orecs %v", i, idx, orecs)
+			}
+			if s := sys.Table.StripeOf(idx); !slices.Contains(stripes, s) {
+				t.Errorf("word %d was stored to but its stripe %d is not in the write stripes %v", i, s, stripes)
+			}
+		}
+		if len(orecs) != len(ws) {
+			t.Errorf("write orecs %v: %d slots recorded for %d stored words on distinct orecs", orecs, len(orecs), len(ws))
+		}
 	})
 }

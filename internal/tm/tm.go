@@ -155,9 +155,13 @@ type Tx struct {
 	// increasing; global/pof get it from the shared word).
 	MaxLockVer uint64
 
-	// WriteOrecs is filled by the engine during a successful Commit with
-	// the orec slots the transaction wrote. The original Retry mechanism
-	// (Algorithm 1) intersects it with sleeping transactions' read sets.
+	// WriteOrecs holds, once Commit has succeeded, the orec slot of every
+	// word the attempt stored to: the lock set (Publish) plus any slot
+	// stored through without a lock (NoteWriteOrec). The post-commit
+	// wakeup skips a waiter whose waitset shares no slot with it, and the
+	// original Retry mechanism (Algorithm 1) intersects it with sleeping
+	// transactions' read sets; TestProtocolWriteOrecsCoverWrites holds
+	// every engine path to it.
 	WriteOrecs []uint32
 
 	// WriteStripes is the deduplicated set of orec-table stripes the
@@ -236,11 +240,10 @@ func (tx *Tx) OldValue(addr *uint64) (uint64, bool) {
 }
 
 // NoteWriteStripe records that the attempt established write ownership of
-// orec slot idx, adding the slot's stripe to the write-stripe set. Engines
-// call it wherever they acquire a write lock (or, in the HTM serial
-// fallback, wherever they store in place). The set is tiny — one entry per
-// distinct stripe, bounded by the table's stripe count — so a linear
-// dedup scan beats a map.
+// orec slot idx, adding the slot's stripe to the write-stripe set. Acquire
+// calls it for every write lock taken, NoteWriteOrec for every unlocked
+// in-place store. The set is tiny — one entry per distinct stripe, bounded
+// by the table's stripe count — so a linear dedup scan beats a map.
 func (tx *Tx) NoteWriteStripe(idx uint32) {
 	s := tx.Sys.Table.StripeOf(idx)
 	for _, x := range tx.WriteStripes {
@@ -249,6 +252,19 @@ func (tx *Tx) NoteWriteStripe(idx uint32) {
 		}
 	}
 	tx.WriteStripes = append(tx.WriteStripes, s)
+}
+
+// NoteWriteOrec records an in-place store to a word covered by orec slot
+// idx that the attempt does not lock (the HTM serial fallback, which runs
+// alone): the slot joins WriteOrecs, once, and its stripe WriteStripes.
+func (tx *Tx) NoteWriteOrec(idx uint32) {
+	for _, x := range tx.WriteOrecs {
+		if x == idx {
+			return
+		}
+	}
+	tx.WriteOrecs = append(tx.WriteOrecs, idx)
+	tx.NoteWriteStripe(idx)
 }
 
 // LogWait appends an address/value pair to the waitset.
@@ -462,10 +478,10 @@ type StatShard struct {
 	Deschedules    atomic.Uint64
 	Wakeups        atomic.Uint64
 
-	// WakeChecks counts sleeping waiters visited (predicate considered)
-	// by post-commit wakeup scans. With the per-stripe waiter index this
-	// is the O(write set) wakeup cost the sharding buys; with one stripe
-	// it degenerates to the old O(waiters) global scan.
+	// WakeChecks counts sleeping waiters whose predicate a post-commit
+	// wakeup scan evaluated: the waiters on the write set's stripes whose
+	// waitset shares an orec with it, plus every waiter without a
+	// waitset (WaitPred).
 	WakeChecks atomic.Uint64
 
 	// BatchedSignals counts semaphore signals delivered through the
@@ -703,12 +719,12 @@ type System struct {
 	// writer commit (wakeWaiters of Algorithm 4). It is not re-entered
 	// for commits performed inside the hook itself.
 	//
-	// writeOrecs and writeStripes are the committed attempt's lock set
-	// and the stripes it covers, captured by the driver before any
-	// OnCommit callback or nested transaction could overwrite per-thread
-	// state. The hook must treat the slices as read-only and must not
-	// retain them past its return: the driver recycles the backing arrays
-	// for the thread's next commit.
+	// writeOrecs and writeStripes are the committed attempt's write orecs
+	// (Tx.WriteOrecs) and the stripes they lie on, captured by the driver
+	// before any OnCommit callback or nested transaction could overwrite
+	// per-thread state. The hook must treat the slices as read-only and
+	// must not retain them past its return: the driver recycles the
+	// backing arrays for the thread's next commit.
 	//
 	//tm:hook
 	PostCommit func(t *Thread, writeOrecs, writeStripes []uint32)

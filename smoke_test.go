@@ -362,6 +362,12 @@ func TestProtocolMutationDrill(t *testing.T) {
 			new:  "locktable.UnlockedAt(locktable.Version(w))",
 			want: "TestProtocolRollbackRepublishes",
 		},
+		{
+			name: "publish keeps the lock set from the wake scan",
+			old:  "\ttx.WriteOrecs = append(tx.WriteOrecs, tx.Locks...)\n",
+			new:  "",
+			want: "TestProtocolWriteOrecsCoverWrites",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if n := strings.Count(src, tc.old); n != 1 {
