@@ -1,10 +1,11 @@
 package core_test
 
-// Regression tests for the batched post-commit wakeup path, the sharded
-// Retry-Orig registry, and the stale-token / clobbered-capture wakeup
-// races. Run under -race in CI: the per-commit signal batch, the woken/
-// asleep claim CASes, and the per-shard validate-and-insert protocol are
-// exactly what the race detector should vet.
+// Regression tests for the batched post-commit wakeup path, Retry-Orig
+// sleepers in the sharded waiter index, and the stale-token /
+// clobbered-capture wakeup races. Run under -race in CI: the per-commit
+// signal batch, the asleep claim CAS — made on a snapshot, outside the
+// shard lock — and Retry-Orig's list-then-validate protocol are exactly
+// what the race detector should vet.
 
 import (
 	"sync"
@@ -55,8 +56,7 @@ func TestStaleTokenDoesNotCauseSpuriousWakeup(t *testing.T) {
 }
 
 // TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig is the same reproducer
-// for the Retry-Orig sleep path, which buffers its entry in the sharded
-// registry instead of the waiter index.
+// for the Retry-Orig sleep path (origSignal.Handle).
 func TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig(t *testing.T) {
 	forEach(t, stmEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		var flag uint64
@@ -71,7 +71,7 @@ func TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig(t *testing.T) {
 				}
 			})
 		}()
-		waitCond(t, "orig waiter registered", func() bool { return cs.OrigWaitingLen() == 1 })
+		waitCond(t, "orig waiter registered", func() bool { return cs.WaitingLen() == 1 })
 		time.Sleep(100 * time.Millisecond)
 		if got := sys.Stats.Sum().Wakeups; got != 0 {
 			t.Errorf("stale token caused %d spurious wakeup(s); it should have been drained", got)
@@ -83,7 +83,7 @@ func TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("orig waiter never woke after the real write")
 		}
-		waitCond(t, "registry drained", func() bool { return cs.OrigWaitingLen() == 0 })
+		waitCond(t, "index drained", func() bool { return cs.WaitingLen() == 0 })
 	})
 }
 
@@ -197,8 +197,8 @@ func TestBatchedSignalsExactlyOncePerCommit(t *testing.T) {
 
 // TestOrigShardedTokenRing circulates one token around a ring of
 // Retry-Orig workers under -race: every hand-off commit must wake exactly
-// the successor through the sharded registry, with no lost wakeup at any
-// point. The final token position and the registry's emptiness pin
+// the successor through the sharded waiter index, with no lost wakeup at
+// any point. The final token position and the index's emptiness pin
 // conservation.
 func TestOrigShardedTokenRing(t *testing.T) {
 	forEach(t, stmEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
@@ -232,7 +232,7 @@ func TestOrigShardedTokenRing(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(60 * time.Second):
-			t.Fatal("token ring wedged: lost wakeup in the sharded Retry-Orig registry")
+			t.Fatal("token ring wedged: a Retry-Orig sleeper lost its wakeup")
 		}
 		if slots[0] != 1 {
 			t.Errorf("token did not return to slot 0: %v", slots)
@@ -242,6 +242,6 @@ func TestOrigShardedTokenRing(t *testing.T) {
 				t.Errorf("slot %d = %d, want 0 (token duplicated or stranded)", i, slots[i])
 			}
 		}
-		waitCond(t, "registry drained", func() bool { return cs.OrigWaitingLen() == 0 })
+		waitCond(t, "index drained", func() bool { return cs.WaitingLen() == 0 })
 	})
 }

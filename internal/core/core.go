@@ -14,6 +14,11 @@
 // performed strictly after commit — and signals threads whose
 // preconditions now hold. Wakeup is value-based, so silent stores never
 // wake a waiter.
+//
+// Retry-Orig sleepers are listed in the same registry and found by the same
+// scan; they carry no predicate, and sharing an orec with the commit is
+// what wakes them — the metadata-based decision the paper contrasts with
+// the value-based one.
 package core
 
 import (
@@ -32,24 +37,26 @@ import (
 // WaitPred, or condition-variable waits.
 type Pred func(tx *tm.Tx, args []uint64) bool
 
-// Waiter is one published deschedule request. A fresh Waiter is created
-// per deschedule so that late wakeWaiters scans holding a stale snapshot
-// of the registry only ever observe immutable fields.
+// Waiter is one published sleeper: a deschedule request or, with a nil
+// Pred, a Retry-Orig entry (Algorithm 1). A fresh Waiter is created per
+// sleep cycle so that late wakeWaiters scans holding a stale snapshot of
+// the registry only ever observe immutable fields.
 type Waiter struct {
 	Thr     *tm.Thread
-	Pred    Pred
+	Pred    Pred // nil: sharing an orec with a commit is the wake decision
 	Args    []uint64
 	Waitset []tm.AddrVal
 
-	// slots is the ascending set of orec slots covering Waitset, written
-	// by insert before the waiter is listed and read by committing
-	// writers under the shard lock: a commit that wrote none of them
-	// stored to no waitset word and skips the waiter (concerns).
+	// slots is the ascending set of orec slots the waiter sleeps on — those
+	// covering Waitset, or a Retry-Orig sleeper's whole read set; empty
+	// only for WaitPred. Written by newWaiter before the waiter is listed
+	// and read by committing writers under the shard lock: a commit that
+	// wrote none of them skips the waiter (concerns).
 	slots []uint32
 
 	// shards is the ascending set of waiter-index shards covering slots,
-	// computed by insert and reused by remove; only the owner reads it.
-	// shardBuf backs it while the waitset spans few stripes.
+	// which insert and remove lock; only the owner reads it. shardBuf
+	// backs it while the slots span few stripes.
 	shards   []uint32
 	shardBuf [4]uint32
 
@@ -59,31 +66,19 @@ type Waiter struct {
 	asleep atomic.Bool
 }
 
-// origWaiter is a Retry-Orig registry entry (Algorithm 1): the sleeping
-// transaction's read-set metadata, to be intersected with committing
-// writers' lock sets. The entry is registered on every registry shard
-// (orec-table stripe) its read set covers; woken arbitrates between
-// concurrent wakers on different shards, the entry's own withdrawal, and
-// a spurious (stale-token) wakeup — whichever wins the CAS owns the
-// entry's single wakeup.
-type origWaiter struct {
-	thr   *tm.Thread
-	orecs map[uint32]struct{}
-	woken atomic.Bool
-}
-
-// waiterShard is one shard of the waiter index: the waiters whose
-// waitsets touch one orec-table stripe.
+// waiterShard is one shard of the waiter index: the waiters whose slots
+// touch one orec-table stripe.
 //
 // n is len(waiters), stored under mu by set and loaded without it by
 // committing writers, which skip the lock — the shard's only shared write
 // — when it reads 0. That loses no wakeup: a waiter stores n (insert)
-// before the double-check transaction that decides whether it sleeps, and
-// a writer loads n after its write-back released its orecs; sync/atomic
-// operations are sequentially consistent, so a writer that reads 0 made
-// its writes visible before that double-check ran, and the waiter does
-// not sleep on them. n never reads 0 while an unclaimed sleeping waiter
-// is listed; a stale non-zero value costs one lock round trip.
+// before the double-check transaction that decides whether it sleeps (a
+// Retry-Orig sleeper, before it validates its read set: origSignal.Handle),
+// and a writer loads n after its write-back released its orecs;
+// sync/atomic operations are sequentially consistent, so a writer that
+// reads 0 made its writes visible before that check ran, and the waiter
+// does not sleep on them. n never reads 0 while an unclaimed sleeping
+// waiter is listed; a stale non-zero value costs one lock round trip.
 type waiterShard struct {
 	mu      spin.Lock
 	n       atomic.Int32
@@ -106,62 +101,33 @@ type paddedShard struct {
 	_ [(64 - unsafe.Sizeof(waiterShard{})%64) % 64]byte
 }
 
-// origShard is one shard of the Retry-Orig registry: the entries whose
-// read-set orecs touch one orec-table stripe. n works exactly as in
-// waiterShard; what orders n against a committing writer here is
-// origSignal.Handle storing it before validating the read set.
-type origShard struct {
-	mu      spin.Lock
-	n       atomic.Int32
-	waiters []*origWaiter
-}
-
-// set replaces the shard's list, as waiterShard.set does.
-func (sh *origShard) set(ws []*origWaiter) {
-	sh.waiters = ws
-	sh.n.Store(int32(len(ws)))
-}
-
-// paddedOrigShard keeps adjacent Retry-Orig registry shards on distinct
-// cache lines, mirroring the waiter-index layout.
-//
-//tm:padded
-type paddedOrigShard struct {
-	origShard
-	_ [(64 - unsafe.Sizeof(origShard{})%64) % 64]byte
-}
-
 // CondSync is the condition-synchronization runtime attached to one
 // tm.System.
 type CondSync struct {
 	sys *tm.System
 
 	// shards is the per-stripe waiter index, one shard per orec-table
-	// stripe, sized by Enable: a waiter with a waitset registers on exactly
-	// the stripes covering its waitset addresses, and a committing writer
-	// visits only the shards of stripes in its write set, and there runs
-	// predicates only for waiters sharing an orec with it (Algorithm 4's
-	// wakeup made O(write set) instead of O(waiters)).
+	// stripe, sized by Enable: a waiter that sleeps on orec slots — a
+	// waitset's, or a Retry-Orig read set's — registers on exactly the
+	// stripes covering them, and a committing writer visits only the
+	// shards of stripes in its write set, and there examines only waiters
+	// sharing an orec with it (Algorithm 4's wakeup, and Algorithm 1's,
+	// made O(write set) instead of O(waiters)). Algorithm 1 guards its
+	// registry with one global lock to make read-set validation atomic with
+	// insertion; here the locks of every covering shard, held together, do.
 	//
-	// origShards is the sharded Retry-Orig registry. Algorithm 1 guards
-	// the registry with a single global lock to make read-set validation
-	// atomic with insertion; here that atomicity is preserved across the
-	// shards covering an entry's read set, taken together, so a committing
-	// writer's origWake takes only the locks of stripes in its write set.
-	//
-	// A one-stripe table degenerates to the old global list and global
-	// registry, which the differential harness uses to prove the sharding
-	// observably equivalent.
-	shards     []paddedShard
-	origShards []paddedOrigShard
+	// A one-stripe table degenerates to the old global list, which the
+	// differential harness uses to prove the sharding observably
+	// equivalent.
+	shards []paddedShard
 
-	// unindexed lists the waiters without a waitset (WaitPred's arbitrary
+	// unindexed lists the waiters without slots (WaitPred's arbitrary
 	// predicates): they can depend on any location, so every committing
 	// writer re-evaluates them.
 	unindexed waiterShard
 
 	// origPublished, if set, runs in origSignal.Handle between publishing
-	// an entry's shard lengths and validating its read set — the window
+	// a sleeper's shard lengths and validating its read set — the window
 	// the empty-shard guard's soundness rests on (tests).
 	//
 	//tm:hook
@@ -172,8 +138,7 @@ type CondSync struct {
 // the post-commit wakeWaiters hook. It must be called once, before any
 // transactions run.
 func Enable(sys *tm.System) *CondSync {
-	n := sys.Table.NumStripes()
-	cs := &CondSync{sys: sys, shards: make([]paddedShard, n), origShards: make([]paddedOrigShard, n)}
+	cs := &CondSync{sys: sys, shards: make([]paddedShard, sys.Table.NumStripes())}
 	sys.Ext = cs
 	sys.PostCommit = cs.postCommit
 	return cs
@@ -188,40 +153,51 @@ func For(tx *tm.Tx) *CondSync {
 	return cs
 }
 
-// index fills in w.slots and w.shards, the deduplicated, ascending orec
-// slots covering the waitset and the waiter-index shards covering those.
-// Ascending shard order matters: every multi-shard lock acquisition in
-// this package goes low-to-high, which rules out deadlock between two
-// mutators whose shard sets overlap.
-func (cs *CondSync) index(w *Waiter) {
-	tbl := cs.sys.Table
-	slots := make([]uint32, len(w.Waitset))
-	for i := range w.Waitset {
-		slots[i] = tbl.IndexOf(w.Waitset[i].Addr)
+// newWaiter builds the waiter of a mechanism that sleeps on orec slots
+// (every one but WaitPred): w.slots is the deduplicated, ascending set of
+// the given slots and w.shards the waiter-index shards covering it.
+// Ascending shard order matters: every multi-shard lock acquisition in this
+// package goes low-to-high, which rules out deadlock between two mutators
+// whose shard sets overlap. An attempt that read nothing sleeps on no slot a
+// commit could write: that is a bug in the caller, reported here — before
+// any signal is raised — instead of by a thread that never wakes.
+func (cs *CondSync) newWaiter(tx *tm.Tx, mech string, slots []uint32) *Waiter {
+	if len(slots) == 0 {
+		panic("core: " + mech + " with an empty read set can never be woken")
 	}
 	slices.Sort(slots)
-	w.slots = slices.Compact(slots)
-	w.shards = tbl.StripesOf(w.slots, w.shardBuf[:0])
+	w := &Waiter{Thr: tx.Thr, slots: slices.Compact(slots)}
+	w.shards = cs.sys.Table.StripesOf(w.slots, w.shardBuf[:0])
+	return w
 }
 
-// maxSlotCompares bounds what concerns spends per waiter: past it (a Retry
-// waitset holding a whole read set, met by a large write set) evaluating
-// the predicate is no dearer than deciding whether it can be skipped.
+// maxSlotCompares is the number of slot × write-orec pairs up to which
+// concerns compares them all; past it, it binary-searches the waiter's
+// sorted slots for each write orec.
 const maxSlotCompares = 256
 
 // concerns reports whether a commit that stored to the words covered by
-// writeOrecs may have changed a value w waits on. The answer is true
-// whenever it cannot be ruled out: no waitset (WaitPred), no write orecs
-// recorded, or too many pairs to compare.
+// writeOrecs wrote under an orec w sleeps on. The answer is exact at every
+// size — for a Retry-Orig sleeper it is the wake decision — and true
+// unseen only where there is nothing to intersect: no slots (WaitPred) or
+// no write orecs recorded.
 func (w *Waiter) concerns(writeOrecs []uint32) bool {
-	if len(w.slots) == 0 || len(writeOrecs) == 0 || len(w.slots)*len(writeOrecs) > maxSlotCompares {
+	if len(w.slots) == 0 || len(writeOrecs) == 0 {
 		return true
 	}
-	for _, s := range w.slots {
-		for _, o := range writeOrecs {
-			if s == o {
-				return true
+	if len(w.slots)*len(writeOrecs) <= maxSlotCompares {
+		for _, s := range w.slots {
+			for _, o := range writeOrecs {
+				if s == o {
+					return true
+				}
 			}
+		}
+		return false
+	}
+	for _, o := range writeOrecs {
+		if _, hit := slices.BinarySearch(w.slots, o); hit {
+			return true
 		}
 	}
 	return false
@@ -244,43 +220,39 @@ func (cs *CondSync) unlockShards(ss []uint32) {
 	}
 }
 
-// lockOrigShards / unlockOrigShards are lockShards for the Retry-Orig
-// registry shards.
-//
-//tm:lockorder-checked
-func (cs *CondSync) lockOrigShards(ss []uint32) {
-	for _, s := range ss {
-		cs.origShards[s].mu.Lock()
+// list appends w to every shard covering it; the caller holds their locks.
+func (cs *CondSync) list(w *Waiter) {
+	for _, s := range w.shards {
+		sh := &cs.shards[s].waiterShard
+		sh.set(append(sh.waiters, w))
 	}
 }
 
-func (cs *CondSync) unlockOrigShards(ss []uint32) {
-	for _, s := range ss {
-		cs.origShards[s].mu.Unlock()
+// unlist takes w off every shard covering it; the caller holds their locks.
+func (cs *CondSync) unlist(w *Waiter) {
+	for _, s := range w.shards {
+		sh := &cs.shards[s].waiterShard
+		sh.set(removeFrom(sh.waiters, w))
 	}
 }
 
-// insert publishes a waiter: indexed waiters register on every shard their
-// waitset touches (a writer that changes a waitset value necessarily writes
-// an address covered by one of the waiter's orec slots, hence by one of
-// those stripes, so no wakeup can be missed); waiters without a waitset go
-// to the unindexed list scanned by every committing writer.
+// insert publishes a waiter: one with slots registers on every shard they
+// touch (a writer that changes a waitset value necessarily writes an
+// address covered by one of the waiter's orec slots, hence by one of those
+// stripes, so no wakeup can be missed); one without goes to the unindexed
+// list scanned by every committing writer.
 //
 //tm:lockorder-checked
 func (cs *CondSync) insert(w *Waiter) {
-	if len(w.Waitset) == 0 {
+	if len(w.slots) == 0 {
 		sh := &cs.unindexed
 		sh.mu.Lock()
 		sh.set(append(sh.waiters, w))
 		sh.mu.Unlock()
 		return
 	}
-	cs.index(w)
 	cs.lockShards(w.shards)
-	for _, s := range w.shards {
-		sh := &cs.shards[s].waiterShard
-		sh.set(append(sh.waiters, w))
-	}
+	cs.list(w)
 	cs.unlockShards(w.shards)
 }
 
@@ -295,11 +267,11 @@ func removeFrom(ws []*Waiter, w *Waiter) []*Waiter {
 	return ws
 }
 
-// remove withdraws a waiter from the shards insert registered it on.
+// remove withdraws a waiter from the shards it was listed on.
 //
 //tm:lockorder-checked
 func (cs *CondSync) remove(w *Waiter) {
-	if len(w.Waitset) == 0 {
+	if len(w.slots) == 0 {
 		sh := &cs.unindexed
 		sh.mu.Lock()
 		sh.set(removeFrom(sh.waiters, w))
@@ -307,10 +279,7 @@ func (cs *CondSync) remove(w *Waiter) {
 		return
 	}
 	cs.lockShards(w.shards)
-	for _, s := range w.shards {
-		sh := &cs.shards[s].waiterShard
-		sh.set(removeFrom(sh.waiters, w))
-	}
+	cs.unlist(w)
 	cs.unlockShards(w.shards)
 }
 
@@ -336,9 +305,10 @@ func (sh *waiterShard) snapshot(buf []*Waiter, writeOrecs []uint32) []*Waiter {
 	return buf
 }
 
-// WaitingLen reports the current number of distinct published waiters
-// (tests). A waiter whose waitset spans several stripes is registered on
-// each, so the shard lists are deduplicated.
+// WaitingLen reports the current number of distinct published sleepers of
+// every mechanism, Retry-Orig included (tests, watchdogs). A waiter whose
+// slots span several stripes is registered on each, so the shard lists are
+// deduplicated.
 //
 //tm:lockorder-checked
 func (cs *CondSync) WaitingLen() int {
@@ -359,56 +329,33 @@ func (cs *CondSync) WaitingLen() int {
 	return len(seen)
 }
 
-// OrigWaitingLen reports the current number of distinct live (unclaimed)
-// Retry-Orig registry entries (tests). An entry whose read set spans
-// several stripes is registered on each shard, so the lists are
-// deduplicated; entries already claimed by a waker but not yet purged do
-// not count.
-//
-//tm:lockorder-checked
-func (cs *CondSync) OrigWaitingLen() int {
-	seen := make(map[*origWaiter]struct{})
-	for i := range cs.origShards {
-		sh := &cs.origShards[i].origShard
-		sh.mu.Lock()
-		for _, ow := range sh.waiters {
-			if !ow.woken.Load() {
-				seen[ow] = struct{}{}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return len(seen)
-}
-
 // postCommit is installed as the system's PostCommit hook; it runs on the
 // committing thread strictly after the writer's effects are visible, with
 // the attempt's write orecs and write-stripe set captured by the driver (so
 // neither OnCommit callbacks nor the nested predicate transactions below
 // can clobber them).
 //
-// Both halves of the wakeup — the Deschedule waiter index and the
-// Retry-Orig registry — accumulate their claimed waiters into one
-// per-commit batch, and every semaphore signal is issued after the last
-// shard lock has been released: the per-commit form of Algorithm 4's
-// deferred semaphore operations.
+// The scan accumulates the waiters it claims into one per-commit batch, and
+// every semaphore signal is issued after the last shard lock has been
+// released: the per-commit form of Algorithm 4's deferred semaphore
+// operations.
 func (cs *CondSync) postCommit(t *tm.Thread, writeOrecs, writeStripes []uint32) {
 	var batch sem.Batch
 	cs.wakeWaiters(t, writeOrecs, writeStripes, &batch)
-	cs.origWake(t, writeOrecs, writeStripes, &batch)
 	if n := batch.SignalAll(); n > 0 {
 		t.Stat.BatchedSignals.Add(uint64(n))
 	}
 }
 
-// wakeWaiters implements the bottom half of Algorithm 4, narrowed twice.
+// wakeWaiters implements the bottom half of Algorithm 4 (and, for waiters
+// without a predicate, Algorithm 1's TxCommit lines 10–15), narrowed twice.
 // By stripe: visit the waiter shards of exactly the stripes the committed
 // write set touched, plus the unindexed list. By orec: of the waiters found
-// there, examine those whose waitset shares an orec slot with the write
-// set — any other waits on words this commit did not store to, and the
-// commit that does store to one will examine it. Both narrowings are
-// conservative: a commit that recorded no stripes scans every shard, and
-// one that recorded no orecs examines every waiter it meets.
+// there, examine those sleeping on an orec slot the write set shares — any
+// other waits on words this commit did not store to, and the commit that
+// does store to one will examine it. A commit that recorded no stripes
+// scans every shard, and one that recorded no orecs examines every waiter
+// it meets.
 //
 // The snapshots are gathered into one buffer before any predicate runs.
 // It starts on this frame — postCommit is never re-entered on a thread —
@@ -476,104 +423,43 @@ func dedupe(ws []*Waiter) []*Waiter {
 	return out
 }
 
-// tryWake evaluates one sleeping waiter's predicate in a fresh (read-only,
-// hardware-friendly) transaction and reports that it did; a waiter already
-// claimed costs no transaction. If the waiter should wake, claim it with
-// a CAS and hand its semaphore to the per-commit batch (the claim makes
-// the wakeup this commit's responsibility; the signal itself is deferred
-// until every shard has been scanned — Algorithm 4 line 9, applied
-// per commit rather than per waiter).
+// tryWake examines one sleeping waiter the commit concerns and reports that
+// it did; a waiter already claimed costs nothing. A predicate is evaluated
+// in a fresh (read-only, hardware-friendly) transaction; a waiter without
+// one (Retry-Orig) should wake because it got here — for Algorithm 1 the
+// shared orec is the decision. If the waiter should wake, claim it with a
+// CAS and hand its semaphore to the per-commit batch (the claim makes the
+// wakeup this commit's responsibility; the signal itself is deferred until
+// every shard has been scanned — Algorithm 4 line 9, applied per commit
+// rather than per waiter).
 func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) bool {
 	if !w.asleep.Load() {
 		return false
 	}
-	should := false
-	t.Atomic(func(tx *tm.Tx) {
-		should = w.asleep.Load() && w.Pred(tx, w.Args)
-	})
+	should := w.Pred == nil
+	if !should {
+		t.Atomic(func(tx *tm.Tx) {
+			should = w.asleep.Load() && w.Pred(tx, w.Args)
+		})
+	}
 	if should && w.asleep.CompareAndSwap(true, false) {
 		batch.Add(w.Thr.Sem)
 	}
 	return true
 }
 
-// origWake implements Algorithm 1's TxCommit lines 10–15 over the sharded
-// registry: intersect the just-committed writer's lock set with each
-// sleeping transaction's read metadata and wake on overlap. Only the
-// registry shards of the stripes the commit recorded as it acquired that
-// lock set are visited — an entry sharing no stripe with the lock set
-// cannot intersect it orec-by-orec, so skipping its shard loses nothing.
-// Entries claimed through another shard (or withdrawn by their owner) are
-// purged in passing. On an engine that rejects Retry-Orig every shard stays
-// empty, and the scan is one load of n per write stripe.
-//
-//tm:lockorder-checked
-func (cs *CondSync) origWake(t *tm.Thread, writeOrecs, writeStripes []uint32, batch *sem.Batch) {
-	checks := 0
-	for _, s := range writeStripes {
-		sh := &cs.origShards[s].origShard
-		if sh.n.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		for i := 0; i < len(sh.waiters); {
-			ow := sh.waiters[i]
-			if ow.woken.Load() {
-				sh.set(removeOrigAt(sh.waiters, i))
-				continue
-			}
-			checks++
-			hit := false
-			for _, idx := range writeOrecs {
-				if _, ok := ow.orecs[idx]; ok {
-					hit = true
-					break
-				}
-			}
-			if hit && ow.woken.CompareAndSwap(false, true) {
-				sh.set(removeOrigAt(sh.waiters, i))
-				batch.Add(ow.thr.Sem)
-				continue
-			}
-			i++
-		}
-		sh.mu.Unlock()
-	}
-	if checks > 0 {
-		t.SlowStat.OrigShardChecks.Add(uint64(checks))
-	}
-}
-
-// removeOrigAt removes index i from a registry shard's list (order is not
-// meaningful; swap with the tail).
-func removeOrigAt(ws []*origWaiter, i int) []*origWaiter {
-	ws[i] = ws[len(ws)-1]
-	ws[len(ws)-1] = nil
-	return ws[:len(ws)-1]
-}
-
-// origWithdraw removes an entry from the registry shards ss it was
-// registered on, first racing any concurrent waker for the entry's single
-// wakeup. If the entry wins, no signal is in flight and the withdrawal is
-// silent; if a waker won, its token may already be buffered — or may still
-// be sitting in the waker's batch — so the best-effort drain here is
-// backstopped by the drain at the start of the next sleep cycle.
-func (cs *CondSync) origWithdraw(ow *origWaiter, ss []uint32) {
-	claimed := !ow.woken.CompareAndSwap(false, true)
-	cs.lockOrigShards(ss)
-	for _, s := range ss {
-		sh := &cs.origShards[s].origShard
-		for i, x := range sh.waiters {
-			if x == ow {
-				sh.set(removeOrigAt(sh.waiters, i))
-				break
-			}
-		}
-	}
-	cs.unlockOrigShards(ss)
-	if claimed {
-		ow.thr.Sem.TryDrain()
-	}
+// sleep blocks the published waiter's thread until a committing writer
+// signals it, then withdraws the waiter.
+func (cs *CondSync) sleep(tx *tm.Tx, w *Waiter) {
+	cs.sys.SemWait(tx.Thr.Sem)
+	// Clear the claim flag ourselves: if the consumed token was stale (a
+	// pre-drain waker's signal landing mid-cycle), no waker has CASed
+	// asleep for THIS cycle, and leaving it set would let a waker holding
+	// a stale registry snapshot claim — and signal — a waiter that has
+	// already departed.
+	w.asleep.Store(false)
+	tx.Thr.Stat.Wakeups.Add(1)
+	cs.remove(w)
 }
 
 // deschedSignal unwinds a transaction that must be descheduled. By the
@@ -621,15 +507,7 @@ func (s deschedSignal) Handle(tx *tm.Tx) tm.Outcome {
 			tx.Thr.Sem.TryDrain()
 		}
 	} else {
-		cs.sys.SemWait(tx.Thr.Sem)
-		// Clear the claim flag ourselves: if the consumed token was stale
-		// (a pre-drain waker's signal landing mid-cycle), no waker has
-		// CASed asleep for THIS cycle, and leaving it set would let a
-		// waker holding a stale registry snapshot claim — and signal — a
-		// waiter that has already departed.
-		w.asleep.Store(false)
-		tx.Thr.Stat.Wakeups.Add(1)
-		cs.remove(w)
+		cs.sleep(tx, w)
 	}
 
 	// On wakeup, finally undo the deferred allocations and restart the
@@ -656,6 +534,19 @@ func findChanges(w *Waiter) Pred {
 	}
 }
 
+// deschedOnWaitset raises Retry's and Await's deschedule signal: sleep on
+// the orec slots covering the attempt's waitset until findChanges holds.
+func (cs *CondSync) deschedOnWaitset(tx *tm.Tx, mech string) {
+	slots := make([]uint32, len(tx.Waitset))
+	for i := range tx.Waitset {
+		slots[i] = cs.sys.Table.IndexOf(tx.Waitset[i].Addr)
+	}
+	w := cs.newWaiter(tx, mech, slots)
+	w.Waitset = append([]tm.AddrVal(nil), tx.Waitset...)
+	w.Pred = findChanges(w)
+	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
+}
+
 // Retry implements Algorithm 5. A first call inside an uninstrumented
 // attempt restarts the transaction in a mode that logs an address/value
 // pair on every read (hardware transactions additionally switch to the
@@ -675,12 +566,7 @@ func Retry(tx *tm.Tx) {
 		tx.RestartTagged()
 	}
 	tx.IsRetry = false
-	w := &Waiter{
-		Thr:     tx.Thr,
-		Waitset: append([]tm.AddrVal(nil), tx.Waitset...),
-	}
-	w.Pred = findChanges(w)
-	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
+	cs.deschedOnWaitset(tx, "Retry")
 }
 
 // Await implements Algorithm 6: wait until any of the given addresses —
@@ -695,12 +581,7 @@ func Await(tx *tm.Tx, addrs ...*uint64) {
 	}
 	tx.ResetWaitset()
 	tx.Sys.Engine.AwaitSnapshot(tx, addrs)
-	w := &Waiter{
-		Thr:     tx.Thr,
-		Waitset: append([]tm.AddrVal(nil), tx.Waitset...),
-	}
-	w.Pred = findChanges(w)
-	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
+	cs.deschedOnWaitset(tx, "Await")
 }
 
 // WaitPred implements Algorithm 7: deschedule until the user-supplied
@@ -727,15 +608,13 @@ func fastPathEnabled(tx *tm.Tx) bool {
 	return tx.Sys.Cfg.HTMWaitPredFastPath
 }
 
-// origSignal implements the sleep half of Algorithm 1, carrying the read
-// metadata captured when Retry was called (the descriptor is reset before
-// Handle runs). slots duplicates the orecs keys as a slice so Handle can
-// group them by registry shard and validate them without walking the map.
+// origSignal implements the sleep half of Algorithm 1. The waiter carries
+// the read metadata captured when RetryOrig was called (the descriptor is
+// reset before Handle runs): its slots are the read set's orecs.
 type origSignal struct {
 	cs    *CondSync
+	w     *Waiter
 	start uint64
-	orecs map[uint32]struct{}
-	slots []uint32
 }
 
 // RetryOrig implements the original Retry mechanism (Algorithm 1), the
@@ -749,84 +628,60 @@ func RetryOrig(tx *tm.Tx) {
 	if tx.Mode != tm.ModeSTM {
 		panic("core: RetryOrig requires an STM engine (no HTM support, §2.1)")
 	}
-	orecs := make(map[uint32]struct{}, len(tx.Reads))
+	slots := make([]uint32, len(tx.Reads))
 	for i := range tx.Reads {
-		orecs[tx.Reads[i].Orec] = struct{}{}
+		slots[i] = tx.Reads[i].Orec
 	}
-	slots := make([]uint32, 0, len(orecs))
-	for idx := range orecs {
-		slots = append(slots, idx)
-	}
-	panic(origSignal{cs: cs, start: tx.Start, orecs: orecs, slots: slots})
+	panic(origSignal{cs: cs, w: cs.newWaiter(tx, "RetryOrig", slots), start: tx.Start})
 }
 
 func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
-	cs := s.cs
+	cs, w := s.cs, s.w
 	tbl := cs.sys.Table
 	tx.Thr.Stat.Deschedules.Add(1)
 	// Discard any stale token from an earlier sleep cycle before this
-	// cycle's registry entry becomes claimable (same rationale as the
-	// Deschedule path: a late batched signal must not satisfy a later
-	// cycle's Wait).
+	// cycle's waiter becomes claimable (same rationale as the Deschedule
+	// path: a late batched signal must not satisfy a later cycle's Wait).
 	tx.Thr.Sem.TryDrain()
+	w.asleep.Store(true)
 
 	// Atomically with validation, add the calling transaction to the
-	// waiting list (Algorithm 1, Retry lines 3–8): every registry shard
-	// covering the read set is locked at once, the entry is inserted and
-	// the orecs validated under those locks, and the entry taken out again
-	// if validation fails. Insertion comes first because a committing
-	// writer skips a shard whose length reads 0 without taking its lock:
-	// with the length stored before the orecs are read, per stripe either
-	// the writer's version bump precedes the validation (which then fails
-	// and restarts), or the writer loads a non-zero length, takes the lock
-	// — held here until the entry's fate is settled — and its scan finds
-	// the entry and wakes it. Validating first would let a writer publish
-	// its orecs and skip the still-empty shard in between, and the entry
-	// would sleep on a version nobody will bump again. The driver has
-	// already undone writes and released locks "as if the transaction never
-	// ran", so a valid read is one whose orec is unlocked at a version no
-	// newer than the transaction's start.
-	ow := &origWaiter{thr: tx.Thr, orecs: s.orecs}
-	ss := tbl.StripesOf(s.slots, nil)
-	cs.lockOrigShards(ss)
-	for _, st := range ss {
-		sh := &cs.origShards[st].origShard
-		sh.set(append(sh.waiters, ow))
-	}
+	// waiting list (Algorithm 1, Retry lines 3–8): every shard covering the
+	// read set is locked at once, the waiter is listed and the orecs
+	// validated under those locks, and the waiter taken off again if
+	// validation fails. Listing comes first because a committing writer
+	// skips a shard whose length reads 0 without taking its lock: with the
+	// length stored before the orecs are read, per stripe either the
+	// writer's version bump precedes the validation (which then fails and
+	// restarts), or the writer loads a non-zero length, takes the lock —
+	// held here until the waiter's fate is settled — and its scan finds the
+	// waiter and wakes it. Validating first would let a writer publish its
+	// orecs and skip the still-empty shard in between, and the waiter would
+	// sleep on a version nobody will bump again. The driver has already
+	// undone writes and released locks "as if the transaction never ran",
+	// so a valid read is one whose orec is unlocked at a version no newer
+	// than the transaction's start.
+	cs.lockShards(w.shards)
+	cs.list(w)
 	if cs.origPublished != nil {
 		cs.origPublished()
 	}
 	valid := true
-	for _, idx := range s.slots {
-		w := tbl.Get(idx)
-		if locktable.Locked(w) || locktable.Version(w) > s.start {
+	for _, idx := range w.slots {
+		o := tbl.Get(idx)
+		if locktable.Locked(o) || locktable.Version(o) > s.start {
 			// A concurrent modification means re-execution may already
 			// be profitable; restart instead of risking a missed wakeup.
+			// No scan has seen the waiter: the locks are still held.
 			valid = false
+			cs.unlist(w)
 			break
 		}
 	}
-	if !valid {
-		// Still the tail of every list: the locks have been held since
-		// the append.
-		for _, st := range ss {
-			sh := &cs.origShards[st].origShard
-			sh.set(removeOrigAt(sh.waiters, len(sh.waiters)-1))
-		}
+	cs.unlockShards(w.shards)
+	if valid {
+		cs.sleep(tx, w)
+		tx.Attempts = 0
 	}
-	cs.unlockOrigShards(ss)
-	if !valid {
-		return tm.OutcomeRetryNow
-	}
-
-	cs.sys.SemWait(tx.Thr.Sem)
-	tx.Thr.Stat.Wakeups.Add(1)
-	// Deregister: the claiming waker removed the entry from the shard it
-	// scanned, but entries on the entry's other stripes — or, after a
-	// spurious (stale-token) wakeup, on every stripe — remain. The
-	// withdrawal also self-claims on a spurious wakeup, so no snapshot-
-	// holding waker can signal this departed entry.
-	cs.origWithdraw(ow, ss)
-	tx.Attempts = 0
 	return tm.OutcomeRetryNow
 }

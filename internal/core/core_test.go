@@ -583,3 +583,54 @@ func TestDescheduleStats(t *testing.T) {
 		}
 	})
 }
+
+// TestEmptyReadSetPanicsInsteadOfParking: a transaction that asks to wait
+// having read nothing sleeps on no orec any commit could write. Each
+// mechanism must report that to Atomic's caller as a panic — raised while
+// the attempt holds a written orec (eager) or the serial word (htm, whose
+// Retry and Await re-execute in serial mode) — and leave nothing behind:
+// no listed waiter, and a following writer to the same word commits.
+func TestEmptyReadSetPanicsInsteadOfParking(t *testing.T) {
+	for _, m := range []struct {
+		name    string
+		engines []string
+		wait    func(tx *tm.Tx)
+	}{
+		{"Retry", allEngines, core.Retry},
+		{"Await", allEngines, func(tx *tm.Tx) { core.Await(tx) }},
+		{"RetryOrig", stmEngines, core.RetryOrig},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			forEach(t, m.engines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+				var word uint64
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					sys.NewThread().Atomic(func(tx *tm.Tx) {
+						tx.Write(&word, 1)
+						m.wait(tx)
+					})
+					return nil
+				}()
+				if want := "core: " + m.name + " with an empty read set can never be woken"; got != want {
+					t.Fatalf("Atomic's caller recovered %v, want %q", got, want)
+				}
+				if n := cs.WaitingLen(); n != 0 {
+					t.Errorf("%d waiters left listed", n)
+				}
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					sys.NewThread().Atomic(func(tx *tm.Tx) { tx.Write(&word, 2) })
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("a following writer wedged: the panic left an orec or the serial word held")
+				}
+				if word != 2 {
+					t.Errorf("word = %d, want 2 (the panicking attempt's write rolled back, the next one's committed)", word)
+				}
+			})
+		})
+	}
+}

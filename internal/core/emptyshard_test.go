@@ -14,14 +14,14 @@ import (
 // TestEmptyShardRetryOrigPublishesLengthBeforeValidating drives the one
 // interleaving the Retry-Orig half of the empty-shard guard must survive:
 // a writer that commits to the sleeper's read set after the sleeper took
-// its registry locks and before it has settled whether it sleeps. The
+// its shard locks and before it has settled whether it sleeps. The
 // hook parks the sleeper in that window until the writer's orecs are
 // released. With the shard length stored first, the writer either finds
 // it non-zero and waits for the lock, or — as here — its version bump is
 // what the validation then reads, and the sleeper restarts. Were the
 // length stored after the validation, the sleeper would validate the old
 // version, the writer would publish and skip the still-empty shard, and
-// the entry would sleep with nobody left to wake it: this test times out.
+// the waiter would sleep with nobody left to wake it: this test times out.
 func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 	for name, mk := range map[string]func(*tm.System) tm.Engine{"eager": eager.New, "lazy": lazy.New} {
 		t.Run(name, func(t *testing.T) {
@@ -69,12 +69,12 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 			if hookRuns != 1 {
 				t.Errorf("sleeper reached the registry %d times, want once (the restart must see the write)", hookRuns)
 			}
-			if n := cs.OrigWaitingLen(); n != 0 {
-				t.Errorf("%d entries left in the registry", n)
+			if n := cs.WaitingLen(); n != 0 {
+				t.Errorf("%d waiters left listed", n)
 			}
-			for i := range cs.origShards {
-				if n := cs.origShards[i].n.Load(); n != 0 {
-					t.Errorf("orig shard %d length reads %d after the failed validation undid the insert", i, n)
+			for i := range cs.shards {
+				if n := cs.shards[i].n.Load(); n != 0 {
+					t.Errorf("shard %d length reads %d after the failed validation undid the insert", i, n)
 				}
 			}
 		})
@@ -82,7 +82,7 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 }
 
 // TestEmptyShardLengthsTrackLists pins n == len(waiters) on every shard
-// of every family across insert and remove.
+// and the unindexed list across insert and remove.
 func TestEmptyShardLengthsTrackLists(t *testing.T) {
 	sys := tm.NewSystem(tm.Config{Stripes: 4, Quiesce: true}, eager.New)
 	cs := Enable(sys)
@@ -93,21 +93,17 @@ func TestEmptyShardLengthsTrackLists(t *testing.T) {
 				t.Errorf("%s: waiter shard %d: n=%d, list has %d", when, i, sh.n.Load(), len(sh.waiters))
 			}
 		}
-		for i := range cs.origShards {
-			if sh := &cs.origShards[i]; int(sh.n.Load()) != len(sh.waiters) {
-				t.Errorf("%s: orig shard %d: n=%d, list has %d", when, i, sh.n.Load(), len(sh.waiters))
-			}
-		}
 		if sh := &cs.unindexed; int(sh.n.Load()) != len(sh.waiters) {
 			t.Errorf("%s: unindexed: n=%d, list has %d", when, sh.n.Load(), len(sh.waiters))
 		}
 	}
 	words := make([]uint64, 512)
+	tx := &sys.NewThread().Tx
 	var ws []*Waiter
 	for i := 0; i < 8; i++ {
-		w := &Waiter{Waitset: []tm.AddrVal{{Addr: &words[i*64]}, {Addr: &words[i*64+8]}}}
-		if i%4 == 3 {
-			w.Waitset = nil // unindexed
+		w := &Waiter{} // no slots: unindexed
+		if i%4 != 3 {
+			w = cs.newWaiter(tx, "test", []uint32{sys.Table.IndexOf(&words[i*64]), sys.Table.IndexOf(&words[i*64+8])})
 		}
 		w.asleep.Store(true)
 		cs.insert(w)

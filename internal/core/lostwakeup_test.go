@@ -82,10 +82,10 @@ func TestLostWakeupStress(t *testing.T) {
 					select {
 					case <-done:
 					case <-time.After(60 * time.Second):
-						t.Fatalf("lost wakeup: both threads asleep after %d and %d of %d rounds (waiting: %d indexed/unindexed, %d retry-orig)",
-							progress[0].Load(), progress[1].Load(), rounds, cs.WaitingLen(), cs.OrigWaitingLen())
+						t.Fatalf("lost wakeup: both threads asleep after %d and %d of %d rounds (%d waiting)",
+							progress[0].Load(), progress[1].Load(), rounds, cs.WaitingLen())
 					}
-					if n := cs.WaitingLen() + cs.OrigWaitingLen(); n != 0 {
+					if n := cs.WaitingLen(); n != 0 {
 						t.Errorf("%d waiters left registered", n)
 					}
 					slept += sys.Stats.Sum().Wakeups
@@ -102,8 +102,7 @@ func TestLostWakeupStress(t *testing.T) {
 
 // TestEmptyShardWaiterFreeCommitAllocatesNothing: with nobody waiting, a
 // writer commit — four reads, two writes, the post-commit wake scan over
-// its stripes, the unindexed list and the Retry-Orig registry — allocates
-// nothing on any engine. (htm and hybrid used to copy the thread list
+// its stripes and the unindexed list — allocates nothing on any engine. (htm and hybrid used to copy the thread list
 // inside every hardware commit.)
 func TestEmptyShardWaiterFreeCommitAllocatesNothing(t *testing.T) {
 	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
@@ -233,8 +232,8 @@ func TestStatsShardsSnapshotSumsThreads(t *testing.T) {
 		if byHand != snap["commits"] {
 			t.Errorf("shards sum to %d commits, Snapshot says %d", byHand, snap["commits"])
 		}
-		if len(snap) != 17 {
-			t.Errorf("Snapshot has %d keys, want 17", len(snap))
+		if len(snap) != 16 {
+			t.Errorf("Snapshot has %d keys, want 16", len(snap))
 		}
 	})
 }

@@ -131,9 +131,9 @@ func TestMultiStripeWaitsetRegistersOnEachStripe(t *testing.T) {
 // TestOrigWaiterWakesDespitePrecedingIndexedScan: the driver captures the
 // writer's lock set and hands it to the PostCommit hook, so the nested
 // read-only predicate transactions that wakeWaiters runs on the same
-// thread must not be able to disturb it before origWake reads it. With a
-// Deschedule waiter and a Retry-Orig waiter parked on the same word, the
-// orig waiter must still see the intersection and wake.
+// thread cannot disturb it. With a Deschedule waiter and a Retry-Orig
+// waiter parked on the same word, whichever the scan examines second must
+// still see the intersection and wake.
 func TestOrigWaiterWakesDespitePrecedingIndexedScan(t *testing.T) {
 	forEach(t, stmEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		var word uint64
@@ -157,11 +157,7 @@ func TestOrigWaiterWakesDespitePrecedingIndexedScan(t *testing.T) {
 				}
 			})
 		}()
-		// WaitingLen counts only Deschedule waiters; give the orig waiter
-		// time to publish through the deschedule counter instead.
-		waitCond(t, "both waiters asleep", func() bool {
-			return cs.WaitingLen() == 1 && sys.Stats.Sum().Deschedules >= 2
-		})
+		waitCond(t, "both waiters asleep", func() bool { return cs.WaitingLen() == 2 })
 		writer := sys.NewThread()
 		writer.Atomic(func(tx *tm.Tx) { tx.Write(&word, 1) })
 		done := make(chan struct{})
@@ -169,7 +165,7 @@ func TestOrigWaiterWakesDespitePrecedingIndexedScan(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatal("orig waiter wedged: writer's lock set was lost before origWake ran")
+			t.Fatal("a waiter wedged: the writer's lock set was lost before the scan reached it")
 		}
 	})
 }

@@ -1,12 +1,12 @@
 package core_test
 
 // Tests for the orec filter inside the per-stripe wake scan: of the waiters
-// a commit finds on its write stripes it evaluates only those whose waitset
-// shares an orec slot with its write set. The filter may never skip a
-// waiter whose word was written — on any engine path — and should skip the
-// rest without running their predicates. Run under -race in CI: a waiter's
-// slots are written by its owner and read by committers under the shard
-// lock.
+// a commit finds on its write stripes it examines only those sleeping on an
+// orec slot its write set shares. The filter may never skip a waiter whose
+// word was written — on any engine path — and should skip the rest without
+// running their predicates or, for Retry-Orig sleepers, waking them. Run
+// under -race in CI: a waiter's slots are written by its owner and read by
+// committers under the shard lock.
 
 import (
 	"testing"
@@ -252,4 +252,102 @@ func TestWakeFilterEveryWriterPathWakes(t *testing.T) {
 			})
 		})
 	}
+}
+
+// bigTable has room on one stripe for a waitset of more orecs than
+// concerns compares pair by pair (256): 4096 orecs in 4 stripes of 1024.
+var bigTable = tm.Config{TableSize: 4096, Stripes: 4}
+
+// TestWakeFilterLargeWaitsetIsExact: the filter stays exact past the size
+// where it stops comparing every pair. A sleeper on 300 orecs of one stripe
+// is not examined by a commit to a 301st orec of that stripe, and is
+// examined — and woken — by a write to any one word it read. For Retry that
+// saves a predicate transaction; for Retry-Orig, whose sleepers wake on
+// being examined, it is what keeps them Algorithm 1's: a filter that gave
+// up would wake them on every same-stripe commit.
+func TestWakeFilterLargeWaitsetIsExact(t *testing.T) {
+	for _, m := range []struct {
+		name    string
+		engines []string
+		wait    func(tx *tm.Tx)
+	}{
+		{"retry", allEngines, core.Retry},
+		{"retry-orig", stmEngines, core.RetryOrig},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			forEachCfg(t, m.engines, bigTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+				ws := sameStripeWords(t, sys, 301)
+				read, other := ws[:300], ws[300]
+				writer := sys.NewThread()
+				for round, k := range []int{0, 150, 299} {
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						sys.NewThread().Atomic(func(tx *tm.Tx) {
+							var sum uint64
+							for _, a := range read {
+								sum += tx.Read(a)
+							}
+							if sum == uint64(round) {
+								m.wait(tx)
+							}
+						})
+					}()
+					waitCond(t, "sleeper parked", func() bool { return cs.WaitingLen() == 1 })
+
+					wakeups := sys.Stats.Sum().Wakeups
+					checks, signals := scanCost(sys, func() {
+						writer.Atomic(func(tx *tm.Tx) { tx.Write(other, uint64(round)+1) })
+					})
+					if checks != 0 || signals != 0 || sys.Stats.Sum().Wakeups != wakeups || cs.WaitingLen() != 1 {
+						t.Fatalf("same-stripe write sharing no orec with the sleeper: %d waiters examined, %d signalled, want 0 and 0 and the sleeper still parked", checks, signals)
+					}
+					checks, signals = scanCost(sys, func() {
+						writer.Atomic(func(tx *tm.Tx) { tx.Write(read[k], 1) })
+					})
+					if checks != 1 || signals != 1 {
+						t.Errorf("write to word %d of the read set: %d waiters examined, %d signalled, want 1 and 1", k, checks, signals)
+					}
+					waitDone(t, m.name, done)
+				}
+			})
+		})
+	}
+}
+
+// TestWakeFilterMixedSleepersOneBatch: an Await sleeper and a Retry-Orig
+// sleeper parked on one word are found by the same scan of the same shard,
+// and one commit to the word wakes both through one signal batch.
+func TestWakeFilterMixedSleepersOneBatch(t *testing.T) {
+	forEachCfg(t, stmEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+		var word uint64
+		awaiter := awaitSleeper(sys, &word)
+		orig := make(chan struct{})
+		go func() {
+			defer close(orig)
+			sys.NewThread().Atomic(func(tx *tm.Tx) {
+				if tx.Read(&word) == 0 {
+					core.RetryOrig(tx)
+				}
+			})
+		}()
+		// The Await sleeper's double-check is the only read-only commit so
+		// far: once it is counted, that sleeper is past claiming itself.
+		waitCond(t, "both sleepers parked", func() bool {
+			return cs.WaitingLen() == 2 && sys.Stats.Sum().ROCommits >= 1
+		})
+
+		writer := sys.NewThread()
+		checks, signals := scanCost(sys, func() {
+			writer.Atomic(func(tx *tm.Tx) { tx.Write(&word, 1) })
+		})
+		if checks != 2 || signals != 2 {
+			t.Errorf("one write under two sleepers: %d examined, %d signalled in the commit's batch, want 2 and 2", checks, signals)
+		}
+		waitDone(t, "await", awaiter)
+		waitDone(t, "retry-orig", orig)
+		if n := cs.WaitingLen(); n != 0 {
+			t.Errorf("%d waiters left listed", n)
+		}
+	})
 }

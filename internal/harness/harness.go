@@ -47,8 +47,8 @@ var Engines = []string{"eager", "lazy", "htm", "hybrid"}
 // observable outcome).
 type Knobs struct {
 	// Stripes overrides the orec-table stripe count (0 = default). It
-	// also sizes the per-stripe waiter index and the sharded Retry-Orig
-	// registry, which have one shard per stripe.
+	// also sizes the per-stripe waiter index, which has one shard per
+	// stripe.
 	Stripes int
 	// ClockMode selects the commit-timestamp protocol
 	// (tm.Config.ClockMode): "" or "global", "pof", "deferred". Another

@@ -3,9 +3,10 @@ package harness
 // Differential stripe testing: the orec-table stripe count is a pure
 // performance knob, so the whole scenario suite must produce identical
 // oracle outcomes at any stripe count. Running the suite at {1, 4, 64}
-// proves the sharded table and the per-stripe waiter index observably
-// equivalent to the old global table and global wakeup scan (1 stripe IS
-// the old global behaviour).
+// proves the sharded table and the per-stripe waiter index — which lists
+// Retry-Orig sleepers too — observably equivalent to the old global table
+// and global wakeup scan (1 stripe IS the old global behaviour, and
+// Algorithm 1's one registry under one lock).
 
 import (
 	"testing"
@@ -39,30 +40,6 @@ func TestParsecScenarioIdenticalAcrossStripeCounts(t *testing.T) {
 			for _, r := range RunScenarioKnobs(s, Engines, "", Knobs{Stripes: stripes}) {
 				if !r.Pass {
 					t.Errorf("stripes=%d: %s", stripes, r.String())
-				}
-			}
-		}
-	}
-}
-
-// TestRetryOrigShardedIdenticalAcrossStripeCounts is the sharded
-// Retry-Orig registry's differential proof: the registry has one shard
-// per orec-table stripe, and one stripe IS the original global registry
-// with its single lock — so restricting the generated suite to the
-// retry-orig mechanism at {1, 4, 64} stripes pins the sharded
-// validate-and-insert protocol against Algorithm 1's global behaviour.
-func TestRetryOrigShardedIdenticalAcrossStripeCounts(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4, 5}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	stmEngines := []string{"eager", "lazy"} // Retry-Orig needs STM metadata
-	for _, seed := range seeds {
-		s := Generate(seed, GenConfig{})
-		for _, stripes := range stripeCounts {
-			for _, r := range RunScenarioKnobs(s, stmEngines, "retry-orig", Knobs{Stripes: stripes}) {
-				if !r.Pass {
-					t.Errorf("retry-orig stripes=%d: %s", stripes, r.String())
 				}
 			}
 		}

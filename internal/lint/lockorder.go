@@ -11,8 +11,8 @@ import (
 //
 //  1. Direct mu.Lock()/mu.TryLock() on a registry-shaped type (a struct
 //     carrying a `mu` lock beside a `waiters` slice — the waiter-index
-//     shards, the Retry-Orig registry shards, and CondSync's unindexed
-//     list) is only legal inside functions annotated
+//     shards and CondSync's unindexed list) is only legal inside functions
+//     annotated
 //     //tm:lockorder-checked, the vetted helpers whose acquisition order
 //     has been argued through.
 //  2. Inside a checked helper, a loop that acquires shard locks by index
@@ -21,8 +21,8 @@ import (
 //     sets) cover overlapping stripes. Descending unlock loops are fine —
 //     release order is irrelevant.
 //
-// No helper holds locks of both shard families at once, so there is no
-// order between the families to police.
+// No helper holds a shard lock and the unindexed list's at once, so there
+// is no order between the two to police.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "restrict direct registry-shard locking to //tm:lockorder-checked helpers with ascending acquisition",
@@ -94,8 +94,8 @@ func shardLockCall(p *Pass, call *ast.CallExpr) string {
 
 // isRegistryShaped reports whether t (after one deref) is a struct —
 // possibly via embedding — with a slice field named `waiters` beside its
-// `mu`: the shape of the waiter-index shards, the Retry-Orig registry
-// shards, and the unindexed-waiter list head.
+// `mu`: the shape of the waiter-index shards and the unindexed-waiter
+// list head.
 func isRegistryShaped(t types.Type, from *types.Package) bool {
 	t = deref(t)
 	obj, _, _ := types.LookupFieldOrMethod(t, true, from, "waiters")

@@ -8,11 +8,11 @@ import (
 
 // PadCheck verifies //tm:padded structs against types.Sizes: a struct so
 // annotated must be a non-zero whole multiple of the 64-byte cache line.
-// The PR 2 wake-check win depends on adjacent paddedShard / paddedOrigShard
-// array elements (and locktable storage chunks) living on distinct cache
-// lines; a field added to one of these without growing the trailing pad
-// would silently reintroduce false sharing. The static check makes that a
-// CI failure instead of a perf regression hunt.
+// The PR 2 wake-check win depends on adjacent paddedShard array elements
+// (and locktable storage chunks) living on distinct cache lines; a field
+// added to one of these without growing the trailing pad would silently
+// reintroduce false sharing. The static check makes that a CI failure
+// instead of a perf regression hunt.
 var PadCheck = &Analyzer{
 	Name: "padcheck",
 	Doc:  "verify //tm:padded structs are whole multiples of the cache line",

@@ -478,10 +478,10 @@ type StatShard struct {
 	Deschedules    atomic.Uint64
 	Wakeups        atomic.Uint64
 
-	// WakeChecks counts sleeping waiters whose predicate a post-commit
-	// wakeup scan evaluated: the waiters on the write set's stripes whose
-	// waitset shares an orec with it, plus every waiter without a
-	// waitset (WaitPred).
+	// WakeChecks counts sleeping waiters a post-commit wakeup scan
+	// examined: the waiters on the write set's stripes that sleep on an
+	// orec it shares — a predicate evaluated, or a Retry-Orig sleeper
+	// claimed — plus every waiter without a waitset (WaitPred).
 	WakeChecks atomic.Uint64
 
 	// BatchedSignals counts semaphore signals delivered through the
@@ -493,22 +493,14 @@ type StatShard struct {
 }
 
 // SlowStatShard is the other half: counters advanced only where a thread
-// is already off the fast path (a rare abort kind, an explicit restart, a
-// Retry-Orig registry scan that found entries). Thread keeps it apart from
-// StatShard because it is cold enough to share lines with read-only
-// fields; see Thread.
+// is already off the fast path (a rare abort kind, an explicit restart).
+// Thread keeps it apart from StatShard because it is cold enough to share
+// lines with read-only fields; see Thread.
 type SlowStatShard struct {
 	CapacityAborts   atomic.Uint64
 	SpuriousAborts   atomic.Uint64
 	ExplicitAborts   atomic.Uint64
 	ExplicitRestarts atomic.Uint64
-
-	// OrigShardChecks counts Retry-Orig registry entries examined by
-	// committing writers' origWake scans. With the per-stripe registry
-	// shards a writer examines only the entries registered on stripes in
-	// its lock set; with one stripe this degenerates to the old global
-	// every-sleeper scan.
-	OrigShardChecks atomic.Uint64
 }
 
 // Counters is a plain-value sum of every thread's StatShard and
@@ -520,7 +512,7 @@ type Counters struct {
 	ConflictAborts, CapacityAborts, SpuriousAborts, ExplicitAborts uint64
 	ExplicitRestarts, Serializations                               uint64
 	Deschedules, Wakeups                                           uint64
-	WakeChecks, BatchedSignals, OrigShardChecks                    uint64
+	WakeChecks, BatchedSignals                                     uint64
 }
 
 // Attempts returns the total number of finished transaction attempts
@@ -578,7 +570,6 @@ func (s *Stats) Sum() Counters {
 		c.SpuriousAborts += sl.SpuriousAborts.Load()
 		c.ExplicitAborts += sl.ExplicitAborts.Load()
 		c.ExplicitRestarts += sl.ExplicitRestarts.Load()
-		c.OrigShardChecks += sl.OrigShardChecks.Load()
 	}
 	c.Aborts = c.ConflictAborts + c.CapacityAborts + c.SpuriousAborts + c.ExplicitAborts
 	return c
@@ -605,7 +596,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"serializations":    c.Serializations,
 		"wake_checks":       c.WakeChecks,
 		"batched_signals":   c.BatchedSignals,
-		"orig_shard_checks": c.OrigShardChecks,
 		"clock_advances":    s.sys.Clock.Advances(),
 		"clock_cas_retries": s.clockCASRetries.Load(),
 	}
@@ -917,7 +907,7 @@ type Thread struct {
 	Sys      *System
 	Sem      *sem.Sem
 	SlowStat SlowStatShard
-	_        [48]byte
+	_        [56]byte
 
 	// Stat starts the owner block on a line of its own.
 	Stat StatShard
