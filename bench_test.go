@@ -11,8 +11,9 @@
 //	Figure 2.7  BenchmarkFig27ParsecLazy    PARSEC skeletons, lazy STM
 //	Figure 2.8  BenchmarkFig28ParsecHTM     PARSEC skeletons, HTM
 //
-// plus ablation benchmarks for the design choices DESIGN.md calls out
-// (WaitPred HTM fast path, privatization quiescence, HTM retry budget).
+// plus ablation benchmarks for two HTM design choices: the hybrid's
+// concurrent software fallback against the global-lock one, and the
+// hardware retry budget.
 package tmsync_test
 
 import (
@@ -80,48 +81,6 @@ func benchParsecFigure(b *testing.B, engine string) {
 func BenchmarkFig26ParsecEager(b *testing.B) { benchParsecFigure(b, "eager") }
 func BenchmarkFig27ParsecLazy(b *testing.B)  { benchParsecFigure(b, "lazy") }
 func BenchmarkFig28ParsecHTM(b *testing.B)   { benchParsecFigure(b, "htm") }
-
-// BenchmarkAblationWaitPredFastPath compares WaitPred under HTM with and
-// without the 8-bit abort-code fast path (§2.2.6): the fast path skips the
-// serialized software re-execution on every deschedule.
-func BenchmarkAblationWaitPredFastPath(b *testing.B) {
-	for _, fast := range []bool{false, true} {
-		b.Run(fmt.Sprintf("fastpath=%v", fast), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := tmsync.New(tmsync.HTM, tmsync.Config{HTMWaitPredFastPath: fast})
-				runBufferOn(b, sys, mech.WaitPred, 2, 2, 4, benchOps)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationQuiescence measures the cost of privatization safety in
-// the eager STM: commit-time quiescence on versus off.
-func BenchmarkAblationQuiescence(b *testing.B) {
-	for _, q := range []bool{true, false} {
-		b.Run(fmt.Sprintf("quiesce=%v", q), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := tmsync.New(tmsync.Eager, tmsync.Config{})
-				sys.Cfg.Quiesce = q
-				runBufferOn(b, sys, mech.Retry, 4, 4, 16, benchOps)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTimestampExtension measures the eager STM with and
-// without timestamp extension under read-write contention (Appendix A
-// calls the abort-on-too-new default conservative).
-func BenchmarkAblationTimestampExtension(b *testing.B) {
-	for _, ext := range []bool{false, true} {
-		b.Run(fmt.Sprintf("extension=%v", ext), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := tmsync.New(tmsync.Eager, tmsync.Config{TimestampExtension: ext})
-				runBufferOn(b, sys, mech.Restart, 4, 4, 16, benchOps)
-			}
-		})
-	}
-}
 
 // BenchmarkAblationHybridVsSerialFallback compares the HTM engine's
 // global-lock fallback against the hybrid engine's concurrent STM fallback

@@ -14,7 +14,7 @@
 //	go run ./cmd/tmcheck -parsec -scale 2       # PARSEC skeletons instead
 //	go run ./cmd/tmcheck -n 5 -inject           # prove the checker detects faults
 //	go run ./cmd/tmcheck -n 15 -clock pof       # GV4 pass-on-CAS-failure commit clock
-//	go run ./cmd/tmcheck -n 15 -clock deferred -ext  # GV5-style deferred clock + timestamp extension
+//	go run ./cmd/tmcheck -n 15 -clock deferred  # GV5-style deferred clock
 //	go run ./cmd/tmcheck -n 20 -zipf 1.2        # Zipf-skewed key contention
 //	go run ./cmd/tmcheck -n 20 -read-mostly     # read-mostly long transactions
 //	go run ./cmd/tmcheck -n 10 -phases 20:counters,20:readmostly,10:map  # phase-shifting mix
@@ -60,7 +60,6 @@ func main() {
 	engine := flag.String("engine", "", "restrict to one engine (default: all four)")
 	stripes := flag.Int("stripes", 0, "orec-table stripe count for every system (0 = default); any power of two must yield identical outcomes")
 	clockMode := flag.String("clock", "", "commit-clock mode for every system: global (default), pof (pass-on-CAS-failure), or deferred (no per-commit clock bump); a pure timestamp-protocol knob, so outcomes must be identical")
-	ext := flag.Bool("ext", false, "enable timestamp extension (read-time snapshot extension) on the software paths: eager, lazy and hybrid's software mode; hardware attempts and the htm engine ignore it; must yield identical outcomes")
 	only := flag.String("mech", "", "restrict to one mechanism (default: all applicable)")
 	parsec := flag.Bool("parsec", false, "check the eight PARSEC skeletons instead of random scenarios")
 	scale := flag.Int("scale", 1, "PARSEC workload scale (with -parsec)")
@@ -140,7 +139,7 @@ func main() {
 		engines = []string{*engine}
 	}
 
-	knobs := harness.Knobs{Stripes: *stripes, ClockMode: *clockMode, TimestampExtension: *ext}
+	knobs := harness.Knobs{Stripes: *stripes, ClockMode: *clockMode}
 
 	var rep harness.Report
 	start := mono.Now()
@@ -243,9 +242,6 @@ func main() {
 			}
 			if explicit["clock"] {
 				k.ClockMode = *clockMode
-			}
-			if explicit["ext"] {
-				k.TimestampExtension = *ext
 			}
 			s.Name = filepath.Base(file)
 			runOne(s, k)

@@ -30,9 +30,9 @@
 //     orecs the committer locked — without touching the shared word
 //     at all, so unrelated writers share stamps and the clock advances
 //     only when a reader actually observes a too-new version
-//     (NoteStale) or a snapshot is extended. This trades rare extra
-//     false aborts — a reader that trips over a freshly published
-//     version must retry or extend — for near-zero clock traffic.
+//     (NoteStale). This trades rare extra false aborts — a reader that
+//     trips over a freshly published version must retry — for near-zero
+//     clock traffic.
 //     Commit can never skip validation.
 //
 // Invariants across all modes:
@@ -41,9 +41,9 @@
 //     and POF stamps strictly exceed the clock value sampled during
 //     Commit, which already covers every version the committer locked;
 //     Deferred gets the same guarantee from the held argument. Abort
-//     republishes at the locked version + 1. The engines' timestamp
-//     extension relies on this: an orec word unchanged since a
-//     consistent sample proves no commit intervened.
+//     republishes at the locked version + 1. The engines' reads rely on
+//     this: an orec word unchanged across the load of the location it
+//     covers proves no commit or rollback intervened.
 //
 //   - A version v becomes readable without abort once Now() >= v.
 //     Under Global and POF every version is covered by the clock when
@@ -72,7 +72,7 @@ const (
 	POF Mode = "pof"
 	// Deferred is GV5/TicToc-flavored: commits publish at Now()+1
 	// without advancing the shared word; the clock moves only on
-	// too-new observations and snapshot extensions.
+	// too-new observations.
 	Deferred Mode = "deferred"
 )
 
@@ -124,10 +124,9 @@ type Source interface {
 	// NoteStale records that a transaction observed orec version v
 	// ahead of its snapshot. Global and POF ignore it (their clock
 	// already reached v when v was published); Deferred advances the
-	// clock to at least v so the retry — or an in-place timestamp
-	// extension — sees a fresh enough snapshot. Without this the
-	// deferred clock would never move and too-new aborts would loop
-	// forever.
+	// clock to at least v so the retry sees a fresh enough snapshot.
+	// Without this the deferred clock would never move and too-new
+	// aborts would loop forever.
 	NoteStale(v uint64)
 
 	// AtLeast advances the clock to at least t.
@@ -297,12 +296,12 @@ func (d *deferred) Commit(start, held uint64) (uint64, bool) {
 	// Publish one past the current time — or one past the highest
 	// version this committer locked, whichever is later. Without held,
 	// two back-to-back commits to the same orec could reuse a stamp
-	// (the shared word never moves on commit), and an extending reader
-	// whose NoteStale raced ahead could mistake the second commit's
-	// republished word for its own consistent sample. Chaining off held
-	// keeps per-orec versions strictly increasing with zero shared-word
-	// traffic. end == start+1 proves nothing here (nobody advances the
-	// clock on commit), so this mode never grants the fast path.
+	// (the shared word never moves on commit), and a reader whose sample
+	// straddles the second commit could mistake its republished word for
+	// an unchanged one. Chaining off held keeps per-orec versions
+	// strictly increasing with zero shared-word traffic. end == start+1
+	// proves nothing here (nobody advances the clock on commit), so this
+	// mode never grants the fast path.
 	end := d.w.now.Load() + 1
 	if held >= end {
 		end = held + 1

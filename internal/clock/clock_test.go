@@ -271,8 +271,9 @@ func TestCommitExceedsHeld(t *testing.T) {
 // TestDeferredStampsChainOffHeld is the regression for the deferred
 // stamp-collision bug: the shared word never moves on commit, so
 // without the held argument two back-to-back commits to the same orec
-// would both publish Now()+1 — letting an extending reader validate a
-// stale value against a bit-identical republished orec word. The stamps
+// would both publish Now()+1 — letting a reader whose sample straddles
+// the second commit accept a torn value against a bit-identical
+// republished orec word. The stamps
 // must chain off the held version with zero shared-word traffic.
 func TestDeferredStampsChainOffHeld(t *testing.T) {
 	var retries, advances atomic.Uint64

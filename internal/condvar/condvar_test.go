@@ -17,8 +17,8 @@ import (
 
 func systems() map[string]*tm.System {
 	return map[string]*tm.System{
-		"eager": tm.NewSystem(tm.Config{Quiesce: true}, eager.New),
-		"lazy":  tm.NewSystem(tm.Config{Quiesce: true}, lazy.New),
+		"eager": tm.NewSystem(tm.Config{}, eager.New),
+		"lazy":  tm.NewSystem(tm.Config{}, lazy.New),
 		"htm":   tm.NewSystem(tm.Config{}, htm.New),
 	}
 }

@@ -587,13 +587,11 @@ func Await(tx *tm.Tx, addrs ...*uint64) {
 // WaitPred implements Algorithm 7: deschedule until the user-supplied
 // predicate holds. The arguments are marshalled into the waiter (they
 // cannot live in transactional memory, whose writes are about to be
-// undone). By default a hardware transaction re-executes in software mode
-// first; with Config.HTMWaitPredFastPath the simulator models the 8-bit
-// abort-code trick of §2.2.6 and deschedules directly from the hardware
-// abort.
+// undone). As under Retry and Await, a hardware transaction re-executes in
+// software mode first.
 func WaitPred(tx *tm.Tx, pred Pred, args ...uint64) {
 	cs := For(tx)
-	if tx.Mode == tm.ModeHW && !fastPathEnabled(tx) {
+	if tx.Mode == tm.ModeHW {
 		tx.RestartSoftware()
 	}
 	w := &Waiter{
@@ -602,10 +600,6 @@ func WaitPred(tx *tm.Tx, pred Pred, args ...uint64) {
 		Args: append([]uint64(nil), args...),
 	}
 	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
-}
-
-func fastPathEnabled(tx *tm.Tx) bool {
-	return tx.Sys.Cfg.HTMWaitPredFastPath
 }
 
 // origSignal implements the sleep half of Algorithm 1. The waiter carries

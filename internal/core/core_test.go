@@ -20,21 +20,18 @@ func newSys(kind string) (*tm.System, *core.CondSync) {
 	return newSysCfg(kind, tm.Config{})
 }
 
-// newSysCfg builds a system for the named engine under cfg (Quiesce is set
-// for the engines that need it) with condition synchronization enabled.
+// newSysCfg builds a system for the named engine under cfg with condition
+// synchronization enabled.
 func newSysCfg(kind string, cfg tm.Config) (*tm.System, *core.CondSync) {
 	var sys *tm.System
 	switch kind {
 	case "eager":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, eager.New)
 	case "lazy":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, lazy.New)
 	case "htm":
 		sys = tm.NewSystem(cfg, htm.New)
 	case "hybrid":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, hybrid.New)
 	default:
 		panic(kind)
@@ -461,61 +458,46 @@ func TestDeschedulePreservesAllocationsUntilWake(t *testing.T) {
 	})
 }
 
-func TestWaitPredFastPathHTM(t *testing.T) {
-	// The 8-bit abort-code model: WaitPred deschedules straight from the
-	// hardware abort, without a serialized software re-execution.
-	sys := tm.NewSystem(tm.Config{HTMWaitPredFastPath: true}, htm.New)
-	cs := core.Enable(sys)
-	var x uint64
-	done := make(chan struct{})
-	go func() {
-		thr := sys.NewThread()
-		thr.Atomic(func(tx *tm.Tx) {
-			if tx.Read(&x) == 0 {
-				core.WaitPred(tx, func(tx *tm.Tx, _ []uint64) bool { return tx.Read(&x) != 0 })
-			}
-		})
-		close(done)
-	}()
-	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	if sys.Stats.Sum().Serializations != 0 {
-		t.Error("fast path still serialized")
-	}
-	writer := sys.NewThread()
-	writer.Atomic(func(tx *tm.Tx) { tx.Write(&x, 1) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("never woke")
-	}
-}
-
+// TestHTMRetrySerializesForSoftwareMode: every Deschedule mechanism under
+// HTM restarts a hardware attempt into the instrumented serial mode before
+// it sleeps (no escape actions in hardware) — WaitPred included, with no
+// straight-from-the-abort path.
 func TestHTMRetrySerializesForSoftwareMode(t *testing.T) {
-	// Retry under HTM must switch to the instrumented serial mode (no
-	// escape actions in hardware).
-	sys := tm.NewSystem(tm.Config{}, htm.New)
-	cs := core.Enable(sys)
-	var x uint64
-	done := make(chan struct{})
-	go func() {
-		thr := sys.NewThread()
-		thr.Atomic(func(tx *tm.Tx) {
-			if tx.Read(&x) == 0 {
-				core.Retry(tx)
+	for _, tc := range []struct {
+		name string
+		wait func(tx *tm.Tx, x *uint64)
+	}{
+		{"retry", func(tx *tm.Tx, _ *uint64) { core.Retry(tx) }},
+		{"await", func(tx *tm.Tx, x *uint64) { core.Await(tx, x) }},
+		{"waitpred", func(tx *tm.Tx, x *uint64) {
+			core.WaitPred(tx, func(tx *tm.Tx, _ []uint64) bool { return tx.Read(x) != 0 })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, cs := newSys("htm")
+			var x uint64
+			done := make(chan struct{})
+			go func() {
+				thr := sys.NewThread()
+				thr.Atomic(func(tx *tm.Tx) {
+					if tx.Read(&x) == 0 {
+						tc.wait(tx, &x)
+					}
+				})
+				close(done)
+			}()
+			waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
+			if sys.Stats.Sum().Serializations == 0 {
+				t.Errorf("%s under HTM slept without the serial software mode", tc.name)
+			}
+			writer := sys.NewThread()
+			writer.Atomic(func(tx *tm.Tx) { tx.Write(&x, 1) })
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("never woke")
 			}
 		})
-		close(done)
-	}()
-	waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
-	if sys.Stats.Sum().Serializations == 0 {
-		t.Error("Retry under HTM should have used the serial software mode")
-	}
-	writer := sys.NewThread()
-	writer.Atomic(func(tx *tm.Tx) { tx.Write(&x, 1) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("never woke")
 	}
 }
 
@@ -549,7 +531,7 @@ func TestHybridRetryAvoidsSerialization(t *testing.T) {
 }
 
 func TestForPanicsWithoutEnable(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{}, eager.New)
 	thr := sys.NewThread()
 	defer func() {
 		if recover() == nil {

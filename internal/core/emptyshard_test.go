@@ -25,7 +25,7 @@ import (
 func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 	for name, mk := range map[string]func(*tm.System) tm.Engine{"eager": eager.New, "lazy": lazy.New} {
 		t.Run(name, func(t *testing.T) {
-			sys := tm.NewSystem(tm.Config{Quiesce: true}, mk)
+			sys := tm.NewSystem(tm.Config{}, mk)
 			cs := Enable(sys)
 			var flag uint64
 			idx := sys.Table.IndexOf(&flag)
@@ -84,7 +84,7 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 // TestEmptyShardLengthsTrackLists pins n == len(waiters) on every shard
 // and the unindexed list across insert and remove.
 func TestEmptyShardLengthsTrackLists(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Stripes: 4, Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{Stripes: 4}, eager.New)
 	cs := Enable(sys)
 	check := func(when string) {
 		t.Helper()

@@ -4,10 +4,9 @@ package harness
 // timestamp protocol (global fetch-and-add, GV4 pass-on-CAS-failure,
 // GV5-style deferred) underneath every engine. Shared timestamps and a
 // clock that only moves on too-new observations change which commits
-// validate and which extend, but must never change an observable
-// outcome. Running the generated suite under every mode — bare and with
-// timestamp extension (the configuration deferred is designed for) — pins
-// that claim against the sequential oracle.
+// validate and which reads abort, but must never change an observable
+// outcome. Running the generated suite under every mode pins that claim
+// against the sequential oracle.
 
 import (
 	"testing"
@@ -31,12 +30,9 @@ func TestGeneratedSuiteIdenticalAcrossClockModes(t *testing.T) {
 	for _, seed := range seeds {
 		s := Generate(seed, GenConfig{})
 		for _, mode := range clockModes() {
-			for _, ext := range []bool{false, true} {
-				k := Knobs{ClockMode: mode, TimestampExtension: ext}
-				for _, r := range RunScenarioKnobs(s, Engines, "", k) {
-					if !r.Pass {
-						t.Errorf("clock=%s ext=%v: %s", mode, ext, r.String())
-					}
+			for _, r := range RunScenarioKnobs(s, Engines, "", Knobs{ClockMode: mode}) {
+				if !r.Pass {
+					t.Errorf("clock=%s: %s", mode, r.String())
 				}
 			}
 		}
@@ -78,21 +74,18 @@ func TestInjectedFaultStillCaughtAcrossClockModes(t *testing.T) {
 	}
 }
 
-// TestKnobRoundTripClock pins the trace stamp for the clock knobs.
+// TestKnobRoundTripClock pins the trace stamp for the clock knob.
 func TestKnobRoundTripClock(t *testing.T) {
-	in := Knobs{ClockMode: "deferred", TimestampExtension: true}
+	in := Knobs{ClockMode: "deferred"}
 	enc := EncodeKnobs(in)
 	out, err := DecodeKnobs(enc)
 	if err != nil {
 		t.Fatalf("DecodeKnobs(%q): %v", enc, err)
 	}
-	if out.ClockMode != in.ClockMode || out.TimestampExtension != in.TimestampExtension {
+	if out != in {
 		t.Fatalf("round trip %q: got %+v, want %+v", enc, out, in)
 	}
 	if _, err := DecodeKnobs("clock=bogus"); err == nil {
 		t.Fatal("DecodeKnobs accepted clock=bogus")
-	}
-	if _, err := DecodeKnobs("ext=2"); err == nil {
-		t.Fatal("DecodeKnobs accepted ext=2")
 	}
 }

@@ -56,13 +56,6 @@ type Knobs struct {
 	// outcomes, which tmcheck -clock checks across all engines and
 	// mechanisms.
 	ClockMode string
-	// TimestampExtension enables read-time snapshot extension
-	// (tm.Config.TimestampExtension) in the software TMs — eager, lazy,
-	// and the hybrid's software mode; hardware attempts and the HTM
-	// engine ignore it. Pairs naturally with the deferred clock, which
-	// turns most too-new aborts into in-place extensions. Observably
-	// inert like the rest.
-	TimestampExtension bool
 }
 
 // NewSystem builds a TM system for the named engine with condition
@@ -77,23 +70,16 @@ func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
 	if _, err := clock.ParseMode(k.ClockMode); err != nil {
 		return nil, fmt.Errorf("harness: %v", err)
 	}
-	cfg := tm.Config{
-		Stripes:            k.Stripes,
-		ClockMode:          k.ClockMode,
-		TimestampExtension: k.TimestampExtension,
-	}
+	cfg := tm.Config{Stripes: k.Stripes, ClockMode: k.ClockMode}
 	var sys *tm.System
 	switch engine {
 	case "eager":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, eager.New)
 	case "lazy":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, lazy.New)
 	case "htm":
 		sys = tm.NewSystem(cfg, htm.New)
 	case "hybrid":
-		cfg.Quiesce = true
 		sys = tm.NewSystem(cfg, hybrid.New)
 	default:
 		return nil, fmt.Errorf("harness: unknown engine %q", engine)

@@ -78,9 +78,6 @@ func EncodeKnobs(k Knobs) string {
 	if k.ClockMode != "" {
 		add("clock", k.ClockMode)
 	}
-	if k.TimestampExtension {
-		add("ext", "1")
-	}
 	return strings.Join(parts, " ")
 }
 
@@ -106,11 +103,6 @@ func DecodeKnobs(s string) (Knobs, error) {
 			if _, err = clock.ParseMode(val); err == nil {
 				k.ClockMode = val
 			}
-		case "ext":
-			if val != "1" {
-				return Knobs{}, fmt.Errorf("knob ext: want 1, got %q", val)
-			}
-			k.TimestampExtension = true
 		default:
 			return Knobs{}, fmt.Errorf("unknown knob %q", key)
 		}

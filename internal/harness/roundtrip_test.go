@@ -115,7 +115,7 @@ func TestReplayedScenarioPassesDifferential(t *testing.T) {
 // TestKnobsStampRoundTrip pins the knob stamp codec both ways, including
 // through a recorded trace.
 func TestKnobsStampRoundTrip(t *testing.T) {
-	k := Knobs{Stripes: 128, ClockMode: "pof", TimestampExtension: true}
+	k := Knobs{Stripes: 128, ClockMode: "pof"}
 	enc := EncodeKnobs(k)
 	dec, err := DecodeKnobs(enc)
 	if err != nil {
@@ -136,6 +136,7 @@ func TestKnobsStampRoundTrip(t *testing.T) {
 		// the same name finds nothing in the tree.
 		{"stripes=1 resize-" + "every=5", `unknown knob "resize-` + `every"`},
 		{"stripes=1 resize-schedule=4,64", `unknown knob "resize-schedule"`},
+		{"clock=deferred ext=1", `unknown knob "ext"`},
 	} {
 		if _, err := DecodeKnobs(c.stamp); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("DecodeKnobs(%q) = %v, want error containing %q", c.stamp, err, c.wantErr)

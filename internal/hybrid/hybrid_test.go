@@ -13,7 +13,7 @@ import (
 // taking the serial lock, and do so concurrently with hardware-mode
 // transactions on disjoint data.
 func TestFallbackIsConcurrent(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true, HTMMaxRetries: 0}, hybrid.New)
+	sys := tm.NewSystem(tm.Config{HTMMaxRetries: 0}, hybrid.New)
 	// HTMMaxRetries 0: everything falls back to software on attempt 2;
 	// force that by aborting every hardware attempt.
 	var counters [4]uint64
@@ -48,7 +48,7 @@ func TestFallbackIsConcurrent(t *testing.T) {
 // against the same counter; the shared orec protocol must serialize them
 // correctly.
 func TestModesInteroperate(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, hybrid.New)
+	sys := tm.NewSystem(tm.Config{}, hybrid.New)
 	var counter uint64
 	var wg sync.WaitGroup
 	const per = 1000
@@ -85,7 +85,7 @@ func TestModesInteroperate(t *testing.T) {
 // TestSoftwareWritesInvisibleUntilCommit: the software fallback buffers
 // writes exactly like the lazy STM.
 func TestSoftwareWritesInvisibleUntilCommit(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, hybrid.New)
+	sys := tm.NewSystem(tm.Config{}, hybrid.New)
 	t1 := sys.NewThread()
 	t2 := sys.NewThread()
 	var x uint64 = 1

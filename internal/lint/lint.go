@@ -7,8 +7,8 @@
 // condition-synchronization mechanisms exist to replace. Each analyzer
 // here encodes one of those invariants so CI, not a reviewer, enforces it.
 // All six are per-site AST and type checks. The ordering facts of the
-// orec/clock protocol (bump before release, recheck after extension, stamp
-// from Clock.Commit) are not policed here: internal/tm/protocol_test.go
+// orec/clock protocol (bump before release, report a too-new version to
+// the clock, stamp from Clock.Commit) are not policed here: internal/tm/protocol_test.go
 // checks them by running the protocol.
 //
 // The suite is deliberately built on the standard library alone (go/ast,

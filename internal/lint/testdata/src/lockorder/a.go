@@ -10,14 +10,14 @@ type shard struct {
 	waiters []int
 }
 
-type origShard struct {
+type bucket struct {
 	mu      sync.Mutex
 	waiters []int
 }
 
 type registry struct {
-	shards     []shard
-	origShards []origShard
+	shards  []shard
+	buckets []bucket
 }
 
 func unvetted(r *registry) {
@@ -37,12 +37,12 @@ func descendingAcquire(r *registry) {
 
 //tm:lockorder-checked
 func vettedTotalOrder(r *registry) {
-	for i := range r.origShards {
-		r.origShards[i].mu.Lock()
+	for i := range r.buckets {
+		r.buckets[i].mu.Lock()
 	}
 	// Release order is irrelevant; descending unlocks are fine.
-	for i := len(r.origShards) - 1; i >= 0; i-- {
-		r.origShards[i].mu.Unlock()
+	for i := len(r.buckets) - 1; i >= 0; i-- {
+		r.buckets[i].mu.Unlock()
 	}
 }
 

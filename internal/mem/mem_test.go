@@ -9,7 +9,7 @@ import (
 )
 
 func TestVarTransactionalAccess(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{}, eager.New)
 	thr := sys.NewThread()
 	var v mem.Var
 	thr.Atomic(func(tx *tm.Tx) {
@@ -33,7 +33,7 @@ func TestVarTransactionalAccess(t *testing.T) {
 }
 
 func TestVarAddWraps(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{}, eager.New)
 	thr := sys.NewThread()
 	var v mem.Var
 	v.Store(^uint64(0))
@@ -45,7 +45,7 @@ func TestVarAddWraps(t *testing.T) {
 }
 
 func TestArray(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{}, eager.New)
 	thr := sys.NewThread()
 	a := mem.NewArray(8)
 	if a.Len() != 8 {

@@ -19,9 +19,9 @@ func newKit(engine string, m mech.Mechanism) *parsecsim.Kit {
 	var sys *tm.System
 	switch engine {
 	case "eager":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+		sys = tm.NewSystem(tm.Config{}, eager.New)
 	case "lazy":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, lazy.New)
+		sys = tm.NewSystem(tm.Config{}, lazy.New)
 	case "htm":
 		sys = tm.NewSystem(tm.Config{}, htm.New)
 	}

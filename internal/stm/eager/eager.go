@@ -28,7 +28,7 @@ func (*Engine) Begin(tx *tm.Tx) { tx.BeginSoftware() }
 // the waitset (Algorithm 5) — for a word it stored to itself, the value
 // its undo log preserves.
 func (*Engine) Read(tx *tm.Tx, addr *uint64) uint64 {
-	val := tx.ReadCommitted(addr, true)
+	val := tx.ReadCommitted(addr)
 	if tx.IsRetry {
 		tx.LogCommitted(addr, val)
 	}
@@ -37,13 +37,12 @@ func (*Engine) Read(tx *tm.Tx, addr *uint64) uint64 {
 
 // Write implements Algorithm 10's TxWrite: acquire the covering orec at
 // first touch, record the old value in the undo log, and update memory in
-// place. Only an orec the snapshot covers may be locked (extending the
-// snapshot if need be): the in-place store must not bury a value newer
-// than the attempt's reads.
+// place. Only an orec the snapshot covers may be locked: the in-place
+// store must not bury a value newer than the attempt's reads.
 func (*Engine) Write(tx *tm.Tx, addr *uint64, val uint64) {
 	idx := tx.Sys.Table.IndexOf(addr)
 	if w := tx.Sys.Table.Get(idx); !tx.Owns(w) {
-		if !tx.Covers(idx, w, true) {
+		if !tx.Covers(w) {
 			tx.Abort(tm.AbortConflict)
 		}
 		tx.Acquire(idx, w)

@@ -31,7 +31,7 @@ func (*Engine) Read(tx *tm.Tx, addr *uint64) uint64 {
 	if buffered && !tx.IsRetry {
 		return buf
 	}
-	val := tx.ReadCommitted(addr, true)
+	val := tx.ReadCommitted(addr)
 	if tx.IsRetry {
 		tx.LogWait(addr, val)
 	}

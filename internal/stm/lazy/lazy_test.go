@@ -34,30 +34,36 @@ func TestWritesInvisibleUntilCommit(t *testing.T) {
 // validation releases all acquired orecs so the system keeps running.
 func TestCommitLocksReleasedOnAbort(t *testing.T) {
 	sys := tm.NewSystem(tm.Config{}, lazy.New)
-	t1 := sys.NewThread()
-	t2 := sys.NewThread()
-	var a, b uint64
+	thr := sys.NewThread()
+	words := make([]uint64, 8)
+	a, b := &words[0], &words[1]
+	for i := 2; sys.Table.IndexOf(a) == sys.Table.IndexOf(b); i++ {
+		b = &words[i]
+	}
 	attempts := 0
-	t1.Atomic(func(tx *tm.Tx) {
+	thr.Atomic(func(tx *tm.Tx) {
 		attempts++
-		_ = tx.Read(&a)
-		tx.Write(&b, 5)
+		_ = tx.Read(a)
+		tx.Write(b, 5)
 		if attempts == 1 {
-			// Invalidate t1's read so its commit must abort after having
-			// acquired b's orec.
-			t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(&a, 1) })
+			// Invalidate the read as a concurrent commit to a would: its
+			// orec moves past the snapshot and the clock covers the new
+			// version, so the commit acquires b's orec and then fails
+			// validation.
+			v := tx.Start + 1
+			sys.Table.Set(sys.Table.IndexOf(a), locktable.UnlockedAt(v))
+			sys.Clock.AtLeast(v)
 		}
 	})
 	if attempts < 2 {
 		t.Fatalf("attempts = %d, want ≥ 2", attempts)
 	}
 	// Every orec must be unlocked now.
-	idx := sys.Table.IndexOf(&b)
-	if locktable.Locked(sys.Table.Get(idx)) {
+	if locktable.Locked(sys.Table.Get(sys.Table.IndexOf(b))) {
 		t.Fatal("orec leaked after commit-time abort")
 	}
-	if b != 5 {
-		t.Fatalf("b = %d", b)
+	if *b != 5 {
+		t.Fatalf("b = %d", *b)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestConfigRejectsUnknownClockMode(t *testing.T) {
 
 func TestClockModeAccepted(t *testing.T) {
 	for _, mode := range []string{"", "global", "pof", "deferred"} {
-		sys := tm.NewSystem(tm.Config{ClockMode: mode, Quiesce: true}, eager.New)
+		sys := tm.NewSystem(tm.Config{ClockMode: mode}, eager.New)
 		thr := sys.NewThread()
 		var x uint64
 		for i := 0; i < 10; i++ {
@@ -48,7 +48,7 @@ func TestClockModeAccepted(t *testing.T) {
 // which single-threaded re-execution also exercises), and both appear in
 // the Snapshot map.
 func TestClockCountersExported(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{ClockMode: "global", Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{ClockMode: "global"}, eager.New)
 	thr := sys.NewThread()
 	var x uint64
 	const n = 25
@@ -77,7 +77,7 @@ func TestClockCountersExported(t *testing.T) {
 // reader that published ActiveStart before the writer's commit must
 // block the writer's Atomic until the reader retires.
 func TestDeferredClockQuiesceOrdering(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{ClockMode: "deferred", Quiesce: true}, eager.New)
+	sys := tm.NewSystem(tm.Config{ClockMode: "deferred"}, eager.New)
 	reader := sys.NewThread()
 	writer := sys.NewThread()
 

@@ -13,31 +13,18 @@ import (
 )
 
 // engines enumerates the four back ends for table-driven tests.
-func engines() map[string]func(cfg tm.Config) *tm.System {
-	return map[string]func(cfg tm.Config) *tm.System{
-		"eager": func(cfg tm.Config) *tm.System {
-			cfg.Quiesce = true
-			return tm.NewSystem(cfg, eager.New)
-		},
-		"lazy": func(cfg tm.Config) *tm.System {
-			cfg.Quiesce = true
-			return tm.NewSystem(cfg, lazy.New)
-		},
-		"htm": func(cfg tm.Config) *tm.System {
-			return tm.NewSystem(cfg, htm.New)
-		},
-		"hybrid": func(cfg tm.Config) *tm.System {
-			cfg.Quiesce = true
-			return tm.NewSystem(cfg, hybrid.New)
-		},
-	}
+var engines = map[string]func(*tm.System) tm.Engine{
+	"eager":  eager.New,
+	"lazy":   lazy.New,
+	"htm":    htm.New,
+	"hybrid": hybrid.New,
 }
 
 func forEachEngine(t *testing.T, fn func(t *testing.T, sys *tm.System)) {
 	t.Helper()
-	for name, mk := range engines() {
+	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
-			fn(t, mk(tm.Config{}))
+			fn(t, tm.NewSystem(tm.Config{}, mk))
 		})
 	}
 }

@@ -3,8 +3,8 @@ package tm
 // The simulated best-effort hardware layer shared by the htm and hybrid
 // engines: buffered (invisible) writes, signature-based eager conflict
 // aborts, capacity limits, optional spurious aborts, and no escape
-// actions. A hardware attempt is a redo-log attempt (orec.go) that never
-// extends its snapshot and can be doomed from outside.
+// actions. A hardware attempt is a redo-log attempt (orec.go) that can be
+// doomed from outside.
 //
 // Safety does not rest on the signatures: CommitRedo validates the read
 // set against orec versions like any software commit, so a signature race
@@ -56,7 +56,7 @@ func (tx *Tx) ReadHW(addr *uint64) uint64 {
 	if buf, ok := tx.Redo.Get(addr); ok {
 		return buf
 	}
-	val := tx.ReadCommitted(addr, false)
+	val := tx.ReadCommitted(addr)
 	tx.Thr.SigAdd(tx.Sys.Table.IndexOf(addr))
 	tx.HWReads++
 	if tx.HWReads > tx.Sys.Cfg.HTMReadCap {

@@ -34,10 +34,8 @@ func (tx *Tx) Owns(w uint64) bool {
 // consistent and the snapshot covers it, recording the read for later
 // validation. An orec this attempt itself holds (encounter-time locking)
 // is consistent by ownership: memory then carries the attempt's own
-// in-place store and nothing is recorded. Anything else aborts. extend
-// permits timestamp extension on a too-new version; hardware attempts and
-// the Await re-read pass false.
-func (tx *Tx) ReadCommitted(addr *uint64, extend bool) uint64 {
+// in-place store and nothing is recorded. Anything else aborts.
+func (tx *Tx) ReadCommitted(addr *uint64) uint64 {
 	tbl := tx.Sys.Table
 	idx := tbl.IndexOf(addr)
 	w := tbl.Get(idx)
@@ -47,8 +45,8 @@ func (tx *Tx) ReadCommitted(addr *uint64, extend bool) uint64 {
 	}
 	// covered is tried first because it inlines and Covers does not: this
 	// is the hottest line of the runtime.
-	if tbl.Get(idx) == w && (tx.covered(w) || tx.Covers(idx, w, extend)) {
-		tx.Reads = append(tx.Reads, ReadEntry{Addr: addr, Orec: idx, Ver: locktable.Version(w)})
+	if tbl.Get(idx) == w && (tx.covered(w) || tx.Covers(w)) {
+		tx.Reads = append(tx.Reads, ReadEntry{Addr: addr, Orec: idx})
 		return val
 	}
 	tx.Abort(AbortConflict)
@@ -61,60 +59,24 @@ func (tx *Tx) covered(w uint64) bool {
 	return !locktable.Locked(w) && locktable.Version(w) <= tx.Start
 }
 
-// Covers reports whether w, sampled from orec slot idx, is covered —
-// extending the snapshot first if its version is too new and extend
-// permits it.
+// Covers reports whether w, an orec word just sampled, is unlocked at a
+// version the attempt's snapshot covers. Appendix A's TxRead aborts on
+// anything else, a too-new version included.
 //
-// A too-new version is reported to the clock before anything else: under
-// the deferred clock the shared word may still be behind it, and both the
-// extension and the re-execution after an abort must start late enough to
-// read it. After a successful extension the sample in hand is still
-// current iff the extended start covers its version and the orec is
-// unchanged, and both rechecks are load-bearing
-// (TestProtocolExtensionRechecks, cases ver and word). Under global/pof a
-// rollback can republish a version the clock has not reached yet, so the
-// extended start may still predate ver — accepting the sample then would
-// record a read (or lock an orec) the snapshot never covered. The word
-// recheck is sound because orec versions strictly increase across lock
-// cycles (clock.Source invariant), so an equal word means no intervening
-// commit; checking it after tryExtend sampled the clock is cheaper than
-// re-reading the location.
-func (tx *Tx) Covers(idx uint32, w uint64, extend bool) bool {
+// A too-new version is reported to the clock before the caller aborts. A
+// version becomes readable once Now() reaches it (clock package
+// invariant); under the deferred clock a published version may run ahead
+// of the shared word, and NoteStale is the only thing that moves the word
+// up to it. Without the call the re-execution would start at the same
+// snapshot and trip over the same version forever.
+func (tx *Tx) Covers(w uint64) bool {
 	if tx.covered(w) {
 		return true
 	}
-	if locktable.Locked(w) {
-		return false
-	}
-	ver := locktable.Version(w)
-	tx.Sys.Clock.NoteStale(ver)
-	if extend && tx.Sys.Cfg.TimestampExtension && tx.tryExtend() && ver <= tx.Start && tx.Sys.Table.Get(idx) == w {
-		return true
+	if !locktable.Locked(w) {
+		tx.Sys.Clock.NoteStale(locktable.Version(w))
 	}
 	return false
-}
-
-// tryExtend implements timestamp extension: if every prior read's orec
-// still carries the exact version observed at read time, the snapshot is
-// valid at the current clock, so the start time may advance instead of
-// the attempt aborting on a too-new read. The exact-match comparison is
-// what makes this sound under shared and deferred timestamps: a version
-// that merely stayed <= the new start could still have been republished
-// by an intervening commit.
-func (tx *Tx) tryExtend() bool {
-	now := tx.Sys.Clock.Now()
-	for i := range tx.Reads {
-		w := tx.Sys.Table.Get(tx.Reads[i].Orec)
-		if locktable.Locked(w) && locktable.Owner(w) != tx.Thr.ID {
-			return false
-		}
-		if locktable.Version(w) != tx.Reads[i].Ver {
-			return false
-		}
-	}
-	tx.Start = now
-	tx.Thr.ActiveStart.Store(now + 1)
-	return true
 }
 
 // Acquire write-locks orec slot idx, last sampled as w, keeping its
@@ -182,8 +144,8 @@ func (tx *Tx) CommitStamp() Stamp {
 // the post-commit wakeup, releases every lock at the stamp, on a system
 // with a hardware layer dooms the hardware attempts the write set
 // overlaps — software committers included, or hardware attempts would miss
-// eager invalidation from the software path — and, for software attempts
-// on a privatization-safe system, quiesces.
+// eager invalidation from the software path — and, for a software attempt,
+// quiesces.
 //
 // The doom scan walks every thread, so it runs once the locks are
 // released: it is early notice, not protection — a hardware reader that
@@ -200,7 +162,7 @@ func (tx *Tx) Publish(s Stamp) {
 	if tx.Sys.HWLayer {
 		tx.doomHWReaders()
 	}
-	if tx.Mode == ModeSTM && tx.Sys.Cfg.Quiesce {
+	if tx.Mode == ModeSTM {
 		// The transaction is logically committed: retire its activity
 		// before quiescing, or two committers would wait on each other.
 		tx.Thr.ActiveStart.Store(0)
@@ -231,9 +193,12 @@ func (tx *Tx) CommitRedo() {
 // held orec at its old version plus one, so concurrent readers notice the
 // ownership change. The clock bump precedes the release so that under
 // global/pof the republished versions are already covered by the clock
-// when they become visible — a version ahead of the clock could be handed
-// out again by a concurrent Commit, breaking the strict per-orec version
-// increase that timestamp extension relies on. Idempotent.
+// when they become visible, as the clock package's invariants require:
+// those modes have no NoteStale, so a version ahead of the clock would
+// abort every reader until some later commit moved the clock; and a
+// concurrent Commit could hand that version out again, breaking the
+// strict per-orec version increase that makes ReadCommitted's
+// unchanged-word recheck prove no lock cycle intervened. Idempotent.
 func (tx *Tx) ReleaseLocks() {
 	if len(tx.Locks) == 0 {
 		return
@@ -265,9 +230,7 @@ func (tx *Tx) UndoWrites() {
 func (tx *Tx) AwaitSnapshot(addrs []*uint64) {
 	tx.UndoWrites()
 	for _, addr := range addrs {
-		// No extension here: the attempt is about to deschedule, and the
-		// waitset must stay consistent with the start the reads used.
-		tx.LogWait(addr, tx.ReadCommitted(addr, false))
+		tx.LogWait(addr, tx.ReadCommitted(addr))
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // waits out every transaction that began before the privatizing commit.
 func TestPrivatizationSafety(t *testing.T) {
 	for name, mk := range map[string]func() *tm.System{
-		"eager": func() *tm.System { return tm.NewSystem(tm.Config{Quiesce: true}, eager.New) },
-		"lazy":  func() *tm.System { return tm.NewSystem(tm.Config{Quiesce: true}, lazy.New) },
+		"eager": func() *tm.System { return tm.NewSystem(tm.Config{}, eager.New) },
+		"lazy":  func() *tm.System { return tm.NewSystem(tm.Config{}, lazy.New) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			sys := mk()

@@ -5,8 +5,8 @@ package tm_test
 // {eager, lazy, htm, hybrid-HW, hybrid-SW} × clock.Modes(). Each scenario
 // is single-goroutine — conflicting commits are issued from inside the
 // victim's transaction body on a second thread handle — so every
-// interleaving is exact. Quiesce stays off: the nested committer would
-// wait for the transaction it is nested in.
+// interleaving is exact. Quiescence is off (newProtocolSystem): the nested
+// committer would wait for the transaction it is nested in.
 
 import (
 	"fmt"
@@ -28,17 +28,23 @@ type protocolPath struct {
 	mk       func(*tm.System) tm.Engine
 	mode     tm.Mode // the mode attempts must execute in
 	software bool    // force the software mode (hybrid's STM, htm's serial)
-	extends  bool    // honours Config.TimestampExtension
 
 	irrevocable bool // the body asks for an irrevocable section first
 }
 
 var protocolPaths = []protocolPath{
-	{name: "eager", mk: eager.New, mode: tm.ModeSTM, extends: true},
-	{name: "lazy", mk: lazy.New, mode: tm.ModeSTM, extends: true},
+	{name: "eager", mk: eager.New, mode: tm.ModeSTM},
+	{name: "lazy", mk: lazy.New, mode: tm.ModeSTM},
 	{name: "htm", mk: htm.New, mode: tm.ModeHW},
 	{name: "hybrid-HW", mk: hybrid.New, mode: tm.ModeHW},
-	{name: "hybrid-SW", mk: hybrid.New, mode: tm.ModeSTM, software: true, extends: true},
+	{name: "hybrid-SW", mk: hybrid.New, mode: tm.ModeSTM, software: true},
+}
+
+// newProtocolSystem builds a system on p's engine with quiescence off.
+func newProtocolSystem(cfg tm.Config, p protocolPath) *tm.System {
+	sys := tm.NewSystem(cfg, p.mk)
+	tm.DisableQuiescence(sys)
+	return sys
 }
 
 // enter steers the attempt onto the path under test: hybrid's software
@@ -105,59 +111,35 @@ func assertNoOrecLocked(t *testing.T, sys *tm.System) {
 	}
 }
 
-// TestProtocolExtension: a transaction reads a, a concurrent writer
-// commits, and the transaction then reads the too-new b. If the writer
-// left a alone, a software attempt with extension enabled revalidates and
-// proceeds on its first attempt (Appendix A calls the abort
-// conservative); without extension, or in hardware, it aborts. If the
-// writer also overwrote a, extension must fail and the attempt abort —
-// extension never masks a genuine conflict.
-func TestProtocolExtension(t *testing.T) {
+// TestProtocolTooNewAborts: a transaction reads a, a concurrent writer
+// commits b, and the transaction then reads the too-new b. Appendix A's
+// TxRead aborts there on every path, and the re-execution reads the new b.
+// Under the deferred clock the re-execution starts late enough to read it
+// only because the aborting read reported b's version to the clock
+// (NoteStale); without that every attempt trips over b again.
+func TestProtocolTooNewAborts(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		for _, tc := range []struct {
-			name               string
-			extension, clobber bool
-		}{
-			{"off", false, false},
-			{"on-unchanged", true, false},
-			{"on-changed", true, true},
-		} {
-			t.Run(tc.name, func(t *testing.T) {
-				cfg.TimestampExtension = tc.extension
-				sys := tm.NewSystem(cfg, p.mk)
-				t1, t2 := sys.NewThread(), sys.NewThread()
-				ws := distinctWords(t, sys, 2)
-				a, b := ws[0], ws[1]
-				attempts, fired := 0, false
-				var seenA, seenB uint64
-				t1.Atomic(func(tx *tm.Tx) {
-					p.enter(t, tx)
-					attempts++
-					seenA = tx.Read(a)
-					if !fired {
-						fired = true
-						t2.Atomic(func(tx2 *tm.Tx) {
-							if tc.clobber {
-								tx2.Write(a, 7)
-							}
-							tx2.Write(b, 7)
-						})
-					}
-					seenB = tx.Read(b)
-				})
-				if wantOne := tc.extension && !tc.clobber && p.extends; wantOne && attempts != 1 {
-					t.Errorf("%d attempts, want 1 (extension should have revalidated the snapshot)", attempts)
-				} else if !wantOne && attempts < 2 {
-					t.Errorf("%d attempts, want an abort (≥2)", attempts)
-				}
-				wantA := uint64(0)
-				if tc.clobber {
-					wantA = 7
-				}
-				if seenA != wantA || seenB != 7 {
-					t.Errorf("final attempt read a=%d b=%d, want %d,7", seenA, seenB, wantA)
-				}
-			})
+		sys := newProtocolSystem(cfg, p)
+		t1, t2 := sys.NewThread(), sys.NewThread()
+		ws := distinctWords(t, sys, 2)
+		a, b := ws[0], ws[1]
+		attempts, fired := 0, false
+		var seenA, seenB uint64
+		t1.Atomic(func(tx *tm.Tx) {
+			p.enter(t, tx)
+			attempts++
+			seenA = tx.Read(a)
+			if !fired {
+				fired = true
+				t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(b, 7) })
+			}
+			seenB = tx.Read(b)
+		})
+		if attempts < 2 {
+			t.Errorf("%d attempts, want an abort (≥2)", attempts)
+		}
+		if seenA != 0 || seenB != 7 {
+			t.Errorf("final attempt read a=%d b=%d, want 0,7", seenA, seenB)
 		}
 	})
 }
@@ -169,7 +151,7 @@ func TestProtocolExtension(t *testing.T) {
 // second written orec out from under the attempt with a foreign owner.
 func TestProtocolRollbackRepublishes(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := tm.NewSystem(cfg, p.mk)
+		sys := newProtocolSystem(cfg, p)
 		thr := sys.NewThread()
 		ws := distinctWords(t, sys, 2)
 		b, c := ws[0], ws[1]
@@ -178,7 +160,10 @@ func TestProtocolRollbackRepublishes(t *testing.T) {
 		// and let the clock catch up with it (the deferred clock publishes
 		// ahead of the shared word; a reader's too-new abort advances it).
 		thr.Atomic(func(tx *tm.Tx) { tx.Write(b, 1) })
-		thr.Atomic(func(tx *tm.Tx) { tx.Read(b) })
+		thr.Atomic(func(tx *tm.Tx) {
+			p.enter(t, tx)
+			tx.Read(b)
+		})
 		oldB, oldC := sys.Table.Get(idxB), sys.Table.Get(idxC)
 
 		attempts := 0
@@ -211,10 +196,11 @@ func TestProtocolRollbackRepublishes(t *testing.T) {
 // TestProtocolVersionsStrictlyIncrease is the MaxLockVer regression:
 // back-to-back commits to one orec must publish strictly increasing
 // versions even when the shared clock word never moves between them
-// (deferred), or timestamp extension's word recheck is unsound.
+// (deferred), or ReadCommitted's unchanged-word recheck could miss an
+// intervening commit.
 func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := tm.NewSystem(cfg, p.mk)
+		sys := newProtocolSystem(cfg, p)
 		thr := sys.NewThread()
 		var x uint64
 		idx := sys.Table.IndexOf(&x)
@@ -230,112 +216,6 @@ func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
 			}
 			prev = v
 		}
-	})
-}
-
-// scriptedClock is the system's clock with Now under the test's control:
-// now maps the real reading to the one the protocol sees. It reaches the
-// window between a read's sample and its post-extension rechecks from a
-// single goroutine, because tryExtend samples Now exactly there.
-type scriptedClock struct {
-	clock.Source
-	now func(real uint64) uint64
-}
-
-func (c *scriptedClock) Now() uint64 { return c.now(c.Source.Now()) }
-
-// TestProtocolExtensionRechecks: a successful extension proves the read
-// set at the new start, not the sample in hand, so Covers rechecks the
-// sample twice and each recheck is the only thing standing between a
-// schedule and a wrong read.
-//
-// ver: the orec carries an unlocked version the clock has not reached (a
-// rollback's republish can run ahead of it) and Now keeps lagging it, so
-// the extension succeeds at a start that still predates the version. The
-// read must abort and re-execute; it is never accepted uncovered.
-//
-// word: x and y are only ever written together. The attempt samples x,
-// and a second commit to both lands after that sample, inside the
-// extension's Now. The extended start covers the new y, so accepting the
-// stale sample of x would hand the body a torn pair: the first attempt
-// must abort and the retry read the newer values.
-func TestProtocolExtensionRechecks(t *testing.T) {
-	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		if !p.extends {
-			t.Skip("path never extends")
-		}
-		cfg.TimestampExtension = true
-
-		t.Run("ver", func(t *testing.T) {
-			sys := tm.NewSystem(cfg, p.mk)
-			thr := sys.NewThread()
-			x := uint64(9)
-			idx := sys.Table.IndexOf(&x)
-			ver := locktable.Version(sys.Table.Get(idx)) + 9 // well ahead of the clock
-			sys.Table.Set(idx, locktable.UnlockedAt(ver))
-			lagging := true
-			sys.Clock = &scriptedClock{sys.Clock, func(real uint64) uint64 {
-				if lagging {
-					return min(real, ver-1)
-				}
-				return real
-			}}
-			attempts := 0
-			var got uint64
-			thr.Atomic(func(tx *tm.Tx) {
-				p.enter(t, tx)
-				if attempts++; attempts == 2 {
-					lagging = false
-					sys.Clock.AtLeast(ver)
-				}
-				got = tx.Read(&x)
-				if tx.Start < ver {
-					t.Errorf("attempt %d accepted version %d at start %d", attempts, ver, tx.Start)
-				}
-			})
-			if attempts != 2 || got != 9 {
-				t.Errorf("attempts=%d got=%d, want 2, 9", attempts, got)
-			}
-		})
-
-		t.Run("word", func(t *testing.T) {
-			sys := tm.NewSystem(cfg, p.mk)
-			t1, t2 := sys.NewThread(), sys.NewThread()
-			ws := distinctWords(t, sys, 2)
-			x, y := ws[0], ws[1]
-			writeBoth := func(v uint64) {
-				t2.Atomic(func(tx2 *tm.Tx) {
-					tx2.Write(x, v)
-					tx2.Write(y, v)
-				})
-			}
-			armed, base := false, sys.Clock
-			sys.Clock = &scriptedClock{base, func(real uint64) uint64 {
-				if !armed {
-					return real
-				}
-				armed = false
-				writeBoth(7)
-				return base.Now()
-			}}
-			attempts := 0
-			var gotX, gotY uint64
-			t1.Atomic(func(tx *tm.Tx) {
-				p.enter(t, tx)
-				if attempts++; attempts == 1 {
-					writeBoth(5)
-					armed = true
-				}
-				gotX = tx.Read(x)
-				if armed {
-					t.Fatal("the read of a too-new x never sampled the clock")
-				}
-				gotY = tx.Read(y)
-			})
-			if attempts != 2 || gotX != 7 || gotY != 7 {
-				t.Errorf("attempts=%d x=%d y=%d, want 2, 7, 7", attempts, gotX, gotY)
-			}
-		})
 	})
 }
 
@@ -355,7 +235,7 @@ func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
 		{name: "hybrid-irrevocable", mk: hybrid.New, mode: tm.ModeSTM, irrevocable: true},
 	}, protocolPaths...)
 	forEachPath(t, paths, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := tm.NewSystem(cfg, p.mk)
+		sys := newProtocolSystem(cfg, p)
 		var orecs, stripes []uint32
 		fired := 0
 		sys.PostCommit = func(_ *tm.Thread, writeOrecs, writeStripes []uint32) {

@@ -68,7 +68,6 @@ const (
 type ReadEntry struct {
 	Addr *uint64
 	Orec uint32 // orec slot covering Addr
-	Ver  uint64 // orec version observed at the read (timestamp extension)
 }
 
 // UndoEntry records the pre-write value of a word (eager STM / serial mode).
@@ -612,16 +611,6 @@ type Config struct {
 	// observable behaviour, which the differential harness checks at
 	// {1, 4, 64}.
 	Stripes int
-	// Quiesce enables privatization safety: a committing writer waits for
-	// all concurrent transactions that started before its commit.
-	Quiesce bool
-	// TimestampExtension lets the software TMs (eager, lazy, and the
-	// hybrid's software mode) extend a transaction's start time instead
-	// of aborting when it reads a too-new location, by revalidating the
-	// read set at the current clock (Riegel et al. [22]; Appendix A
-	// notes the abort-on-too-new default is conservative). Hardware
-	// attempts never extend.
-	TimestampExtension bool
 	// ClockMode selects the commit-timestamp protocol: "global" (the
 	// default, also selected by ""; one atomic increment of the shared
 	// clock word per writer commit), "pof" (GV4 pass-on-CAS-failure:
@@ -634,24 +623,22 @@ type Config struct {
 	// performance knob — every mode must yield identical observable
 	// outcomes, which the differential harness checks across all
 	// engines and mechanisms (tmcheck -clock). "deferred" trades the
-	// quietest clock line for occasional extra false aborts when a
-	// reader lands on a freshly published version; TimestampExtension
-	// turns most of those aborts into in-place snapshot extensions.
+	// quietest clock line for an extra false abort whenever a reader
+	// lands on a freshly published version.
 	ClockMode string
-	// HTMReadCap / HTMWriteCap bound the simulated hardware read and write
-	// sets, in words. 0 selects the defaults (4096 / 448).
-	HTMReadCap, HTMWriteCap int
-	// HTMSpuriousAbortPerMille injects simulated spurious hardware aborts
-	// with probability n/1000 per transactional access.
+	// HTMReadCap is a simulation parameter: the simulated hardware read
+	// set's capacity, in words (0 selects 4096).
+	HTMReadCap int
+	// HTMWriteCap is a simulation parameter: the simulated hardware write
+	// set's capacity, in words (0 selects 448).
+	HTMWriteCap int
+	// HTMSpuriousAbortPerMille is a fault-injection parameter: simulated
+	// spurious hardware aborts with probability n/1000 per access.
 	HTMSpuriousAbortPerMille int
-	// HTMMaxRetries is the number of hardware attempts before the engine
-	// serializes on the global lock (GCC uses 2; 0 selects that default, a
-	// negative value never tries hardware).
+	// HTMMaxRetries is a simulation parameter: hardware attempts before the
+	// engine serializes on the global lock (GCC uses 2; 0 selects that
+	// default, a negative value never tries hardware).
 	HTMMaxRetries int
-	// HTMWaitPredFastPath models the 8-bit abort-code trick of §2.2.6:
-	// WaitPred deschedules directly from a hardware abort instead of
-	// re-executing in software mode first.
-	HTMWaitPredFastPath bool
 }
 
 func (c Config) withDefaults() Config {
@@ -766,6 +753,11 @@ type System struct {
 	// (htm, hybrid) when they are constructed: every committer on such a
 	// system invalidates overlapping hardware readers as it writes back.
 	HWLayer bool
+
+	// noQuiesce turns Quiesce into a no-op. Only single-goroutine tests
+	// set it (export_test.go), where a committer nested inside another
+	// thread's attempt would otherwise wait for that attempt forever.
+	noQuiesce bool
 }
 
 // NewSystem creates a System around the given engine factory. Engines are
@@ -836,13 +828,10 @@ func (s *System) Threads() []*Thread {
 //     when it shares the timestamp end with us ("pof" adoption), since
 //     sharing requires disjoint write-lock sets and a post-publication
 //     snapshot.
-//
-//   - Timestamp extension moves a live transaction's ActiveStart
-//     forward, possibly past end, dropping it from our wait set. That
-//     is safe for the same reason: extension revalidates every prior
-//     read at the new snapshot, so a transaction extended past end has
-//     proven it observed none of the pre-commit state.
 func (s *System) Quiesce(self *Thread, end uint64) {
+	if s.noQuiesce {
+		return
+	}
 	for _, t := range s.Threads() {
 		if t == self {
 			continue

@@ -19,13 +19,13 @@ func newSys(kind string) *tm.System {
 	var sys *tm.System
 	switch kind {
 	case "eager":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, eager.New)
+		sys = tm.NewSystem(tm.Config{}, eager.New)
 	case "lazy":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, lazy.New)
+		sys = tm.NewSystem(tm.Config{}, lazy.New)
 	case "htm":
 		sys = tm.NewSystem(tm.Config{}, htm.New)
 	case "hybrid":
-		sys = tm.NewSystem(tm.Config{Quiesce: true}, hybrid.New)
+		sys = tm.NewSystem(tm.Config{}, hybrid.New)
 	}
 	core.Enable(sys)
 	return sys

@@ -128,7 +128,7 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "4", "-mech", "retry-orig", "-engine", "eager"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "pof"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-ext"}, "OK: every engine x mechanism pair matched"},
+		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-zipf", "1.2"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
@@ -172,7 +172,7 @@ func TestSmokeTmcheckRecordReplay(t *testing.T) {
 		t.Fatalf("replay did not pass:\n%s", out)
 	}
 	// Knob override merges over the stamped clock=pof and must still pass.
-	out = runSmoke(t, "tmcheck", "-replay", filepath.Join(dir, "*.trace"), "-clock", "deferred", "-ext")
+	out = runSmoke(t, "tmcheck", "-replay", filepath.Join(dir, "*.trace"), "-clock", "deferred")
 	if !strings.Contains(out, "OK: every engine x mechanism pair matched") {
 		t.Fatalf("replay with knob override did not pass:\n%s", out)
 	}
@@ -261,7 +261,7 @@ func TestSmokeTmlintJSON(t *testing.T) {
 
 // TestProtocolMutationDrill proves the runtime suite is what guards the
 // orec protocol: each row reverts one soundness fix in internal/tm/orec.go
-// with a one-line edit, builds the package with the edited file overlaid
+// with a minimal edit, builds the package with the edited file overlaid
 // (nothing on disk changes), and demands that `go test -run TestProtocol
 // ./internal/tm` fail, naming the test that states the broken fact — or,
 // where the Stamp type makes the revert unwritable, that the package not
@@ -321,18 +321,6 @@ func TestProtocolMutationDrill(t *testing.T) {
 			want: "TestProtocolRollbackRepublishes",
 		},
 		{
-			name: "extension accepts without the ver <= Start recheck",
-			old:  "tx.tryExtend() && ver <= tx.Start && ",
-			new:  "tx.tryExtend() && ",
-			want: "TestProtocolExtensionRechecks",
-		},
-		{
-			name: "extension accepts without the orec word recheck",
-			old:  "ver <= tx.Start && tx.Sys.Table.Get(idx) == w {",
-			new:  "ver <= tx.Start {",
-			want: "TestProtocolExtensionRechecks",
-		},
-		{
 			name: "acquisition forgets MaxLockVer",
 			old:  "\ttx.MaxLockVer = max(tx.MaxLockVer, locktable.Version(w))\n",
 			new:  "",
@@ -342,13 +330,13 @@ func TestProtocolMutationDrill(t *testing.T) {
 			name: "publish from Clock.Now inside the protocol",
 			old:  "locktable.UnlockedAt(s.end)",
 			new:  "locktable.UnlockedAt(tx.Sys.Clock.Now())",
-			want: "TestProtocolExtension",
+			want: "TestProtocolTooNewAborts",
 		},
 		{
 			name: "stamp forged from Clock.Now",
 			old:  "return Stamp{end}",
 			new:  "_ = end\n\treturn Stamp{tx.Sys.Clock.Now()}",
-			want: "TestProtocolExtension",
+			want: "TestProtocolTooNewAborts",
 		},
 		{
 			name: "publish handed Clock.Now instead of a stamp",
@@ -361,6 +349,14 @@ func TestProtocolMutationDrill(t *testing.T) {
 			old:  "locktable.UnlockedAt(locktable.Version(w)+1)",
 			new:  "locktable.UnlockedAt(locktable.Version(w))",
 			want: "TestProtocolRollbackRepublishes",
+		},
+		{
+			// Under the deferred clock the re-execution then starts at the
+			// same snapshot forever; the suite's 32-attempt guard fails it.
+			name: "a too-new read aborts without telling the clock",
+			old:  "\tif !locktable.Locked(w) {\n\t\ttx.Sys.Clock.NoteStale(locktable.Version(w))\n\t}\n",
+			new:  "",
+			want: "TestProtocolTooNewAborts",
 		},
 		{
 			name: "publish keeps the lock set from the wake scan",
@@ -389,12 +385,14 @@ func TestProtocolMutationDrill(t *testing.T) {
 }
 
 // TestSmokeTmcheckRejectsContradictoryFlags pins the CLI's mode-flag
-// validation: contradictory combinations must exit 2 with a diagnostic,
-// not silently run only one of the requested modes.
+// validation: contradictory combinations, and flags of deleted features,
+// must exit 2 with a diagnostic, not silently run only one of the
+// requested modes.
 func TestSmokeTmcheckRejectsContradictoryFlags(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmcheck")
 	for _, args := range [][]string{
 		{"-n", "1", "-clock", "bogus"},
+		{"-n", "1", "-clock", "deferred", "-ext"}, // timestamp extension is gone: an undefined flag
 		{"-zipf", "-0.5"},
 		{"-phases", "10:bogus"},
 		{"-phases", "0:counters"},

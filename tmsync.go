@@ -17,17 +17,8 @@
 // abort-and-respin Restart helper — the full set of mechanisms evaluated
 // in the paper.
 //
-// Quick start:
-//
-//	sys := tmsync.New(tmsync.Eager, tmsync.Config{})
-//	thr := sys.NewThread()
-//	var count mem-style shared word … (see package examples)
-//	thr.Atomic(func(tx *tmsync.Tx) {
-//		if tx.Read(addr) == 0 {
-//			tmsync.Retry(tx) // sleep until a writer changes something we read
-//		}
-//		tx.Write(addr, tx.Read(addr)-1)
-//	})
+// The package example (example_test.go) is a compiling quick start: one
+// goroutine sleeps in Retry until another's commit hands it an item.
 package tmsync
 
 import (
@@ -81,23 +72,20 @@ type System struct {
 	CS *core.CondSync
 }
 
-// New builds a System with the chosen engine. STM engines default to
-// privatization safety (quiescence), matching the paper's
+// New builds a System with the chosen engine. Every software-mode commit
+// is privatization-safe (it quiesces), matching the paper's
 // privatization-safe configurations.
 func New(kind EngineKind, cfg Config) *System {
 	var mk func(*tm.System) tm.Engine
 	switch kind {
 	case Eager:
 		mk = eager.New
-		cfg.Quiesce = true
 	case Lazy:
 		mk = lazy.New
-		cfg.Quiesce = true
 	case HTM:
 		mk = htm.New
 	case Hybrid:
 		mk = hybrid.New
-		cfg.Quiesce = true // software-mode commits are privatization-safe
 	default:
 		panic(fmt.Sprintf("tmsync: unknown engine %q", kind))
 	}
