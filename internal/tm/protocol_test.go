@@ -111,36 +111,39 @@ func assertNoOrecLocked(t *testing.T, sys *tm.System) {
 	}
 }
 
-// TestProtocolTooNewAborts: a transaction reads a, a concurrent writer
-// commits b, and the transaction then reads the too-new b. Appendix A's
-// TxRead aborts there on every path, and the re-execution reads the new b.
-// Under the deferred clock the re-execution starts late enough to read it
-// only because the aborting read reported b's version to the clock
-// (NoteStale); without that every attempt trips over b again.
-func TestProtocolTooNewAborts(t *testing.T) {
+// TestProtocolExtension: a transaction reads a, a concurrent writer
+// commits b, and the transaction then reads the too-new b. With no
+// timestamp extension (the "off" case, the only one the protocol has)
+// Appendix A's TxRead aborts there on every path, and the re-execution
+// reads the new b. Under the deferred clock the re-execution starts late
+// enough to read it only because the aborting read reported b's version to
+// the clock (NoteStale); without that every attempt trips over b again.
+func TestProtocolExtension(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := newProtocolSystem(cfg, p)
-		t1, t2 := sys.NewThread(), sys.NewThread()
-		ws := distinctWords(t, sys, 2)
-		a, b := ws[0], ws[1]
-		attempts, fired := 0, false
-		var seenA, seenB uint64
-		t1.Atomic(func(tx *tm.Tx) {
-			p.enter(t, tx)
-			attempts++
-			seenA = tx.Read(a)
-			if !fired {
-				fired = true
-				t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(b, 7) })
+		t.Run("off", func(t *testing.T) {
+			sys := newProtocolSystem(cfg, p)
+			t1, t2 := sys.NewThread(), sys.NewThread()
+			ws := distinctWords(t, sys, 2)
+			a, b := ws[0], ws[1]
+			attempts, fired := 0, false
+			var seenA, seenB uint64
+			t1.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				attempts++
+				seenA = tx.Read(a)
+				if !fired {
+					fired = true
+					t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(b, 7) })
+				}
+				seenB = tx.Read(b)
+			})
+			if attempts < 2 {
+				t.Errorf("%d attempts, want an abort (≥2)", attempts)
 			}
-			seenB = tx.Read(b)
+			if seenA != 0 || seenB != 7 {
+				t.Errorf("final attempt read a=%d b=%d, want 0,7", seenA, seenB)
+			}
 		})
-		if attempts < 2 {
-			t.Errorf("%d attempts, want an abort (≥2)", attempts)
-		}
-		if seenA != 0 || seenB != 7 {
-			t.Errorf("final attempt read a=%d b=%d, want 0,7", seenA, seenB)
-		}
 	})
 }
 

@@ -330,13 +330,13 @@ func TestProtocolMutationDrill(t *testing.T) {
 			name: "publish from Clock.Now inside the protocol",
 			old:  "locktable.UnlockedAt(s.end)",
 			new:  "locktable.UnlockedAt(tx.Sys.Clock.Now())",
-			want: "TestProtocolTooNewAborts",
+			want: "TestProtocolExtension",
 		},
 		{
 			name: "stamp forged from Clock.Now",
 			old:  "return Stamp{end}",
 			new:  "_ = end\n\treturn Stamp{tx.Sys.Clock.Now()}",
-			want: "TestProtocolTooNewAborts",
+			want: "TestProtocolExtension",
 		},
 		{
 			name: "publish handed Clock.Now instead of a stamp",
@@ -356,7 +356,7 @@ func TestProtocolMutationDrill(t *testing.T) {
 			name: "a too-new read aborts without telling the clock",
 			old:  "\tif !locktable.Locked(w) {\n\t\ttx.Sys.Clock.NoteStale(locktable.Version(w))\n\t}\n",
 			new:  "",
-			want: "TestProtocolTooNewAborts",
+			want: "TestProtocolExtension",
 		},
 		{
 			name: "publish keeps the lock set from the wake scan",
