@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -21,7 +20,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 )
 
@@ -44,9 +42,7 @@ type Package struct {
 // in-package _test.go files type-check into the package under test, and
 // external (package foo_test) test files load as their own package, so
 // lock/timing code in the test tree faces the same analyzers as the
-// runtime. The external package sees the package under test with its
-// in-package test files, as `go test` builds it, so names an
-// export_test.go declares resolve.
+// runtime.
 type Loader struct {
 	fset         *token.FileSet
 	imp          types.Importer
@@ -106,7 +102,7 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 					files = append(files, filepath.Join(lp.Dir, f))
 				}
 			}
-			pkg, err := l.load(lp.ImportPath, lp.Dir, files, l.imp)
+			pkg, err := l.load(lp.ImportPath, lp.Dir, files)
 			if err != nil {
 				return nil, err
 			}
@@ -116,13 +112,7 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 				for i, f := range lp.XTestGoFiles {
 					xfiles[i] = filepath.Join(lp.Dir, f)
 				}
-				imp := l.imp
-				if len(lp.TestGoFiles) > 0 && lp.Module != nil {
-					imp = &variantImporter{l: l, mod: *lp.Module,
-						resolved: map[string]*types.Package{lp.ImportPath: pkg.Types},
-						variant:  map[*types.Package]bool{pkg.Types: true}}
-				}
-				xpkg, err := l.load(lp.ImportPath+"_test", lp.Dir, xfiles, imp)
+				xpkg, err := l.load(lp.ImportPath+"_test", lp.Dir, xfiles)
 				if err != nil {
 					return nil, err
 				}
@@ -176,7 +166,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			}
 		}
 	}
-	return l.load("fixture/"+filepath.Base(dir), dir, files, l.imp)
+	return l.load("fixture/"+filepath.Base(dir), dir, files)
 }
 
 // packageName reads just the package clause of a file.
@@ -188,7 +178,7 @@ func packageName(filename string) (string, error) {
 	return f.Name.Name, nil
 }
 
-func (l *Loader) load(importPath, dir string, filenames []string, imp types.Importer) (*Package, error) {
+func (l *Loader) load(importPath, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(l.fset, fn, nil, parser.ParseComments)
@@ -203,7 +193,7 @@ func (l *Loader) load(importPath, dir string, filenames []string, imp types.Impo
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: imp, Sizes: l.sizes}
+	conf := types.Config{Importer: l.imp, Sizes: l.sizes}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
@@ -226,76 +216,6 @@ type listPkg struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Module       *listModule
-}
-
-type listModule struct{ Path, Dir string }
-
-// variantImporter resolves an external test package's imports the way `go
-// test` builds them: the package under test is its variant with the
-// in-package test files, and every module package that imports it,
-// directly or not, is type-checked again against that variant. Every
-// other package comes from the shared importer, so a type the variant
-// and its importers share stays one type.
-type variantImporter struct {
-	l        *Loader
-	mod      listModule
-	resolved map[string]*types.Package
-	variant  map[*types.Package]bool // the variant and the packages re-checked against it
-}
-
-func (im *variantImporter) Import(path string) (*types.Package, error) {
-	if p, ok := im.resolved[path]; ok {
-		return p, nil
-	}
-	rel, local := strings.CutPrefix(path, im.mod.Path+"/")
-	if !local {
-		return im.l.imp.Import(path)
-	}
-	dir := filepath.Join(im.mod.Dir, filepath.FromSlash(rel))
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	stale := false
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		f, err := parser.ParseFile(im.l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, spec := range f.Imports {
-			ip, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			dep, err := im.Import(ip)
-			if err != nil {
-				return nil, err
-			}
-			stale = stale || im.variant[dep]
-		}
-	}
-	var p *types.Package
-	if stale {
-		conf := types.Config{Importer: im, Sizes: im.l.sizes}
-		if p, err = conf.Check(path, im.l.fset, files, nil); err != nil {
-			return nil, err
-		}
-		im.variant[p] = true
-	} else if p, err = im.l.imp.Import(path); err != nil {
-		return nil, err
-	}
-	im.resolved[path] = p
-	return p, nil
 }
 
 func goList(patterns []string) ([]listPkg, error) {

@@ -5,8 +5,7 @@ package tm_test
 // {eager, lazy, htm, hybrid-HW, hybrid-SW} × clock.Modes(). Each scenario
 // is single-goroutine — conflicting commits are issued from inside the
 // victim's transaction body on a second thread handle — so every
-// interleaving is exact. Quiescence is off (newProtocolSystem): the nested
-// committer would wait for the transaction it is nested in.
+// interleaving is exact.
 
 import (
 	"fmt"
@@ -38,13 +37,6 @@ var protocolPaths = []protocolPath{
 	{name: "htm", mk: htm.New, mode: tm.ModeHW},
 	{name: "hybrid-HW", mk: hybrid.New, mode: tm.ModeHW},
 	{name: "hybrid-SW", mk: hybrid.New, mode: tm.ModeSTM, software: true},
-}
-
-// newProtocolSystem builds a system on p's engine with quiescence off.
-func newProtocolSystem(cfg tm.Config, p protocolPath) *tm.System {
-	sys := tm.NewSystem(cfg, p.mk)
-	tm.DisableQuiescence(sys)
-	return sys
 }
 
 // enter steers the attempt onto the path under test: hybrid's software
@@ -121,7 +113,7 @@ func assertNoOrecLocked(t *testing.T, sys *tm.System) {
 func TestProtocolExtension(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
 		t.Run("off", func(t *testing.T) {
-			sys := newProtocolSystem(cfg, p)
+			sys := tm.NewSystem(cfg, p.mk)
 			t1, t2 := sys.NewThread(), sys.NewThread()
 			ws := distinctWords(t, sys, 2)
 			a, b := ws[0], ws[1]
@@ -133,7 +125,11 @@ func TestProtocolExtension(t *testing.T) {
 				seenA = tx.Read(a)
 				if !fired {
 					fired = true
+					// Hide t1's attempt from the nested commit's quiescence
+					// wait, which would otherwise wait on it forever.
+					st := t1.ActiveStart.Swap(0)
 					t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(b, 7) })
+					t1.ActiveStart.Store(st)
 				}
 				seenB = tx.Read(b)
 			})
@@ -154,7 +150,7 @@ func TestProtocolExtension(t *testing.T) {
 // second written orec out from under the attempt with a foreign owner.
 func TestProtocolRollbackRepublishes(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := newProtocolSystem(cfg, p)
+		sys := tm.NewSystem(cfg, p.mk)
 		thr := sys.NewThread()
 		ws := distinctWords(t, sys, 2)
 		b, c := ws[0], ws[1]
@@ -203,7 +199,7 @@ func TestProtocolRollbackRepublishes(t *testing.T) {
 // intervening commit.
 func TestProtocolVersionsStrictlyIncrease(t *testing.T) {
 	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := newProtocolSystem(cfg, p)
+		sys := tm.NewSystem(cfg, p.mk)
 		thr := sys.NewThread()
 		var x uint64
 		idx := sys.Table.IndexOf(&x)
@@ -238,7 +234,7 @@ func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
 		{name: "hybrid-irrevocable", mk: hybrid.New, mode: tm.ModeSTM, irrevocable: true},
 	}, protocolPaths...)
 	forEachPath(t, paths, func(t *testing.T, p protocolPath, cfg tm.Config) {
-		sys := newProtocolSystem(cfg, p)
+		sys := tm.NewSystem(cfg, p.mk)
 		var orecs, stripes []uint32
 		fired := 0
 		sys.PostCommit = func(_ *tm.Thread, writeOrecs, writeStripes []uint32) {

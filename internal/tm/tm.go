@@ -753,11 +753,6 @@ type System struct {
 	// (htm, hybrid) when they are constructed: every committer on such a
 	// system invalidates overlapping hardware readers as it writes back.
 	HWLayer bool
-
-	// noQuiesce turns Quiesce into a no-op. Only single-goroutine tests
-	// set it (export_test.go), where a committer nested inside another
-	// thread's attempt would otherwise wait for that attempt forever.
-	noQuiesce bool
 }
 
 // NewSystem creates a System around the given engine factory. Engines are
@@ -829,9 +824,6 @@ func (s *System) Threads() []*Thread {
 //     sharing requires disjoint write-lock sets and a post-publication
 //     snapshot.
 func (s *System) Quiesce(self *Thread, end uint64) {
-	if s.noQuiesce {
-		return
-	}
 	for _, t := range s.Threads() {
 		if t == self {
 			continue
