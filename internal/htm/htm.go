@@ -1,6 +1,6 @@
 // Package htm simulates a best-effort hardware transactional memory with a
-// GCC-style software fallback, standing in for Intel TSX which is not
-// available in this environment (see DESIGN.md §2). Hardware attempts are
+// GCC-style software fallback, standing in for Intel TSX, which a portable
+// Go program cannot use. Hardware attempts are
 // tm's simulated-hardware layer, unchanged; what is specific to this
 // engine is the fallback:
 //

@@ -563,27 +563,70 @@ func TestPostCommitHookFiresOnWritesOnly(t *testing.T) {
 	})
 }
 
+// TestWriteSet runs the redo log through Put, overwrite, a Get miss and a
+// Reset at sizes on both sides of the map index's threshold (16 entries):
+// first-write order must survive the index build at the 17th entry, and a
+// set reused after Reset must not see the previous set's entries, whichever
+// side of the threshold either lies on.
 func TestWriteSet(t *testing.T) {
 	var ws tm.WriteSet
-	a, b := new(uint64), new(uint64)
-	ws.Put(a, 1, 10)
-	ws.Put(b, 2, 20)
-	ws.Put(a, 3, 10) // overwrite
-	if ws.Len() != 2 {
-		t.Fatalf("len = %d, want 2", ws.Len())
+	for _, sizes := range [][2]int{{0, 1}, {1, 16}, {16, 17}, {17, 100}, {100, 0}, {100, 16}, {16, 100}, {1, 1}} {
+		for round, n := range sizes {
+			words := make([]uint64, n+1)
+			for i := 0; i < n; i++ {
+				ws.Put(&words[i], uint64(i), uint32(i))
+			}
+			for i := 0; i < n; i += 2 { // overwrite every other word
+				ws.Put(&words[i], uint64(1000+i), uint32(i))
+			}
+			if ws.Len() != n {
+				t.Fatalf("sizes %v round %d: len = %d, want %d", sizes, round, ws.Len(), n)
+			}
+			for i := 0; i < n; i++ {
+				want := uint64(i)
+				if i%2 == 0 {
+					want = uint64(1000 + i)
+				}
+				if v, ok := ws.Get(&words[i]); !ok || v != want {
+					t.Fatalf("sizes %v round %d: Get(word %d) = %d,%v want %d,true", sizes, round, i, v, ok, want)
+				}
+				if e := ws.Entries[i]; e.Addr != &words[i] || e.Val != want || e.Orec != uint32(i) {
+					t.Fatalf("sizes %v round %d: entry %d = %+v, want word %d in first-write order", sizes, round, i, e, i)
+				}
+			}
+			if _, ok := ws.Get(&words[n]); ok {
+				t.Fatalf("sizes %v round %d: Get hit a word never written", sizes, round)
+			}
+			ws.Reset()
+			if ws.Len() != 0 {
+				t.Fatalf("sizes %v round %d: reset left %d entries", sizes, round, ws.Len())
+			}
+			for i := 0; i < n; i++ {
+				if _, ok := ws.Get(&words[i]); ok {
+					t.Fatalf("sizes %v round %d: word %d still buffered after reset", sizes, round, i)
+				}
+			}
+		}
 	}
-	if v, ok := ws.Get(a); !ok || v != 3 {
-		t.Fatalf("Get(a) = %d,%v", v, ok)
-	}
-	if v, ok := ws.Get(b); !ok || v != 2 {
-		t.Fatalf("Get(b) = %d,%v", v, ok)
-	}
-	ws.Reset()
-	if ws.Len() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	if _, ok := ws.Get(a); ok {
-		t.Fatal("reset left index entries")
+}
+
+// TestLazyAttemptAllocatesNothing: once warmed up, a lazy writer attempt
+// allocates nothing, whether its redo log is searched linearly (up to 16
+// writes) or through the map index (40).
+func TestLazyAttemptAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1, 16, 40} {
+		sys := tm.NewSystem(tm.Config{}, lazy.New)
+		thr := sys.NewThread()
+		words := make([]uint64, n)
+		body := func(tx *tm.Tx) {
+			for i := range words {
+				tx.Write(&words[i], tx.Read(&words[i])+1)
+			}
+		}
+		thr.Atomic(body)
+		if a := testing.AllocsPerRun(100, func() { thr.Atomic(body) }); a != 0 {
+			t.Errorf("%d writes: %.1f allocations per attempt, want 0", n, a)
+		}
 	}
 }
 

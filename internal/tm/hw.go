@@ -6,9 +6,13 @@ package tm
 // actions. A hardware attempt is a redo-log attempt (orec.go) that can be
 // doomed from outside.
 //
-// Safety does not rest on the signatures: CommitRedo validates the read
-// set against orec versions like any software commit, so a signature race
-// that misses a doom only shapes abort behaviour, never correctness.
+// Dooming does not rest on the signatures for safety: CommitRedo
+// validates the read set against orec versions like any software commit,
+// so a signature race that misses a doom only shapes abort behaviour,
+// never correctness. Software quiescence does rest on them: a software
+// committer skips an attempt, hardware ones included, whose signature
+// holds none of its write orecs (Quiesce), so every committed read joins
+// the signature before its orec is sampled (ReadCommitted).
 
 // BeginHW starts a hardware attempt. Hardware attempts must not start
 // inside a serial section, and must stand down if one begins while they
@@ -49,15 +53,14 @@ func (tx *Tx) checkHW() {
 }
 
 // ReadHW is a hardware-mode load: read-after-write comes from the buffer,
-// anything else is a committed read that joins the signature and counts
-// against the read capacity.
+// anything else is a committed read (which joins the signature) that
+// counts against the read capacity.
 func (tx *Tx) ReadHW(addr *uint64) uint64 {
 	tx.checkHW()
 	if buf, ok := tx.Redo.Get(addr); ok {
 		return buf
 	}
 	val := tx.ReadCommitted(addr)
-	tx.Thr.SigAdd(tx.Sys.Table.IndexOf(addr))
 	tx.HWReads++
 	if tx.HWReads > tx.Sys.Cfg.HTMReadCap {
 		tx.Abort(AbortCapacity)

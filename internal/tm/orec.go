@@ -18,9 +18,15 @@ import (
 
 // BeginSoftware starts an instrumented software attempt: it samples the
 // clock and publishes the attempt for quiescence (Algorithm 9, TxBegin),
-// waiting out any serial section.
+// waiting out any serial section. The thread's signature carries over
+// from earlier attempts (a stale bit only costs a committer a wait, see
+// Quiesce) until it is fuller than sigClearFill; it is cleared, if at
+// all, before the attempt is published.
 func (tx *Tx) BeginSoftware() {
 	tx.Mode = ModeSTM
+	if tx.sigFill > sigClearFill {
+		tx.Thr.SigReset()
+	}
 	tx.Start = tx.Thr.PublishStartSerialAware(tx)
 }
 
@@ -35,9 +41,15 @@ func (tx *Tx) Owns(w uint64) bool {
 // validation. An orec this attempt itself holds (encounter-time locking)
 // is consistent by ownership: memory then carries the attempt's own
 // in-place store and nothing is recorded. Anything else aborts.
+//
+// The orec joins the thread's signature before it is first sampled, on
+// every path: a privatizing committer that finds the bit clear may skip
+// this attempt (Quiesce), which is sound only because the sample then
+// cannot predate the commit's release.
 func (tx *Tx) ReadCommitted(addr *uint64) uint64 {
 	tbl := tx.Sys.Table
 	idx := tbl.IndexOf(addr)
+	tx.Thr.SigAdd(idx)
 	w := tbl.Get(idx)
 	val := atomic.LoadUint64(addr)
 	if tx.Owns(w) {
@@ -145,7 +157,53 @@ func (tx *Tx) Publish(s Stamp) {
 		// The transaction is logically committed: retire its activity
 		// before quiescing, or two committers would wait on each other.
 		tx.Thr.ActiveStart.Store(0)
-		tx.Sys.Quiesce(tx.Thr, s.end)
+		tx.Sys.Quiesce(tx.Thr, s.end, tx.WriteOrecs)
+	}
+}
+
+// Quiesce blocks until every attempt that may have read the pre-commit
+// state of writeOrecs, the orecs a commit stamped end just released, has
+// finished, providing privatization safety after a writer commit
+// (Appendix A, TxCommit line 20). It waits on a thread only while both
+// hold:
+//
+//   - its ActiveStart is the sentinel (it is publishing) or start+1 with
+//     start < end. An attempt with start >= end began after the stamp was
+//     fixed: a read of our write set before the release aborts on the
+//     locked orec, and one after it reads version end, which its snapshot
+//     covers, so it never sees pre-commit state;
+//   - its signature may hold one of writeOrecs. That is sound because:
+//     (a) a reader Or's the orec's bit into its signature and then samples
+//     the orec (ReadCommitted), while we released the orec and then load
+//     the signature. Go's atomics are sequentially consistent, so either
+//     we see the bit and wait, or the reader's sample sees a locked word
+//     or version end > its start, and aborts: there is no timestamp
+//     extension to let it through.
+//     (b) Bits are cleared only between attempts, before ActiveStart is
+//     published (BeginSoftware, BeginHW). A cleared word we load belongs
+//     to an attempt whose start is >= end, or the attempt that set the bit
+//     has already retired.
+//     (c) A stale bit from an earlier attempt, or another orec's bit on
+//     the same slot, only costs a wait that was once taken on every
+//     commit.
+func (s *System) Quiesce(self *Thread, end uint64, writeOrecs []uint32) {
+	mask := sigMask(writeOrecs)
+	for _, t := range s.Threads() {
+		if t == self {
+			continue
+		}
+		for {
+			// st is 0 when inactive, startSentinel while the thread is
+			// publishing, and start+1 otherwise.
+			st := t.ActiveStart.Load()
+			if st == 0 || (st != startSentinel && st > end) {
+				break
+			}
+			if !t.sigMayIntersect(&mask) {
+				break
+			}
+			spinYield()
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package tm_test
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"tmsync/internal/clock"
 	"tmsync/internal/htm"
@@ -73,16 +74,17 @@ func forEachPath(t *testing.T, paths []protocolPath, fn func(t *testing.T, p pro
 	}
 }
 
-// distinctWords returns n words covered by n different orecs, so that a
-// commit to one never disturbs another's version.
+// distinctWords returns n words covered by n different orecs that also
+// take n different signature bits, so that a commit to one never disturbs
+// another's version nor waits on an attempt that read only another.
 func distinctWords(t *testing.T, sys *tm.System, n int) []*uint64 {
 	t.Helper()
 	pool := make([]uint64, 64)
 	seen := map[uint32]bool{}
 	var out []*uint64
 	for i := range pool {
-		if idx := sys.Table.IndexOf(&pool[i]); !seen[idx] {
-			seen[idx] = true
+		if bit := sys.Table.IndexOf(&pool[i]) % (tm.SigWords * 64); !seen[bit] {
+			seen[bit] = true
 			out = append(out, &pool[i])
 			if len(out) == n {
 				return out
@@ -122,11 +124,9 @@ func TestProtocolExtension(t *testing.T) {
 				seenA = tx.Read(a)
 				if !fired {
 					fired = true
-					// Hide t1's attempt from the nested commit's quiescence
-					// wait, which would otherwise wait on it forever.
-					st := t1.ActiveStart.Swap(0)
+					// t1's attempt has read only a, so the nested commit
+					// to b does not wait on it.
 					t2.Atomic(func(tx2 *tm.Tx) { tx2.Write(b, 7) })
-					t1.ActiveStart.Store(st)
 				}
 				seenB = tx.Read(b)
 			})
@@ -255,6 +255,131 @@ func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
 		}
 		if len(orecs) != len(ws) {
 			t.Errorf("write orecs %v: %d slots recorded for %d stored words on distinct orecs", orecs, len(orecs), len(ws))
+		}
+	})
+}
+
+// TestProtocolReadSignsBeforeSample: a committer skips, in its quiescence
+// wait, an attempt whose signature holds none of its write orecs, which is
+// sound only if a read adds its orec to the signature before it samples
+// it. So on every path a read that aborts at its sample — here because a
+// foreign owner holds the orec — must already have signed the orec.
+func TestProtocolReadSignsBeforeSample(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		sys := tm.NewSystem(cfg, p.mk)
+		thr := sys.NewThread()
+		x := distinctWords(t, sys, 1)[0]
+		idx := sys.Table.IndexOf(x)
+		old := sys.Table.Get(idx)
+		attempts := 0
+		thr.Atomic(func(tx *tm.Tx) {
+			p.enter(t, tx)
+			attempts++
+			if attempts == 1 {
+				sys.Table.Set(idx, locktable.LockedBy(locktable.MaxOwner, locktable.Version(old)))
+				defer func() {
+					r := recover()
+					sys.Table.Set(idx, old)
+					if r == nil {
+						t.Errorf("a read of an orec a foreign owner holds did not abort")
+						return
+					}
+					if !thr.SigMightContain(idx) {
+						t.Errorf("the read aborted at its sample without orec %d in the signature", idx)
+					}
+					panic(r)
+				}()
+			}
+			tx.Read(x)
+		})
+		if attempts < 2 {
+			t.Errorf("%d attempts, want an abort (≥2)", attempts)
+		}
+	})
+}
+
+// TestProtocolQuiesce: a software commit waits out a live attempt that
+// began before its stamp and signed one of its write orecs, and only such
+// an attempt. The reader holds its attempt open on this goroutine while a
+// writer on another commits to a.
+func TestProtocolQuiesce(t *testing.T) {
+	var software []protocolPath
+	for _, p := range protocolPaths {
+		if p.mode == tm.ModeSTM {
+			software = append(software, p)
+		}
+	}
+	forEachPath(t, software, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		for _, tc := range []struct {
+			name   string
+			signed bool // the reader reads a, which blocks the writer, not b
+		}{
+			{name: "signed", signed: true},
+			{name: "disjoint", signed: false},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				sys := tm.NewSystem(cfg, p.mk)
+				reader, writer := sys.NewThread(), sys.NewThread()
+				ws := distinctWords(t, sys, 2)
+				a, b := ws[0], ws[1]
+				// commit runs the writer's commit to a on another goroutine,
+				// and returned reports whether it has finished within d.
+				done := make(chan tm.Mode, 1)
+				commit := func() {
+					go func() {
+						var mode tm.Mode
+						writer.Atomic(func(tx *tm.Tx) {
+							if p.software && tx.Mode == tm.ModeHW {
+								tx.RestartSoftware()
+							}
+							mode = tx.Mode
+							tx.Write(a, 1)
+						})
+						done <- mode
+					}()
+				}
+				returned := func(d time.Duration) bool {
+					select {
+					case mode := <-done:
+						if mode != tm.ModeSTM {
+							t.Errorf("the writer committed in mode %v, want %v", mode, tm.ModeSTM)
+						}
+						return true
+					case <-time.After(d):
+						return false
+					}
+				}
+				fired, finished := false, false
+				reader.Atomic(func(tx *tm.Tx) {
+					p.enter(t, tx)
+					if tc.signed {
+						tx.Read(a)
+					} else {
+						tx.Read(b)
+					}
+					if fired {
+						return
+					}
+					fired = true
+					commit()
+					if tc.signed {
+						// Give the writer ample time to (wrongly) return.
+						if finished = returned(50 * time.Millisecond); finished {
+							t.Error("the writer's commit returned while a live earlier attempt that read a was in flight")
+						}
+						return
+					}
+					if finished = returned(5 * time.Second); !finished {
+						t.Error("the writer's commit waited on a live attempt that read only b")
+					}
+				})
+				if !finished && !returned(5*time.Second) {
+					t.Fatal("the writer's commit never returned after the reader retired")
+				}
+				if *a != 1 {
+					t.Errorf("a = %d after the writer's commit, want 1", *a)
+				}
+			})
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"tmsync/internal/clock"
 	"tmsync/internal/locktable"
@@ -90,32 +91,70 @@ type WriteEntry struct {
 	Orec uint32
 }
 
-// WriteSet is an ordered redo log with O(1) lookup, used by the lazy STM
-// and the simulated HTM.
+// WriteSet is an ordered redo log, used by the lazy STM and the simulated
+// HTM. Most write sets are small, so a lookup scans Entries behind a
+// one-word address filter; only a set that grows past writeSetScan
+// entries builds a map index, rebuilt from Entries each time a set
+// crosses that size, so Reset never needs to touch it.
 type WriteSet struct {
 	Entries []WriteEntry
-	index   map[*uint64]int
+	filter  uint64          // bit addrBit(a) is set for every buffered a
+	index   map[*uint64]int // valid only while len(Entries) > writeSetScan
+}
+
+// writeSetScan is the largest write set searched without the map index.
+const writeSetScan = 16
+
+// addrBit is addr's bit in a write set's filter: word-aligned addresses
+// that differ in their low six word bits never share one.
+func addrBit(addr *uint64) uint64 {
+	return 1 << (uintptr(unsafe.Pointer(addr)) >> 3 % 64)
+}
+
+// find returns addr's position in Entries, or -1.
+func (w *WriteSet) find(addr *uint64) int {
+	if w.filter&addrBit(addr) == 0 {
+		return -1
+	}
+	if len(w.Entries) > writeSetScan {
+		if i, ok := w.index[addr]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range w.Entries {
+		if w.Entries[i].Addr == addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // Put buffers a write, overwriting any earlier write to the same address.
 func (w *WriteSet) Put(addr *uint64, val uint64, orec uint32) {
-	if w.index == nil {
-		w.index = make(map[*uint64]int, 16)
-	}
-	if i, ok := w.index[addr]; ok {
+	if i := w.find(addr); i >= 0 {
 		w.Entries[i].Val = val
 		return
 	}
-	w.index[addr] = len(w.Entries)
+	w.filter |= addrBit(addr)
 	w.Entries = append(w.Entries, WriteEntry{Addr: addr, Val: val, Orec: orec})
+	switch n := len(w.Entries); {
+	case n == writeSetScan+1:
+		if w.index == nil {
+			w.index = make(map[*uint64]int, 4*writeSetScan)
+		}
+		clear(w.index)
+		for i := range w.Entries {
+			w.index[w.Entries[i].Addr] = i
+		}
+	case n > writeSetScan+1:
+		w.index[addr] = n - 1
+	}
 }
 
 // Get returns the buffered value for addr, if any.
 func (w *WriteSet) Get(addr *uint64) (uint64, bool) {
-	if w.index == nil {
-		return 0, false
-	}
-	if i, ok := w.index[addr]; ok {
+	if i := w.find(addr); i >= 0 {
 		return w.Entries[i].Val, true
 	}
 	return 0, false
@@ -124,10 +163,11 @@ func (w *WriteSet) Get(addr *uint64) (uint64, bool) {
 // Len returns the number of distinct buffered addresses.
 func (w *WriteSet) Len() int { return len(w.Entries) }
 
-// Reset clears the write set for reuse.
+// Reset clears the write set for reuse. A stale index is harmless: it is
+// consulted only past writeSetScan entries, and rebuilt on the way there.
 func (w *WriteSet) Reset() {
 	w.Entries = w.Entries[:0]
-	clear(w.index)
+	w.filter = 0
 }
 
 // Tx is the per-thread transaction descriptor. One descriptor lives in each
@@ -162,11 +202,18 @@ type Tx struct {
 	// 4's wakeWaiters O(write set) instead of O(waiters).
 	WriteStripes []uint32
 
-	// Four spare words that keep every field below, and so every Thread
+	// sigFill counts the bits set in Thr.Sig since it was last cleared
+	// (SigAdd, SigReset); BeginSoftware clears a signature only once it is
+	// fuller than sigClearFill.
+	sigFill uint64
+
+	// Two spare words that keep every field below, and so every Thread
 	// field behind the descriptor, at the offset Thread's cache-line plan
-	// was measured with. Closing the gap is a layout change to be measured
-	// on its own.
-	_ [4]uint64
+	// was measured with. A field added to the descriptor takes one of
+	// them, and a change to the descriptor's size is a layout change:
+	// measure it on its own and update TestThreadLayout on purpose rather
+	// than padding around it.
+	_ [2]uint64
 
 	// OnCommit holds actions deferred until the attempt commits (e.g.
 	// condition-variable signals, which must not fire from an attempt
@@ -765,38 +812,6 @@ func (s *System) Threads() []*Thread {
 	return nil
 }
 
-// Quiesce blocks until every transaction that was active with a start time
-// ≤ end has finished its current attempt, providing privatization safety
-// after a writer commit (Appendix A, TxCommit line 20).
-//
-//   - A transaction that must be waited for is one that could have read
-//     the pre-commit state of our write set. Its snapshot precedes our
-//     Commit, which advanced the clock to end, so its published
-//     ActiveStart (start+1) is <= end.
-//
-//   - A transaction with start >= end began after our commit timestamp
-//     was fixed. If it touches our write set before our locks are
-//     released it aborts on the locked orec; after release it reads the
-//     committed values (version end <= its start). Either way it can
-//     never observe pre-commit state, so skipping it is safe.
-func (s *System) Quiesce(self *Thread, end uint64) {
-	for _, t := range s.Threads() {
-		if t == self {
-			continue
-		}
-		for {
-			st := t.ActiveStart.Load()
-			// st is 0 when inactive, startSentinel while the thread is
-			// publishing, and start+1 otherwise. Wait for transactions
-			// whose start precedes our commit time.
-			if st == 0 || (st != startSentinel && st > end) {
-				break
-			}
-			spinYield()
-		}
-	}
-}
-
 // Thread is the per-worker handle. Each goroutine that executes
 // transactions must own exactly one Thread, created with NewThread.
 //
@@ -810,8 +825,9 @@ func (s *System) Quiesce(self *Thread, end uint64) {
 //   - the descriptor and the contention back-off, written by the owner
 //     during an attempt and read by nobody else;
 //   - the polled block, starting a line: fields other threads read
-//     (Quiesce reads ActiveStart; hardware-layer committers and
-//     EnterSerial read HWActive, Doomed and Sig);
+//     (Quiesce reads ActiveStart and Sig; hardware-layer committers
+//     read HWActive and Sig and write Doomed; EnterSerial reads
+//     HWActive and ActiveStart and writes Doomed);
 //   - the quiet block: fields that are fixed once NewThread returns or
 //     change only where the thread is off the fast path anyway. It fills
 //     the rest of the polled block's last line and the two lines after it,
@@ -907,23 +923,56 @@ func (t *Thread) traceEvent(kind TraceKind, arg uint64) {
 	}
 }
 
-// SigReset clears the hardware signature.
+// sigClearFill is how full a software attempt lets its thread's signature
+// grow before BeginSoftware clears it: a quarter of its bits, so a stale
+// bit costs a committer a false wait on at most one write orec in four.
+const sigClearFill = SigWords * 64 / 4
+
+// SigReset clears the signature, storing only the words that are not
+// already zero.
 func (t *Thread) SigReset() {
 	for i := range t.Sig {
-		t.Sig[i].Store(0)
+		if t.Sig[i].Load() != 0 {
+			t.Sig[i].Store(0)
+		}
 	}
+	t.Tx.sigFill = 0
 }
 
-// SigAdd marks orec slot idx in the hardware signature.
+// SigAdd marks orec slot idx in the signature. Only the owner writes its
+// signature, so a bit already set costs a load and nothing else.
 func (t *Thread) SigAdd(idx uint32) {
 	b := idx % (SigWords * 64)
-	t.Sig[b/64].Or(1 << (b % 64))
+	w, bit := &t.Sig[b/64], uint64(1)<<(b%64)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
+		t.Tx.sigFill++
+	}
 }
 
 // SigMightContain reports whether orec slot idx may be in the signature.
 func (t *Thread) SigMightContain(idx uint32) bool {
 	b := idx % (SigWords * 64)
 	return t.Sig[b/64].Load()&(1<<(b%64)) != 0
+}
+
+// sigMask is the signature of a set of orec slots.
+func sigMask(orecs []uint32) (m [SigWords]uint64) {
+	for _, idx := range orecs {
+		b := idx % (SigWords * 64)
+		m[b/64] |= 1 << (b % 64)
+	}
+	return m
+}
+
+// sigMayIntersect reports whether the signature may share a slot with m.
+func (t *Thread) sigMayIntersect(m *[SigWords]uint64) bool {
+	for i := range m {
+		if m[i] != 0 && t.Sig[i].Load()&m[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Atomic executes fn as a transaction, retrying on conflicts and handling

@@ -351,6 +351,20 @@ func TestProtocolMutationDrill(t *testing.T) {
 			want: "TestProtocolExtension",
 		},
 		{
+			// The signature must hold the orec before its first sample, or
+			// a committer can skip a reader that saw pre-commit state.
+			name: "sign after the sample",
+			old:  "\ttx.Thr.SigAdd(idx)\n\tw := tbl.Get(idx)\n\tval := atomic.LoadUint64(addr)\n\tif tx.Owns(w) {\n\t\treturn val\n\t}\n\tif tbl.Get(idx) == w && tx.Covers(w) {\n",
+			new:  "\tw := tbl.Get(idx)\n\tval := atomic.LoadUint64(addr)\n\tif tx.Owns(w) {\n\t\treturn val\n\t}\n\tif tbl.Get(idx) == w && tx.Covers(w) {\n\t\ttx.Thr.SigAdd(idx)\n",
+			want: "TestProtocolReadSignsBeforeSample",
+		},
+		{
+			name: "quiesce skips a signed reader",
+			old:  "\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tspinYield()",
+			new:  "\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tbreak",
+			want: "TestProtocolQuiesce",
+		},
+		{
 			name: "publish keeps the lock set from the wake scan",
 			old:  "\ttx.WriteOrecs = append(tx.WriteOrecs, tx.Locks...)\n",
 			new:  "",
