@@ -161,7 +161,7 @@ func (s waitSignal) Handle(tx *tm.Tx) tm.Outcome {
 	if s.wrote && sys.PostCommit != nil {
 		sys.PostCommit(tx.Thr, s.writeOrecs, s.writeStripes)
 	}
-	sys.SemWait(s.w.s)
+	sys.SemWait(tx.Thr, s.w.s)
 	// Withdraw the queue entry if a stale token woke us before a
 	// signaller popped it. Leaving it behind would let a later Signal be
 	// spent on a "ghost" waiter that is no longer sleeping — a lost wakeup

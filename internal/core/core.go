@@ -451,7 +451,7 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) bool {
 // sleep blocks the published waiter's thread until a committing writer
 // signals it, then withdraws the waiter.
 func (cs *CondSync) sleep(tx *tm.Tx, w *Waiter) {
-	cs.sys.SemWait(tx.Thr.Sem)
+	cs.sys.SemWait(tx.Thr, tx.Thr.Sem)
 	// Clear the claim flag ourselves: if the consumed token was stale (a
 	// pre-drain waker's signal landing mid-cycle), no waker has CASed
 	// asleep for THIS cycle, and leaving it set would let a waker holding

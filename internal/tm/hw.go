@@ -1,5 +1,7 @@
 package tm
 
+import "math/bits"
+
 // The simulated best-effort hardware layer shared by the htm and hybrid
 // engines: buffered (invisible) writes, signature-based eager conflict
 // aborts, capacity limits, optional spurious aborts, and no escape
@@ -96,19 +98,28 @@ func (tx *Tx) CommitHW() {
 // is what makes read-only wakeWaiters transactions abort under writer
 // pressure (§2.4.1).
 //
-// The scan walks the thread list in place, after Publish has released the
-// commit's orecs. A hardware attempt it misses — one whose signature did
-// not hold the orec yet, or on a thread that registers during the walk —
-// reads that orec at a version newer than its start and aborts there.
+// The scan walks the live set over the thread list in place, after
+// Publish has released the commit's orecs. A hardware attempt it misses —
+// one whose signature did not hold the orec yet, or on a thread that
+// registers or joins the live set during the walk — reads that orec at a
+// version newer than its start and aborts there.
 func (tx *Tx) doomHWReaders() {
-	for _, o := range tx.Sys.Threads() {
-		if o == tx.Thr || !o.HWActive.Load() {
-			continue
-		}
-		for i := range tx.Redo.Entries {
-			if o.SigMightContain(tx.Redo.Entries[i].Orec) {
-				o.Doomed.Store(true)
+	ts := tx.Sys.Threads()
+	for wi := range (len(ts) + 63) / 64 {
+		for m := tx.Sys.live[wi].Load(); m != 0; m &= m - 1 {
+			i := wi*64 + bits.TrailingZeros64(m)
+			if i >= len(ts) {
 				break
+			}
+			o := ts[i]
+			if o == tx.Thr || !o.HWActive.Load() {
+				continue
+			}
+			for e := range tx.Redo.Entries {
+				if o.SigMightContain(tx.Redo.Entries[e].Orec) {
+					o.Doomed.Store(true)
+					break
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"tmsync/internal/locktable"
@@ -138,7 +139,7 @@ func (tx *Tx) CommitStamp() Stamp {
 // eager invalidation from the software path — and, for a software attempt,
 // quiesces.
 //
-// The doom scan walks every thread, so it runs once the locks are
+// The doom scan walks every live thread, so it runs once the locks are
 // released: it is early notice, not protection — a hardware reader that
 // misses it fails the version check of its next read or of its commit —
 // and a hardware commit should hold its orecs no longer than the
@@ -164,8 +165,8 @@ func (tx *Tx) Publish(s Stamp) {
 // Quiesce blocks until every attempt that may have read the pre-commit
 // state of writeOrecs, the orecs a commit stamped end just released, has
 // finished, providing privatization safety after a writer commit
-// (Appendix A, TxCommit line 20). It waits on a thread only while both
-// hold:
+// (Appendix A, TxCommit line 20). It visits only the threads of the live
+// set and waits on one only while both hold:
 //
 //   - its ActiveStart is the sentinel (it is publishing) or start+1 with
 //     start < end. An attempt with start >= end began after the stamp was
@@ -186,23 +187,38 @@ func (tx *Tx) Publish(s Stamp) {
 //     (c) A stale bit from an earlier attempt, or another orec's bit on
 //     the same slot, only costs a wait that was once taken on every
 //     commit.
+//
+// (d) Skipping a thread outside the live set, or one registered after
+// Threads() was loaded, is sound as the argument Threads() makes for the
+// latter: we load its live word after releasing our orecs, and it sets
+// its bit (Thread.list) before it publishes ActiveStart. A walk that finds
+// the bit clear loaded the word before the owner's Or, so that attempt
+// samples the clock after our release and starts at >= end.
 func (s *System) Quiesce(self *Thread, end uint64, writeOrecs []uint32) {
 	mask := sigMask(writeOrecs)
-	for _, t := range s.Threads() {
-		if t == self {
-			continue
-		}
-		for {
-			// st is 0 when inactive, startSentinel while the thread is
-			// publishing, and start+1 otherwise.
-			st := t.ActiveStart.Load()
-			if st == 0 || (st != startSentinel && st > end) {
+	ts := s.Threads()
+	for wi := range (len(ts) + 63) / 64 {
+		for m := s.live[wi].Load(); m != 0; m &= m - 1 {
+			i := wi*64 + bits.TrailingZeros64(m)
+			if i >= len(ts) {
 				break
 			}
-			if !t.sigMayIntersect(&mask) {
-				break
+			t := ts[i]
+			if t == self {
+				continue
 			}
-			spinYield()
+			for {
+				// st is 0 when inactive, startSentinel while the thread is
+				// publishing, and start+1 otherwise.
+				st := t.ActiveStart.Load()
+				if st == 0 || (st != startSentinel && st > end) {
+					break
+				}
+				if !t.sigMayIntersect(&mask) {
+					break
+				}
+				spinYield()
+			}
 		}
 	}
 }

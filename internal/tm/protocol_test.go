@@ -16,6 +16,7 @@ import (
 	"tmsync/internal/htm"
 	"tmsync/internal/hybrid"
 	"tmsync/internal/locktable"
+	"tmsync/internal/sem"
 	"tmsync/internal/stm/eager"
 	"tmsync/internal/stm/lazy"
 	"tmsync/internal/tm"
@@ -301,7 +302,9 @@ func TestProtocolReadSignsBeforeSample(t *testing.T) {
 // TestProtocolQuiesce: a software commit waits out a live attempt that
 // began before its stamp and signed one of its write orecs, and only such
 // an attempt. The reader holds its attempt open on this goroutine while a
-// writer on another commits to a.
+// writer on another commits to a. In the parked case the reader has run and
+// then been through SemWait, which takes it out of the live set the commit
+// walks; its next attempt must put it back.
 func TestProtocolQuiesce(t *testing.T) {
 	var software []protocolPath
 	for _, p := range protocolPaths {
@@ -313,9 +316,11 @@ func TestProtocolQuiesce(t *testing.T) {
 		for _, tc := range []struct {
 			name   string
 			signed bool // the reader reads a, which blocks the writer, not b
+			parked bool // the reader has parked once before its attempt
 		}{
 			{name: "signed", signed: true},
 			{name: "disjoint", signed: false},
+			{name: "parked", signed: true, parked: true},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				sys := tm.NewSystem(cfg, p.mk)
@@ -348,6 +353,12 @@ func TestProtocolQuiesce(t *testing.T) {
 					case <-time.After(d):
 						return false
 					}
+				}
+				if tc.parked {
+					reader.Atomic(func(*tm.Tx) {})
+					s := sem.New()
+					s.Signal()
+					sys.SemWait(reader, s)
 				}
 				fired, finished := false, false
 				reader.Atomic(func(tx *tm.Tx) {

@@ -1,5 +1,7 @@
 package tm
 
+import "math/bits"
+
 // serialPolls is how many times a thread re-reads the serial word before
 // each processor yield while it waits on a serial section: for the section
 // to end, for the lock, or for the threads it drains. A serial section is
@@ -31,30 +33,48 @@ func (s *System) awaitSerialClear() {
 // other thread's current attempt to drain. Used by the HTM fallback path
 // and by irrevocable transactions.
 //
-// Both passes walk the thread list in place. A thread that registers
-// after a pass loaded the list is not waited for, and need not be: it
-// publishes its first attempt after SerialActive was set, so BeginHW's
-// and PublishStartSerialAware's recheck make it stand down.
+// Both passes walk the live set over the thread list in place. A thread
+// that registers after a pass loaded the list, or whose live bit the pass
+// loads clear, is not waited for, and need not be: it sets its bit
+// (Thread.list) before it publishes an attempt, so a pass that missed the
+// bit loaded it before that publication and after SerialActive was set,
+// and BeginHW's and PublishStartSerialAware's recheck of SerialActive make
+// the attempt stand down.
 func (s *System) EnterSerial(t *Thread) {
 	for i := 0; !s.SerialActive.CompareAndSwap(0, 1); i++ {
 		serialWait(i)
 	}
-	for _, o := range s.Threads() {
-		if o != t && o.HWActive.Load() {
-			o.Doomed.Store(true)
-		}
-	}
-	for _, o := range s.Threads() {
-		if o == t {
-			continue
-		}
-		for i := 0; ; i++ {
-			if o.HWActive.Load() {
-				o.Doomed.Store(true)
-			} else if o.ActiveStart.Load() == 0 {
+	ts := s.Threads()
+	for wi := range (len(ts) + 63) / 64 {
+		for m := s.live[wi].Load(); m != 0; m &= m - 1 {
+			i := wi*64 + bits.TrailingZeros64(m)
+			if i >= len(ts) {
 				break
 			}
-			serialWait(i)
+			o := ts[i]
+			if o != t && o.HWActive.Load() {
+				o.Doomed.Store(true)
+			}
+		}
+	}
+	for wi := range (len(ts) + 63) / 64 {
+		for m := s.live[wi].Load(); m != 0; m &= m - 1 {
+			i := wi*64 + bits.TrailingZeros64(m)
+			if i >= len(ts) {
+				break
+			}
+			o := ts[i]
+			if o == t {
+				continue
+			}
+			for spin := 0; ; spin++ {
+				if o.HWActive.Load() {
+					o.Doomed.Store(true)
+				} else if o.ActiveStart.Load() == 0 {
+					break
+				}
+				serialWait(spin)
+			}
 		}
 	}
 }

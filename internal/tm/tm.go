@@ -757,10 +757,10 @@ type System struct {
 	// threads is the registered-thread list, published copy-on-write:
 	// NewThread (serialized by mu) stores the new element first and a
 	// header covering it second, so a reader walks whatever header it
-	// loaded in place, with no lock and no copy.
+	// loaded in place, with no lock and no copy. The thread with ID i is
+	// element i-1.
 	mu      spin.Lock
 	threads atomic.Pointer[[]*Thread]
-	nextID  atomic.Uint64
 
 	pool blockPool
 
@@ -768,6 +768,17 @@ type System struct {
 	// (htm, hybrid) when they are constructed: every committer on such a
 	// system invalidates overlapping hardware readers as it writes back.
 	HWLayer bool
+
+	// live is the live set: bit ID-1 is set while the thread may have an
+	// attempt in flight. The driver sets a thread's bit before its first
+	// attempt after registration, a wake or a Detach (Thread.list), and
+	// SemWait and Detach clear it (Thread.unlist). The walks that poll
+	// other threads — Quiesce, doomHWReaders and EnterSerial's drain —
+	// visit only set bits, so a parked thread costs a commit nothing.
+	// The pad keeps the words, written on every park and wake, off the
+	// line of the fields every attempt reads.
+	_    [64]byte
+	live [(locktable.MaxOwner + 63) / 64]atomic.Uint64
 }
 
 // NewSystem creates a System around the given engine factory. Engines are
@@ -783,12 +794,15 @@ func NewSystem(cfg Config, mk func(*System) Engine) *System {
 	return s
 }
 
-// SemWait parks the calling goroutine on sm, reporting the sleep-to-signal
-// duration to the WakeLatency hook when one is installed. Every
-// condition-synchronization sleep (deschedule, Retry-Orig, condition-
+// SemWait parks t, the calling goroutine's thread, on sm, reporting the
+// sleep-to-signal duration to the WakeLatency hook when one is installed.
+// Every condition-synchronization sleep (deschedule, Retry-Orig, condition-
 // variable wait) funnels through it so latency instrumentation covers all
-// sleep sites uniformly.
-func (s *System) SemWait(sm *sem.Sem) {
+// sleep sites uniformly. t must have no attempt in flight: SemWait takes
+// it out of the live set before it sleeps, so no committer polls it while
+// it is parked, and its next attempt puts it back.
+func (s *System) SemWait(t *Thread, sm *sem.Sem) {
+	t.unlist()
 	if fn := s.WakeLatency; fn != nil {
 		t0 := mono.Now()
 		sm.Wait()
@@ -804,7 +818,9 @@ func (s *System) SemWait(sm *sem.Sem) {
 // not modify it. A thread registered during the walk may be missing; it
 // has not begun a transaction the caller could have had to wait for (see
 // BeginHW and PublishStartSerialAware for serial sections, Quiesce for
-// privatization).
+// privatization). Threads()[i].ID is i+1, so the walks that poll other
+// threads index it by the live set's bits and visit no parked thread;
+// Stats.Sum walks every entry.
 func (s *System) Threads() []*Thread {
 	if l := s.threads.Load(); l != nil {
 		return slices.Clip(*l)
@@ -836,7 +852,8 @@ func (s *System) Threads() []*Thread {
 //     workload of benchmark/ loses 5–8 % throughput and 9–15 % p90 on
 //     every engine;
 //   - the owner block: what the owner writes on every commit — the hot
-//     stat shard on one line, the wake-scan scratch on the next.
+//     stat shard on one line, the wake-scan scratch on the next — and
+//     listed, which every attempt reads and only a park or a wake writes.
 //
 // With the header the struct must stay within 696 bytes to keep its size
 // class; the next one, 768, costs the `sleepers` workload of benchmark/
@@ -875,21 +892,22 @@ type Thread struct {
 	postOrecs    []uint32
 	postStripes  []uint32
 	inPostCommit bool
+
+	// listed mirrors the thread's bit in the system's live set. Only the
+	// owner reads or writes it, so an attempt of a listed thread pays a
+	// plain load for the live set.
+	listed bool
 }
 
 // SigWords is the size of the simulated hardware signature (512 bits).
 const SigWords = 8
 
-// NewThread registers a new worker with the system.
+// NewThread registers a new worker with the system. Its ID is its
+// position in Threads() plus one.
 func (s *System) NewThread() *Thread {
-	id := s.nextID.Add(1)
-	if id > locktable.MaxOwner {
-		panic("tm: thread id space exhausted")
-	}
-	t := &Thread{ID: id, Sys: s, Sem: sem.New()}
+	t := &Thread{Sys: s, Sem: sem.New()}
 	t.Tx.Thr = t
 	t.Tx.Sys = s
-	t.Tx.rng = id*0x9e3779b97f4a7c15 + 1
 	s.mu.Lock()
 	// append writes the new element past every published header's length
 	// (or into a fresh, geometrically larger array), so no reader can
@@ -898,6 +916,13 @@ func (s *System) NewThread() *Thread {
 	if cur := s.threads.Load(); cur != nil {
 		l = *cur
 	}
+	id := uint64(len(l)) + 1
+	if id > locktable.MaxOwner {
+		s.mu.Unlock()
+		panic("tm: thread id space exhausted")
+	}
+	t.ID = id
+	t.Tx.rng = id*0x9e3779b97f4a7c15 + 1
 	l = append(l, t)
 	s.threads.Store(&l)
 	s.mu.Unlock()
@@ -905,14 +930,41 @@ func (s *System) NewThread() *Thread {
 }
 
 // Detach marks the end of the thread's program: it reports TraceDetach to
-// the system's Tracer, so a recorded run shows where each worker stopped.
-// Nil-safe (the Pthreads baseline carries nil thread handles); the thread
-// stays registered and may keep running transactions afterwards.
+// the system's Tracer, so a recorded run shows where each worker stopped,
+// and takes the thread out of the live set, so a detached thread costs a
+// commit nothing. Nil-safe (the Pthreads baseline carries nil thread
+// handles); the thread stays registered and may keep running transactions
+// afterwards, its next attempt putting it back in the live set. Call it
+// from the thread's own goroutine; inside a transaction it only traces.
 func (t *Thread) Detach() {
 	if t == nil {
 		return
 	}
+	if !t.InTx() {
+		t.unlist()
+	}
 	t.traceEvent(TraceDetach, 0)
+}
+
+// list puts the thread in the live set. The driver calls it before every
+// attempt, ahead of anything that publishes the attempt (HWActive,
+// ActiveStart) or starts a serial section, so a walk that loads the bit
+// clear loaded it before that publication; see Quiesce and EnterSerial.
+// Owner only.
+func (t *Thread) list() {
+	if !t.listed {
+		t.listed = true
+		t.Sys.live[(t.ID-1)/64].Or(1 << ((t.ID - 1) % 64))
+	}
+}
+
+// unlist takes the thread out of the live set. Owner only, with no
+// attempt in flight.
+func (t *Thread) unlist() {
+	if t.listed {
+		t.listed = false
+		t.Sys.live[(t.ID-1)/64].And(^(1 << ((t.ID - 1) % 64)))
+	}
 }
 
 // traceEvent reports one driver-level event to the system's Tracer hook;
@@ -1085,6 +1137,7 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 	}()
 	tx.Attempts++
 	tx.Nesting = 1
+	t.list()
 	if tx.IsRetry {
 		// A fresh tagged attempt rebuilds the waitset from scratch; stale
 		// pairs from an aborted attempt would cause futile wakeups.

@@ -259,8 +259,9 @@ func TestSmokeTmlintJSON(t *testing.T) {
 
 // TestProtocolMutationDrill proves the runtime suite is what guards the
 // orec protocol: each row reverts one soundness fix in internal/tm/orec.go
-// with a minimal edit, builds the package with the edited file overlaid
-// (nothing on disk changes), and demands that `go test -run TestProtocol
+// (or, for the live set the protocol's walks rely on, tm.go) with a
+// minimal edit, builds the package with the edited file overlaid (nothing
+// on disk changes), and demands that `go test -run TestProtocol
 // ./internal/tm` fail, naming the test that states the broken fact — or,
 // where the Stamp type makes the revert unwritable, that the package not
 // build. The unmutated overlay must pass, and every edit must apply exactly
@@ -273,22 +274,26 @@ func TestProtocolMutationDrill(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	orec := filepath.Join(repoRoot(t), "internal", "tm", "orec.go")
-	data, err := os.ReadFile(orec)
-	if err != nil {
-		t.Fatal(err)
+	srcs := map[string]string{} // file name in internal/tm → contents
+	for _, name := range []string{"orec.go", "tm.go"} {
+		data, err := os.ReadFile(filepath.Join(repoRoot(t), "internal", "tm", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[name] = string(data)
 	}
-	src := string(data)
 
-	// runProtocol runs the protocol suite with orec.go replaced by mutated.
-	runProtocol := func(t *testing.T, mutated string) (string, error) {
+	// runProtocol runs the protocol suite with internal/tm's file name
+	// replaced by mutated.
+	runProtocol := func(t *testing.T, name, mutated string) (string, error) {
 		t.Helper()
 		dir := t.TempDir()
-		file := filepath.Join(dir, "orec.go")
+		file := filepath.Join(dir, name)
 		if err := os.WriteFile(file, []byte(mutated), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		overlay, err := json.Marshal(map[string]map[string]string{"Replace": {orec: file}})
+		replace := map[string]string{filepath.Join(repoRoot(t), "internal", "tm", name): file}
+		overlay, err := json.Marshal(map[string]map[string]string{"Replace": replace})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,13 +307,14 @@ func TestProtocolMutationDrill(t *testing.T) {
 		return string(out), err
 	}
 
-	if out, err := runProtocol(t, src); err != nil {
+	if out, err := runProtocol(t, "orec.go", srcs["orec.go"]); err != nil {
 		t.Fatalf("unmutated protocol does not pass its suite: %v\n%s", err, out)
 	}
 
 	const buildFailed = "[build failed]"
 	for _, tc := range []struct {
 		name     string
+		file     string // in internal/tm; orec.go if empty
 		old, new string
 		want     string // the TestProtocol* test that must fail, or buildFailed
 	}{
@@ -360,8 +366,17 @@ func TestProtocolMutationDrill(t *testing.T) {
 		},
 		{
 			name: "quiesce skips a signed reader",
-			old:  "\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tspinYield()",
-			new:  "\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tbreak",
+			old:  "\t\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\t\tbreak\n\t\t\t\t}\n\t\t\t\tspinYield()",
+			new:  "\t\t\t\tif !t.sigMayIntersect(&mask) {\n\t\t\t\t\tbreak\n\t\t\t\t}\n\t\t\t\tbreak",
+			want: "TestProtocolQuiesce",
+		},
+		{
+			// A thread that never rejoins the live set after parking is
+			// skipped by every quiescence walk (its parked row).
+			name: "an attempt does not join the live set",
+			file: "tm.go",
+			old:  "\tt.list()\n",
+			new:  "",
 			want: "TestProtocolQuiesce",
 		},
 		{
@@ -372,10 +387,15 @@ func TestProtocolMutationDrill(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if n := strings.Count(src, tc.old); n != 1 {
-				t.Fatalf("orec.go: want exactly one occurrence of %q to mutate, found %d", tc.old, n)
+			file := tc.file
+			if file == "" {
+				file = "orec.go"
 			}
-			out, err := runProtocol(t, strings.Replace(src, tc.old, tc.new, 1))
+			src := srcs[file]
+			if n := strings.Count(src, tc.old); n != 1 {
+				t.Fatalf("%s: want exactly one occurrence of %q to mutate, found %d", file, tc.old, n)
+			}
+			out, err := runProtocol(t, file, strings.Replace(src, tc.old, tc.new, 1))
 			if err == nil {
 				t.Fatalf("the protocol suite passes with the fix reverted:\n%s", out)
 			}
