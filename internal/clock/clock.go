@@ -138,9 +138,7 @@ type counters struct {
 // A Source is a small heap object, which Go aligns to 16 bytes, not 64:
 // the line now falls on can start up to 48 bytes before it, so only
 // padding on both sides keeps that line inside this struct wherever the
-// allocator puts it.
-//
-//tm:padded
+// allocator puts it (TestWordLineIsolated pins it).
 type word struct {
 	_   [64]byte
 	now atomic.Uint64

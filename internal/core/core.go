@@ -93,9 +93,7 @@ func (sh *waiterShard) set(ws []*Waiter) {
 
 // paddedShard keeps adjacent shards on distinct cache lines, so that
 // committing writers registering and scanning disjoint stripes do not
-// contend on shard metadata.
-//
-//tm:padded
+// contend on shard metadata (TestPaddedShardLayout pins it).
 type paddedShard struct {
 	waiterShard
 	_ [(64 - unsafe.Sizeof(waiterShard{})%64) % 64]byte
@@ -129,8 +127,6 @@ type CondSync struct {
 	// origPublished, if set, runs in origSignal.Handle between publishing
 	// a sleeper's shard lengths and validating its read set — the window
 	// the empty-shard guard's soundness rests on (tests).
-	//
-	//tm:hook
 	origPublished func()
 }
 

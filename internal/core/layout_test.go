@@ -5,11 +5,10 @@ import (
 	"unsafe"
 )
 
-// The //tm:padded annotation on paddedShard is verified statically by
-// tmlint's padcheck analyzer using types.Sizes; this test pins the same
-// facts at runtime with unsafe, so the invariant
-// holds even in builds that never run the linter (and so a platform whose
-// real layout diverges from the gc sizing model fails loudly here).
+// These tests are the one check of paddedShard's layout: they pin it at
+// run time with unsafe, so a field added without growing the pad, or a
+// platform whose real layout diverges from the gc sizing model, fails
+// here.
 const cacheLine = 64
 
 func TestPaddedShardLayout(t *testing.T) {

@@ -100,9 +100,7 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, LockOrder, "lockorder") }
 func TestAtomicFieldFixture(t *testing.T)     { runFixture(t, AtomicField, "atomicfield") }
 func TestNoBlockInAtomicFixture(t *testing.T) { runFixture(t, NoBlockInAtomic, "noblockinatomic") }
-func TestMonoClockFixture(t *testing.T)       { runFixture(t, MonoClock, "monoclock") }
 func TestPadCheckFixture(t *testing.T)        { runFixture(t, PadCheck, "padcheck") }
-func TestHookNilFixture(t *testing.T)         { runFixture(t, HookNil, "hooknil") }
 
 // TestFixturesStayFixtures guards the harness itself: a fixture package
 // that fails to load, or a want regex that never compiles, must fail the

@@ -9,31 +9,20 @@ import (
 
 // AtomicField enforces the all-or-nothing rule for atomics — the class of
 // race a flag read lock-free on a hot path invites when the fields it
-// gates live behind a latch (Waiter.asleep beside the shard locks,
-// Thread.HWActive beside the serial lock):
-//
-//  1. A struct field accessed through a sync/atomic function anywhere in
-//     the package must be accessed atomically everywhere: one plain read
-//     beside an atomic.LoadUint64 is a data race the race detector only
-//     catches if a test happens to interleave it.
-//  2. A value whose type (transitively, through non-pointer fields and
-//     arrays) contains a sync/atomic type must not be copied: the copy
-//     forks the atomic's state and silently decouples readers from
-//     writers. Composite literals are initialization, not copies, and
-//     stay legal.
+// gates live behind a latch: a struct field accessed through a sync/atomic
+// function anywhere in the package must be accessed atomically
+// everywhere. One plain read beside an atomic.LoadUint64 is a data race
+// the race detector only catches if a test happens to interleave it.
+// Copying a value that holds a sync/atomic type is go vet's copylocks
+// check, so it is not repeated here.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "atomically-accessed fields must be atomic everywhere; structs containing atomics must not be copied",
-	Run:  runAtomicField,
+	Doc:  "a field accessed via sync/atomic anywhere must be accessed atomically everywhere",
+	Run:  checkMixedAccess,
 }
 
-func runAtomicField(p *Pass) {
-	checkMixedAccess(p)
-	checkAtomicCopies(p)
-}
-
-// atomicFns is the set of sync/atomic functions whose first argument is
-// the address of the word being operated on.
+// isAtomicAddrFn reports whether obj is a sync/atomic function whose first
+// argument is the address of the word being operated on.
 func isAtomicAddrFn(obj types.Object) bool {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
 		return false
@@ -102,133 +91,4 @@ func checkMixedAccess(p *Pass) {
 			return true
 		})
 	}
-}
-
-// containsAtomic reports whether t transitively holds a sync/atomic value
-// by value (pointers and maps break the chain: copying them aliases, not
-// forks, the atomic).
-func containsAtomic(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsAtomic(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsAtomic(u.Elem(), seen)
-	}
-	return false
-}
-
-func (p *Pass) atomicBearing(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return containsAtomic(t, make(map[types.Type]bool))
-}
-
-// copyExempt reports expressions whose evaluation is initialization
-// rather than a copy of live state: composite literals and conversions of
-// them.
-func copyExempt(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		// A conversion T(CompositeLit) — rare, but still initialization.
-		if len(x.Args) == 1 {
-			return copyExempt(x.Args[0])
-		}
-	}
-	return false
-}
-
-func checkAtomicCopies(p *Pass) {
-	report := func(pos ast.Node, how string, t types.Type) {
-		p.Reportf(pos.Pos(), "%s copies %s, which contains sync/atomic state: the copy decouples readers from writers (use a pointer)", how, types.TypeString(t, types.RelativeTo(p.Pkg)))
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range s.Rhs {
-					tv, ok := p.Info.Types[rhs]
-					if ok && p.atomicBearing(tv.Type) && !copyExempt(rhs) {
-						report(rhs, "assignment", tv.Type)
-					}
-				}
-			case *ast.ValueSpec:
-				for _, v := range s.Values {
-					tv, ok := p.Info.Types[v]
-					if ok && p.atomicBearing(tv.Type) && !copyExempt(v) {
-						report(v, "declaration", tv.Type)
-					}
-				}
-			case *ast.CallExpr:
-				if isAtomicAddrFn(calleeObj(p, s)) {
-					return true
-				}
-				// unsafe.Offsetof/Sizeof/Alignof operands are not
-				// evaluated; nothing is copied at run time.
-				if obj := calleeObj(p, s); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "unsafe" {
-					return true
-				}
-				for _, arg := range s.Args {
-					tv, ok := p.Info.Types[arg]
-					if ok && p.atomicBearing(tv.Type) && !copyExempt(arg) {
-						report(arg, "call argument", tv.Type)
-					}
-				}
-			case *ast.RangeStmt:
-				if s.Value == nil {
-					return true
-				}
-				// In a `for _, v := range` the value is a defining
-				// identifier, recorded in Defs rather than Types.
-				var vt types.Type
-				if tv, ok := p.Info.Types[s.Value]; ok {
-					vt = tv.Type
-				} else if id, ok := s.Value.(*ast.Ident); ok {
-					if obj := p.Info.Defs[id]; obj != nil {
-						vt = obj.Type()
-					}
-				}
-				if p.atomicBearing(vt) {
-					report(s.Value, "range clause", vt)
-				}
-			case *ast.FuncDecl:
-				checkFuncSig(p, s.Recv, s.Type, report)
-			case *ast.FuncLit:
-				checkFuncSig(p, nil, s.Type, report)
-			}
-			return true
-		})
-	}
-}
-
-func checkFuncSig(p *Pass, recv *ast.FieldList, ft *ast.FuncType, report func(ast.Node, string, types.Type)) {
-	fields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			tv, ok := p.Info.Types[fld.Type]
-			if ok && p.atomicBearing(tv.Type) {
-				report(fld.Type, what, tv.Type)
-			}
-		}
-	}
-	fields(recv, "value receiver")
-	fields(ft.Params, "by-value parameter")
-	fields(ft.Results, "by-value result")
 }

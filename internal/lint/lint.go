@@ -1,15 +1,19 @@
-// Package lint is tmlint: a repo-aware static-analysis suite that
-// machine-checks the runtime's concurrency invariants. Seven PRs of
-// wake-path work left the codebase full of rules that existed only as
-// comments and reviewer memory — shard-lock ordering, cache-line padding,
-// nil-guarded System hooks, monotonic-only measurement timing, and the
-// no-blocking-actions-inside-a-transaction discipline the paper's
-// condition-synchronization mechanisms exist to replace. Each analyzer
-// here encodes one of those invariants so CI, not a reviewer, enforces it.
-// All six are per-site AST and type checks. The ordering facts of the
-// orec/clock protocol (bump before release, report a too-new version to
-// the clock, stamp from Clock.Commit) are not policed here: internal/tm/protocol_test.go
-// checks them by running the protocol.
+// Package lint is tmlint: a repo-aware static-analysis suite for the
+// runtime's concurrency invariants that no run can see. An analyzer stays
+// only while it guards a real site that tier-1 (`go test ./...`), `go vet`
+// or the Go runtime does not already check; each of the four names its
+// site:
+//
+//	atomicfield      mem.Var.w: a plain read of it passes tier-1 and -race
+//	lockorder        core's five //tm:lockorder-checked shard-lock helpers
+//	noblockinatomic  the Atomic closures in examples/ and benchmark/
+//	padcheck         benchmark/'s recorder and paddedWord, which have no layout test
+//
+// Facts a run already checks are not linted: the orec/clock protocol's
+// ordering (internal/tm/protocol_test.go), nil hooks (every test System
+// leaves them nil, so an unguarded call panics), the runtime structs'
+// padding (their layout tests), and copies of atomics (go vet's
+// copylocks).
 //
 // The suite is deliberately built on the standard library alone (go/ast,
 // go/parser, go/types): the API mirrors golang.org/x/tools/go/analysis —
@@ -17,17 +21,13 @@
 // upstream framework verbatim, but nothing outside the Go distribution is
 // required to run them.
 //
-// Analyzers communicate with the code under analysis through a small
-// directive vocabulary, written in ordinary comments:
+// Analyzers communicate with the code under analysis through two
+// directives, written in ordinary comments:
 //
 //	//tm:padded            this struct must be a whole multiple of the
 //	                       64-byte cache line (checked with types.Sizes)
-//	//tm:wallclock         this time.Now/time.Since call site is a
-//	                       genuine wall-clock timestamp, not a measurement
 //	//tm:lockorder-checked this function is a vetted shard-lock helper
 //	                       and may lock registry shards directly
-//	//tm:hook              this nilable function/interface field is an
-//	                       optional hook; every call must be nil-guarded
 package lint
 
 import (
@@ -46,9 +46,7 @@ const CacheLine = 64
 // The directive vocabulary.
 const (
 	DirPadded           = "tm:padded"
-	DirWallclock        = "tm:wallclock"
 	DirLockorderChecked = "tm:lockorder-checked"
-	DirHook             = "tm:hook"
 )
 
 // An Analyzer is one invariant checker. Run inspects the package held by
@@ -60,14 +58,10 @@ type Analyzer struct {
 }
 
 // A Diagnostic is one reported violation, already resolved to a position.
-// Directives lists the //tm: directives in effect at the reported line
-// (same line or the line above), so machine consumers see the annotation
-// context the analyzer saw.
 type Diagnostic struct {
-	Pos        token.Position
-	Analyzer   string
-	Message    string
-	Directives []string
+	Pos      token.Position
+	Analyzer string
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -89,17 +83,10 @@ type Pass struct {
 
 // Reportf records a violation at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	pp := p.Fset.Position(pos)
-	var near []string
-	if lines := p.dirs[pp.Filename]; lines != nil {
-		near = append(near, lines[pp.Line-1]...)
-		near = append(near, lines[pp.Line]...)
-	}
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:        pp,
-		Analyzer:   p.Analyzer.Name,
-		Message:    fmt.Sprintf(format, args...),
-		Directives: near,
+		Pos:      p.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 

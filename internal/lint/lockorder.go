@@ -2,30 +2,24 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // LockOrder polices the sharded-registry locking protocol that the
-// deadlock-freedom argument in internal/core rests on:
-//
-//  1. Direct mu.Lock()/mu.TryLock() on a registry-shaped type (a struct
-//     carrying a `mu` lock beside a `waiters` slice — the waiter-index
-//     shards and CondSync's unindexed list) is only legal inside functions
-//     annotated
-//     //tm:lockorder-checked, the vetted helpers whose acquisition order
-//     has been argued through.
-//  2. Inside a checked helper, a loop that acquires shard locks by index
-//     must ascend: every multi-shard acquisition goes low-to-high, which
-//     rules out deadlock between two mutators whose waitsets (or read
-//     sets) cover overlapping stripes. Descending unlock loops are fine —
-//     release order is irrelevant.
+// deadlock-freedom argument in internal/core rests on: direct
+// mu.Lock()/mu.TryLock() on a registry-shaped type (a struct carrying a
+// `mu` lock beside a `waiters` slice — the waiter-index shards and
+// CondSync's unindexed list) is only legal inside functions annotated
+// //tm:lockorder-checked, the vetted helpers whose acquisition order has
+// been argued through. The one multi-shard acquisition, core.lockShards,
+// ranges over StripesOf's output, whose ascending order
+// TestStripesOfDedupsAndSorts pins.
 //
 // No helper holds a shard lock and the unindexed list's at once, so there
 // is no order between the two to police.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "restrict direct registry-shard locking to //tm:lockorder-checked helpers with ascending acquisition",
+	Doc:  "restrict direct registry-shard locking to //tm:lockorder-checked helpers",
 	Run:  runLockOrder,
 }
 
@@ -36,37 +30,17 @@ func runLockOrder(p *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if !groupHasDirective(fn.Doc, DirLockorderChecked) {
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if kind := shardLockCall(p, call); kind != "" {
-							p.Reportf(call.Pos(),
-								"direct %s on a registry shard outside a //tm:lockorder-checked helper: shard acquisition order is load-bearing (see core.lockShards)",
-								kind)
-						}
-					}
-					return true
-				})
+			if groupHasDirective(fn.Doc, DirLockorderChecked) {
 				continue
 			}
-			// Ascending loops: a for-loop that acquires shard locks must
-			// not step its index downward.
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				fs, ok := n.(*ast.ForStmt)
-				if !ok || !descendingPost(fs.Post) {
-					return true
-				}
-				ast.Inspect(fs.Body, func(m ast.Node) bool {
-					call, ok := m.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
+				if call, ok := n.(*ast.CallExpr); ok {
 					if kind := shardLockCall(p, call); kind != "" {
 						p.Reportf(call.Pos(),
-							"%s on a registry shard inside a descending index loop: multi-shard acquisition must ascend (deadlock freedom)", kind)
+							"direct %s on a registry shard outside a //tm:lockorder-checked helper: shard acquisition order is load-bearing (see core.lockShards)",
+							kind)
 					}
-					return true
-				})
+				}
 				return true
 			})
 		}
@@ -105,16 +79,4 @@ func isRegistryShaped(t types.Type, from *types.Package) bool {
 	}
 	_, isSlice := v.Type().Underlying().(*types.Slice)
 	return isSlice
-}
-
-// descendingPost reports whether a for-loop post statement steps its
-// index downward (i-- or i -= k).
-func descendingPost(post ast.Stmt) bool {
-	switch s := post.(type) {
-	case *ast.IncDecStmt:
-		return s.Tok == token.DEC
-	case *ast.AssignStmt:
-		return s.Tok == token.SUB_ASSIGN
-	}
-	return false
 }

@@ -72,18 +72,6 @@ func f(e eng) {
 		wantMsg: "inside an Atomic(...) closure",
 	},
 	{
-		analyzer: "monoclock",
-		src: `package seed
-
-import "time"
-
-func f() time.Time {
-	return time.Now()
-}
-`,
-		wantMsg: "must go through internal/mono",
-	},
-	{
 		analyzer: "padcheck",
 		src: `package seed
 
@@ -93,21 +81,6 @@ type almost struct {
 }
 `,
 		wantMsg: "cache line",
-	},
-	{
-		analyzer: "hooknil",
-		src: `package seed
-
-type sys struct {
-	//tm:hook
-	Hook func()
-}
-
-func f(s *sys) {
-	s.Hook()
-}
-`,
-		wantMsg: "not dominated by a nil check",
 	},
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,9 +10,7 @@ import (
 // Analyzers is the full tmlint suite, in reporting order.
 var Analyzers = []*Analyzer{
 	AtomicField,
-	HookNil,
 	LockOrder,
-	MonoClock,
 	NoBlockInAtomic,
 	PadCheck,
 }
@@ -28,9 +25,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	tests := fs.Bool("tests", false, "also load _test.go files (in-package and external test packages)")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON diagnostics on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tmlint [-list] [-analyzers a,b,...] [-tests] [-json] packages...\n\n")
+		fmt.Fprintf(stderr, "usage: tmlint [-list] [-analyzers a,b,...] [-tests] packages...\n\n")
 		fmt.Fprintf(stderr, "tmlint machine-checks the runtime's concurrency invariants.\nAnalyzers:\n")
 		for _, a := range Analyzers {
 			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
@@ -75,13 +71,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags := Check(selected, pkgs)
-	if *jsonOut {
-		writeJSON(stdout, selected, pkgs, diags)
-		if len(diags) > 0 {
-			return 1
-		}
-		return 0
-	}
 	if len(diags) > 0 {
 		for _, d := range diags {
 			fmt.Fprintln(stderr, d.String())
@@ -91,47 +80,4 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "tmlint: ok (%d packages, %d analyzers)\n", len(pkgs), len(selected))
 	return 0
-}
-
-// jsonReport is the -json output schema: one object per run, with one
-// entry per violation carrying the analyzer, position, message, and the
-// //tm: directives in effect at the reported line.
-type jsonReport struct {
-	OK         bool            `json:"ok"`
-	Packages   int             `json:"packages"`
-	Analyzers  []string        `json:"analyzers"`
-	Violations []jsonViolation `json:"violations"`
-}
-
-type jsonViolation struct {
-	Analyzer   string   `json:"analyzer"`
-	File       string   `json:"file"`
-	Line       int      `json:"line"`
-	Col        int      `json:"col"`
-	Message    string   `json:"message"`
-	Directives []string `json:"directives,omitempty"`
-}
-
-func writeJSON(w io.Writer, selected []*Analyzer, pkgs []*Package, diags []Diagnostic) {
-	rep := jsonReport{
-		OK:         len(diags) == 0,
-		Packages:   len(pkgs),
-		Violations: []jsonViolation{},
-	}
-	for _, a := range selected {
-		rep.Analyzers = append(rep.Analyzers, a.Name)
-	}
-	for _, d := range diags {
-		rep.Violations = append(rep.Violations, jsonViolation{
-			Analyzer:   d.Analyzer,
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Message:    d.Message,
-			Directives: d.Directives,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
 }

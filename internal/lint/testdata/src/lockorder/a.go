@@ -1,6 +1,6 @@
 // Fixture for the lockorder analyzer: direct locking of registry-shaped
 // shards (a mu beside a waiters slice) is restricted to
-// //tm:lockorder-checked helpers, which must acquire ascending.
+// //tm:lockorder-checked helpers.
 package lockorder
 
 import "sync"
@@ -26,21 +26,10 @@ func unvetted(r *registry) {
 }
 
 //tm:lockorder-checked
-func descendingAcquire(r *registry) {
-	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].mu.Lock() // want `inside a descending index loop`
-	}
-	for i := range r.shards {
-		r.shards[i].mu.Unlock()
-	}
-}
-
-//tm:lockorder-checked
-func vettedTotalOrder(r *registry) {
-	for i := range r.buckets {
+func vetted(r *registry) {
+	for i := range r.buckets { // fine: a checked helper may lock shards directly
 		r.buckets[i].mu.Lock()
 	}
-	// Release order is irrelevant; descending unlocks are fine.
 	for i := len(r.buckets) - 1; i >= 0; i-- {
 		r.buckets[i].mu.Unlock()
 	}

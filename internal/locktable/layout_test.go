@@ -5,11 +5,10 @@ import (
 	"unsafe"
 )
 
-// Runtime pin of the //tm:padded invariant on chunk (tmlint's padcheck
-// verifies the same thing statically): a chunk header must fill whole
-// cache lines so adjacent chunks in the table's chunk array never share
-// one, and the orecs slice header must lead the struct so the pad stays a
-// pure suffix.
+// The one check of chunk's layout, pinned at run time: a chunk header
+// must fill whole cache lines so adjacent chunks in the table's chunk
+// array never share one, and the orecs slice header must lead the struct
+// so the pad stays a pure suffix.
 func TestChunkLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(chunk{}); sz%cacheLine != 0 || sz == 0 {
 		t.Errorf("chunk is %d bytes; want a non-zero multiple of %d", sz, cacheLine)

@@ -78,9 +78,8 @@ const cacheLine = 64
 
 // chunk is the orec storage of one stripe: its own orec array, separately
 // allocated so that hot orecs of different stripes live on different cache
-// lines, with the header padded out to a line boundary.
-//
-//tm:padded
+// lines, with the header padded out to a line boundary (TestChunkLayout
+// pins it).
 type chunk struct {
 	orecs []atomic.Uint64
 	_     [(cacheLine - unsafe.Sizeof([]atomic.Uint64(nil))%cacheLine) % cacheLine]byte

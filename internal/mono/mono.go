@@ -1,17 +1,12 @@
-// Package mono is the repository's single blessed source of elapsed-time
-// measurement. Every duration that can end up in a committed artifact — a
-// BENCH report rate, a harness Result.Duration, a wake-latency sample —
-// must be derived from a mono.Time, never from raw wall-clock reads: a
-// wall-clock step (NTP adjustment, suspend/resume) between two time.Now
-// calls once corrupted a committed BENCH report, which is why the tmlint
-// monoclock analyzer forbids time.Now/time.Since outside this package
-// unless the call site carries a //tm:wallclock directive.
-//
-// The package is a thin veneer over the runtime's monotonic clock:
-// time.Now captures a monotonic reading alongside the wall reading, and
-// time.Since subtracts on the monotonic half. Wrapping the reading in an
-// opaque Time keeps callers from mixing it back into wall-clock
-// arithmetic (no Add, no After, no Format).
+// Package mono is a thin veneer over Go's monotonic clock for elapsed-time
+// measurement (benchmark rates, harness durations, wake-latency samples).
+// The monotonic guarantee is Go's, not this package's: time.Now captures a
+// monotonic reading alongside the wall reading, and time.Since and Sub
+// subtract on the monotonic half, so a wall-clock step (NTP adjustment,
+// suspend/resume) cannot corrupt a duration taken either way. No analyzer
+// enforces the use of this package. Wrapping the reading in an opaque Time
+// only keeps callers from mixing it back into wall-clock arithmetic (no
+// Add, no After, no Format).
 package mono
 
 import "time"
@@ -24,13 +19,13 @@ type Time struct {
 
 // Now captures a monotonic reading.
 func Now() Time {
-	return Time{t: time.Now()} //tm:wallclock — the one blessed capture site; only the monotonic half is ever used
+	return Time{t: time.Now()} // only the monotonic half is ever used
 }
 
 // Elapsed returns the time that has passed since the reading was taken.
 // It is non-negative and immune to wall-clock steps.
 func (t Time) Elapsed() time.Duration {
-	d := time.Since(t.t) //tm:wallclock — subtracts on the monotonic half of the reading
+	d := time.Since(t.t) // subtracts on the monotonic half of the reading
 	if d < 0 {
 		return 0
 	}

@@ -504,9 +504,7 @@ type Tracer interface {
 // fallback, sleep and wake, post-commit wake scan). Only the owning thread
 // writes it, so counting costs no cache-line transfer; Stats.Sum adds the
 // shards up. Its eight counters fill exactly the cache line Thread gives
-// them.
-//
-//tm:padded
+// them (TestThreadLayout pins it).
 type StatShard struct {
 	Commits        atomic.Uint64
 	ROCommits      atomic.Uint64
@@ -717,8 +715,6 @@ type System struct {
 	// per-thread state. The hook must treat the slices as read-only and
 	// must not retain them past its return: the driver recycles the
 	// backing arrays for the thread's next commit.
-	//
-	//tm:hook
 	PostCommit func(t *Thread, writeOrecs, writeStripes []uint32)
 
 	// Tracer, if set, receives driver-level execution events — aborts,
@@ -728,8 +724,6 @@ type System struct {
 	// layer, which knows their names; the driver reports only the control
 	// transfers invisible to it. Nil outside recording runs, so every
 	// emission site pays one predictable branch.
-	//
-	//tm:hook
 	Tracer Tracer
 
 	// WakeLatency, if set, receives the sleep-to-signal duration of every
@@ -740,8 +734,6 @@ type System struct {
 	// nil outside benchmarks, so the sleep paths pay one predictable
 	// branch. The callback runs on the woken thread and must be safe for
 	// concurrent use.
-	//
-	//tm:hook
 	WakeLatency func(d time.Duration)
 
 	// Ext points at the condition-synchronization layer (package core)
