@@ -28,7 +28,9 @@ type Var struct {
 	waitseq uint64
 }
 
+// waiter is one queued Wait: the punctuation its transaction commits with.
 type waiter struct {
+	v *Var
 	s *sem.Sem
 }
 
@@ -87,6 +89,9 @@ func (v *Var) popAll() []*waiter {
 // conflicts with this transaction either aborts this commit (and the block
 // re-checks its condition) or finds the waiter queued — no lost wakeups.
 func (v *Var) Wait(tx *tm.Tx) {
+	// The sequence bump may abort, so it precedes the enqueue: only the
+	// commit can fail once the waiter is queued, and Withdraw covers that.
+	tx.Write(&v.waitseq, tx.Read(&v.waitseq)+1)
 	// Discard any token left over from an earlier sleep cycle (a ghost
 	// waiter popped by a racing Signal after this thread withdrew, or a
 	// late batched wakeup from a Deschedule cycle the thread departed)
@@ -95,81 +100,27 @@ func (v *Var) Wait(tx *tm.Tx) {
 	// only be stale; consumed later by the sleep below, it would fire a
 	// spurious wakeup with the condition unestablished.
 	tx.Thr.Sem.TryDrain()
-	w := &waiter{s: tx.Thr.Sem}
+	w := &waiter{v: v, s: tx.Thr.Sem}
 	v.enqueue(w)
-	var wrote bool
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// The sequence bump or punctuation commit aborted;
-				// withdraw the queue entry and let the driver retry the
-				// whole block. Leaving it queued would leak a stale
-				// waiter that a later Signal would consume.
-				v.dequeueSpecific(w)
-				panic(r)
-			}
-		}()
-		tx.Write(&v.waitseq, tx.Read(&v.waitseq)+1)
-		wrote = tx.DidWrite()
-		tx.Sys.Engine.Commit(tx)
-	}()
-	// The attempt committed: finalize deferred frees, keep allocations,
-	// and detach deferred actions before the driver's abort-path reset
-	// (which would otherwise undo them) runs. The write set is copied
-	// into the signal itself: the deferred actions below may commit their
-	// own transactions before Handle's post-commit wake scan runs, and
-	// per-thread or descriptor state would be overwritten by then.
-	tx.Sys.FreeBlocks(tx.Frees)
-	tx.Frees = tx.Frees[:0]
-	tx.Mallocs = tx.Mallocs[:0]
-	deferred := tx.OnCommit
-	tx.OnCommit = nil
-	panic(waitSignal{
-		v:            v,
-		w:            w,
-		wrote:        wrote,
-		deferred:     deferred,
-		writeOrecs:   append([]uint32(nil), tx.WriteOrecs...),
-		writeStripes: append([]uint32(nil), tx.WriteStripes...),
-	})
+	tx.CommitThen(w)
 }
 
-type waitSignal struct {
-	v        *Var
-	w        *waiter
-	wrote    bool
-	deferred []func()
-
-	// writeOrecs/writeStripes carry the punctuation commit's captured
-	// write set to the post-commit wake scan in Handle.
-	writeOrecs   []uint32
-	writeStripes []uint32
-}
-
-// Handle accounts for the punctuation commit, runs the transaction's
-// deferred signals, sleeps, and resumes the block from the top.
-func (s waitSignal) Handle(tx *tm.Tx) tm.Outcome {
-	sys := tx.Sys
-	if s.wrote {
-		tx.Thr.Stat.Commits.Add(1)
-	} else {
-		tx.Thr.Stat.ROCommits.Add(1)
-	}
-	for _, f := range s.deferred {
-		f()
-	}
-	if s.wrote && sys.PostCommit != nil {
-		sys.PostCommit(tx.Thr, s.writeOrecs, s.writeStripes)
-	}
-	sys.SemWait(tx.Thr, s.w.s)
+// Handle runs once the driver has committed the wait's transaction, its
+// deferred signals and post-commit wake scan included: it sleeps, and the
+// driver then resumes the block from the top.
+func (w *waiter) Handle(tx *tm.Tx) {
+	tx.Sys.SemWait(tx.Thr, w.s)
 	// Withdraw the queue entry if a stale token woke us before a
 	// signaller popped it. Leaving it behind would let a later Signal be
 	// spent on a "ghost" waiter that is no longer sleeping — a lost wakeup
 	// for whoever should have received that signal.
-	s.v.dequeueSpecific(s.w)
-	tx.Attempts = 0
-	return tm.OutcomeRetryNow
+	w.Withdraw()
 }
+
+// Withdraw takes the waiter off the queue; the driver calls it when the
+// wait's commit aborts, and the block re-executes. Leaving it queued would
+// leak a stale waiter that a later Signal would consume.
+func (w *waiter) Withdraw() { w.v.dequeueSpecific(w) }
 
 // Signal wakes one queued waiter, deferred until tx commits.
 func (v *Var) Signal(tx *tm.Tx) {

@@ -10,16 +10,21 @@ import (
 
 	"tmsync/internal/condvar"
 	"tmsync/internal/htm"
+	"tmsync/internal/hybrid"
+	"tmsync/internal/locktable"
 	"tmsync/internal/stm/eager"
 	"tmsync/internal/stm/lazy"
 	"tmsync/internal/tm"
 )
 
+// systems builds one System per engine; hybrid's punctuation commit is a
+// hardware CommitRedo.
 func systems() map[string]*tm.System {
 	return map[string]*tm.System{
-		"eager": tm.NewSystem(tm.Config{}, eager.New),
-		"lazy":  tm.NewSystem(tm.Config{}, lazy.New),
-		"htm":   tm.NewSystem(tm.Config{}, htm.New),
+		"eager":  tm.NewSystem(tm.Config{}, eager.New),
+		"lazy":   tm.NewSystem(tm.Config{}, lazy.New),
+		"htm":    tm.NewSystem(tm.Config{}, htm.New),
+		"hybrid": tm.NewSystem(tm.Config{}, hybrid.New),
 	}
 }
 
@@ -192,8 +197,7 @@ func TestSignalNoWaitersIsNoop(t *testing.T) {
 func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 	// Punctuation commit must publish writes made before the Wait even
 	// when the engine buffers them (lazy, HTM), and must hand the
-	// post-commit wake scan the orec slot of every word it stored to —
-	// Wait calls the hook itself, with its own copy of the write orecs.
+	// post-commit wake scan the orec slot of every word it stored to.
 	forEach(t, func(t *testing.T, sys *tm.System) {
 		cv := condvar.New()
 		var a, b, gate uint64
@@ -237,5 +241,34 @@ func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 		obs.Atomic(func(tx *tm.Tx) { tx.Write(&gate, 1) })
 		cv.SignalNow()
 		<-done
+	})
+}
+
+func TestWaitCommitAbortWithdraws(t *testing.T) {
+	// A Wait whose punctuation commit fails validation — a commit landed
+	// on what the block read after it read it — leaves no waiter queued:
+	// the block re-executes instead of sleeping, and a stale entry would
+	// swallow a later Signal. Every engine's punctuation commit validates
+	// here: eager's and lazy's in software, htm's and hybrid's in hardware.
+	forEach(t, func(t *testing.T, sys *tm.System) {
+		cv := condvar.New()
+		var x uint64
+		idx := sys.Table.IndexOf(&x)
+		tries := 0
+		sys.NewThread().Atomic(func(tx *tm.Tx) {
+			tries++
+			tx.Read(&x)
+			if tries == 1 {
+				sys.Clock.Bump()
+				sys.Table.Set(idx, locktable.UnlockedAt(sys.Clock.Now()))
+				cv.Wait(tx)
+			}
+		})
+		if tries != 2 {
+			t.Fatalf("the block ran %d times, want 2: the wait's commit should abort once", tries)
+		}
+		if n := cv.WaitingLen(); n != 0 {
+			t.Fatalf("%d waiters left queued after the wait's commit aborted", n)
+		}
 	})
 }

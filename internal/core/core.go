@@ -462,19 +462,17 @@ func (cs *CondSync) sleep(tx *tm.Tx, w *Waiter) {
 // time Handle runs the driver has rolled the attempt back and reset the
 // descriptor, so memory is indistinguishable from the transaction never
 // having run; what remains is the publish / double-check / sleep protocol
-// of Algorithm 4. The attempt's allocations travel in the signal
-// (captured-memory rule: the waitset may name them, so their undo is
-// deferred until after wakeup).
+// of Algorithm 4. The driver undoes the attempt's allocations only once
+// Handle returns (captured-memory rule: the waitset may name them) and
+// then restarts the parent transaction with fresh scheduling state.
 type deschedSignal struct {
-	cs       *CondSync
-	w        *Waiter
-	deferred [][]uint64 // allocations to undo after wakeup
+	cs *CondSync
+	w  *Waiter
 }
 
-func (s deschedSignal) Handle(tx *tm.Tx) tm.Outcome {
+func (s deschedSignal) Handle(tx *tm.Tx) {
 	cs, w := s.cs, s.w
 	tx.Thr.Stat.Deschedules.Add(1)
-	deferred := s.deferred
 
 	// Discard any token left over from an earlier sleep cycle BEFORE this
 	// cycle becomes claimable. A claim-winning waker whose (batched)
@@ -505,14 +503,6 @@ func (s deschedSignal) Handle(tx *tm.Tx) tm.Outcome {
 	} else {
 		cs.sleep(tx, w)
 	}
-
-	// On wakeup, finally undo the deferred allocations and restart the
-	// parent transaction from its checkpoint with fresh scheduling state.
-	cs.sys.FreeBlocks(deferred)
-	tx.Attempts = 0
-	tx.WantSoftware = false
-	tx.IsRetry = false
-	return tm.OutcomeRetryNow
 }
 
 // findChanges is Algorithm 5's wakeup predicate: the waiter should resume
@@ -540,7 +530,7 @@ func (cs *CondSync) deschedOnWaitset(tx *tm.Tx, mech string) {
 	w := cs.newWaiter(tx, mech, slots)
 	w.Waitset = append([]tm.AddrVal(nil), tx.Waitset...)
 	w.Pred = findChanges(w)
-	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
+	panic(deschedSignal{cs: cs, w: w})
 }
 
 // Retry implements Algorithm 5. A first call inside an uninstrumented
@@ -595,7 +585,7 @@ func WaitPred(tx *tm.Tx, pred Pred, args ...uint64) {
 		Pred: pred,
 		Args: append([]uint64(nil), args...),
 	}
-	panic(deschedSignal{cs: cs, w: w, deferred: tx.TakeMallocs()})
+	panic(deschedSignal{cs: cs, w: w})
 }
 
 // origSignal implements the sleep half of Algorithm 1. The waiter carries
@@ -625,7 +615,7 @@ func RetryOrig(tx *tm.Tx) {
 	panic(origSignal{cs: cs, w: cs.newWaiter(tx, "RetryOrig", slots), start: tx.Start})
 }
 
-func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
+func (s origSignal) Handle(tx *tm.Tx) {
 	cs, w := s.cs, s.w
 	tbl := cs.sys.Table
 	tx.Thr.Stat.Deschedules.Add(1)
@@ -671,7 +661,5 @@ func (s origSignal) Handle(tx *tm.Tx) tm.Outcome {
 	cs.unlockShards(w.shards)
 	if valid {
 		cs.sleep(tx, w)
-		tx.Attempts = 0
 	}
-	return tm.OutcomeRetryNow
 }

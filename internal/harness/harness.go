@@ -23,23 +23,24 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"tmsync/internal/core"
-	"tmsync/internal/htm"
-	"tmsync/internal/hybrid"
+	"tmsync"
 	"tmsync/internal/mech"
 	"tmsync/internal/mono"
-	"tmsync/internal/stm/eager"
-	"tmsync/internal/stm/lazy"
 	"tmsync/internal/tm"
 )
 
-// Engines lists the four TM back ends, in the order the paper evaluates
-// them. It must stay in lockstep with tmsync.EngineKinds (the root
-// package re-exports this harness and asserts parity in its tests).
-var Engines = []string{"eager", "lazy", "htm", "hybrid"}
+// Engines names the TM back ends of tmsync.EngineKinds, in its order.
+var Engines = func() []string {
+	out := make([]string, len(tmsync.EngineKinds))
+	for i, k := range tmsync.EngineKinds {
+		out[i] = string(k)
+	}
+	return out
+}()
 
 // Knobs is optional per-run system configuration, used by differential
 // sweeps over performance-only parameters (which must not change any
@@ -51,31 +52,18 @@ type Knobs struct {
 	Stripes int
 }
 
-// NewSystem builds a TM system for the named engine with condition
-// synchronization enabled, mirroring tmsync.New without importing the
-// root package (which re-exports this one).
+// NewSystem builds the named engine's System, with condition
+// synchronization enabled, through tmsync.New.
 func NewSystem(engine string) (*tm.System, error) {
 	return NewSystemKnobs(engine, Knobs{})
 }
 
 // NewSystemKnobs is NewSystem with explicit performance knobs.
 func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
-	cfg := tm.Config{Stripes: k.Stripes}
-	var sys *tm.System
-	switch engine {
-	case "eager":
-		sys = tm.NewSystem(cfg, eager.New)
-	case "lazy":
-		sys = tm.NewSystem(cfg, lazy.New)
-	case "htm":
-		sys = tm.NewSystem(cfg, htm.New)
-	case "hybrid":
-		sys = tm.NewSystem(cfg, hybrid.New)
-	default:
+	if !slices.Contains(Engines, engine) {
 		return nil, fmt.Errorf("harness: unknown engine %q", engine)
 	}
-	core.Enable(sys)
-	return sys, nil
+	return tmsync.New(tmsync.EngineKind(engine), tm.Config{Stripes: k.Stripes}).System, nil
 }
 
 // MechsFor returns the transactional mechanisms applicable to an engine:

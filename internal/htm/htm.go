@@ -93,11 +93,6 @@ func (*Engine) Commit(tx *tm.Tx) {
 	tx.Sys.ExitSerialIfHeld(tx)
 }
 
-// Validate implements tm.Engine.
-func (*Engine) Validate(tx *tm.Tx) bool {
-	return tx.Mode == tm.ModeSerial || tx.ValidateReads()
-}
-
 // Rollback implements tm.Engine. Serial attempts undo their in-place
 // writes and release the serial lock; hardware attempts discard the redo
 // buffer and release any commit-time locks.

@@ -18,7 +18,7 @@ import (
 )
 
 // Engine is the hybrid back end. Construct with New. The embedded lazy
-// engine is the software mode, and serves Validate for both.
+// engine is the software mode.
 type Engine struct{ lazy.Engine }
 
 // New returns the engine factory expected by tm.NewSystem.

@@ -63,9 +63,6 @@ func (*Engine) Commit(tx *tm.Tx) {
 	tx.Publish(s)
 }
 
-// Validate implements tm.Engine.
-func (*Engine) Validate(tx *tm.Tx) bool { return tx.ValidateReads() }
-
 // Rollback implements Algorithm 11's TxAbort: undo the in-place writes
 // while their locks are still held, then release. Safe to call when
 // AwaitSnapshot has already applied the undo log.

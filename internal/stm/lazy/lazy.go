@@ -49,9 +49,6 @@ func (*Engine) Write(tx *tm.Tx, addr *uint64, val uint64) {
 // Commit implements tm.Engine.
 func (*Engine) Commit(tx *tm.Tx) { tx.CommitRedo() }
 
-// Validate implements tm.Engine.
-func (*Engine) Validate(tx *tm.Tx) bool { return tx.ValidateReads() }
-
 // Rollback discards the redo log (memory was never touched before
 // validation succeeded) and releases any commit-time locks.
 func (*Engine) Rollback(tx *tm.Tx) { tx.ReleaseLocks() }

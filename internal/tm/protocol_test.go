@@ -394,3 +394,144 @@ func TestProtocolQuiesce(t *testing.T) {
 		}
 	})
 }
+
+// signalProbe is a Signal that counts its Handle calls and runs check, if
+// set, inside each.
+type signalProbe struct {
+	handled int
+	check   func(tx *tm.Tx)
+}
+
+func (s *signalProbe) Handle(tx *tm.Tx) {
+	s.handled++
+	if s.check != nil {
+		s.check(tx)
+	}
+}
+
+// punctuationProbe is a signalProbe raised through CommitThen, counting
+// its withdrawals too.
+type punctuationProbe struct {
+	signalProbe
+	withdrawn int
+}
+
+func (p *punctuationProbe) Withdraw() { p.withdrawn++ }
+
+// rollbackCounter counts the Rollback calls the driver makes on an engine.
+type rollbackCounter struct {
+	tm.Engine
+	n *int
+}
+
+func (e rollbackCounter) Rollback(tx *tm.Tx) {
+	*e.n++
+	e.Engine.Rollback(tx)
+}
+
+// TestProtocolPunctuation: a body that ends in CommitThen commits there,
+// through the driver's one commit epilogue — its writes, its OnCommit
+// actions and the PostCommit hook are all done when Handle runs, once,
+// and the committed attempt is never rolled back. A punctuation whose
+// commit fails validation is withdrawn instead: Withdraw runs once, Handle
+// never, and the block re-executes. The failure is forced by a commit
+// landing after the read: the clock moves past the attempt's start and the
+// read orec to the new time.
+func TestProtocolPunctuation(t *testing.T) {
+	forEachProtocolPath(t, func(t *testing.T, p protocolPath, cfg tm.Config) {
+		rollbacks := 0
+		sys := tm.NewSystem(cfg, func(s *tm.System) tm.Engine { return rollbackCounter{p.mk(s), &rollbacks} })
+		thr := sys.NewThread()
+		ws := distinctWords(t, sys, 2)
+		x, y := ws[0], ws[1]
+		t.Run("committed", func(t *testing.T) {
+			posted, actions, attempts := 0, 0, 0
+			sys.PostCommit = func(*tm.Thread, []uint32, []uint32) { posted++ }
+			pr := &punctuationProbe{}
+			thr.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				if attempts++; attempts > 1 {
+					return
+				}
+				tx.Write(x, 1)
+				tx.OnCommit = append(tx.OnCommit, func() { actions++ })
+				before := rollbacks
+				pr.check = func(*tm.Tx) {
+					if *x != 1 || actions != 1 || posted != 1 {
+						t.Errorf("Handle ran with x=%d, %d OnCommit actions and %d PostCommit calls done; want 1, 1, 1", *x, actions, posted)
+					}
+					if rollbacks != before {
+						t.Errorf("the driver rolled back the attempt the punctuation committed")
+					}
+				}
+				tx.CommitThen(pr)
+			})
+			if pr.handled != 1 || pr.withdrawn != 0 || attempts != 2 {
+				t.Errorf("Handle ran %d times, Withdraw %d, over %d attempts; want 1, 0, 2", pr.handled, pr.withdrawn, attempts)
+			}
+		})
+		t.Run("aborted", func(t *testing.T) {
+			idx := sys.Table.IndexOf(x)
+			attempts := 0
+			pr := &punctuationProbe{}
+			thr.Atomic(func(tx *tm.Tx) {
+				p.enter(t, tx)
+				attempts++
+				tx.Read(x)
+				tx.Write(y, uint64(attempts))
+				if attempts > 1 {
+					return
+				}
+				sys.Clock.Bump()
+				sys.Table.Set(idx, locktable.UnlockedAt(sys.Clock.Now()))
+				tx.CommitThen(pr)
+			})
+			if pr.withdrawn != 1 || pr.handled != 0 {
+				t.Errorf("Withdraw ran %d times and Handle %d; want 1, 0", pr.withdrawn, pr.handled)
+			}
+			if attempts != 2 || *y != 2 {
+				t.Errorf("attempts=%d y=%d, want the block re-executed once: 2, 2", attempts, *y)
+			}
+			assertNoOrecLocked(t, sys)
+		})
+	})
+}
+
+// TestProtocolHandlerFreshState: after any handler the body re-executes
+// from its checkpoint with fresh scheduling state — its first attempt
+// again, in the mode a first attempt takes, asking for neither the
+// software mode nor a tagged re-execution — however the attempt that
+// raised the signal left that state.
+func TestProtocolHandlerFreshState(t *testing.T) {
+	for _, raise := range []struct {
+		name  string
+		raise func(tx *tm.Tx)
+	}{
+		{"signal", func(*tm.Tx) { panic(&signalProbe{}) }},
+		{"punctuation", func(tx *tm.Tx) { tx.CommitThen(&punctuationProbe{}) }},
+	} {
+		for name, mk := range engines {
+			t.Run(raise.name+"/"+name, func(t *testing.T) {
+				sys := tm.NewSystem(tm.Config{}, mk)
+				var x uint64
+				var first tm.Mode
+				calls := 0
+				sys.NewThread().Atomic(func(tx *tm.Tx) {
+					if calls++; calls == 1 {
+						first = tx.Mode
+						tx.Write(&x, 1)
+						tx.WantSoftware, tx.IsRetry = true, true
+						raise.raise(tx)
+					}
+					if tx.Attempts != 1 || tx.WantSoftware || tx.IsRetry || tx.Mode != first {
+						t.Errorf("after the handler: attempt %d in mode %v, WantSoftware=%v IsRetry=%v; want attempt 1 in mode %v, neither flag",
+							tx.Attempts, tx.Mode, tx.WantSoftware, tx.IsRetry, first)
+					}
+				})
+				if calls != 2 {
+					t.Errorf("the body ran %d times, want 2", calls)
+				}
+			})
+		}
+	}
+}

@@ -6,11 +6,13 @@
 // shared services (logical clock, orec table, quiescence, allocation
 // pools, statistics).
 //
-// Condition synchronization (package core) layers on top through two
-// extension points: the Signal interface, which lets a mechanism unwind an
-// in-flight transaction and decide how the thread proceeds, and the
-// System.PostCommit hook, which runs after every writer commit (the
-// wakeWaiters call of Algorithm 4).
+// Condition synchronization (packages core and condvar) layers on top
+// through two extension points: the Signal and Punctuation interfaces,
+// which end an in-flight attempt — unwound, or committed at the raise
+// point — and run a handler before the driver re-executes the body, and
+// the System.PostCommit hook, which runs after every writer commit (the
+// wakeWaiters call of Algorithm 4). The driver alone commits, unwinds and
+// resets an attempt; the layers above never do.
 package tm
 
 import (
@@ -324,6 +326,10 @@ func (tx *Tx) Restart() {
 	panic(restartSig{})
 }
 
+// CommitThen ends the attempt with punctuation p: the driver commits it as
+// if the body had returned here, then runs p.Handle (see Punctuation).
+func (tx *Tx) CommitThen(p Punctuation) { panic(p) }
+
 // RestartTagged aborts the current attempt and re-executes it with IsRetry
 // set, so the engine logs an address/value waitset on every read
 // (restart-to-populate of Algorithm 5).
@@ -374,15 +380,6 @@ func (tx *Tx) Free(b []uint64) {
 	tx.Frees = append(tx.Frees, b)
 }
 
-// TakeMallocs removes and returns this attempt's allocations. The
-// Deschedule protocol uses it to defer undoing allocations until after the
-// waiter has been woken, as required when the waitset names captured memory.
-func (tx *Tx) TakeMallocs() [][]uint64 {
-	m := tx.Mallocs
-	tx.Mallocs = nil
-	return m
-}
-
 // resetAfterAttempt clears per-attempt state. If committed, deferred frees
 // are finalized and allocations survive; otherwise allocations are undone
 // and deferred frees dropped.
@@ -426,12 +423,10 @@ type Engine interface {
 	Commit(tx *Tx)
 	// Rollback undoes all speculative effects and releases all locks and
 	// engine resources held by the attempt, leaving memory as if the
-	// transaction never ran. It must tolerate being called after
-	// AwaitSnapshot has already applied the undo log.
+	// transaction never ran. The driver never calls it on an attempt whose
+	// Commit returned. It must tolerate being called after AwaitSnapshot
+	// has already applied the undo log.
 	Rollback(tx *Tx)
-	// Validate reports whether the attempt's read set is still consistent.
-	// Used by the original Retry mechanism (Algorithm 1) and by tests.
-	Validate(tx *Tx) bool
 	// AwaitSnapshot implements the tricky step of Algorithm 6: undo this
 	// transaction's writes (holding locks where the engine requires it),
 	// then read each address consistently with the transaction and append
@@ -439,25 +434,25 @@ type Engine interface {
 	AwaitSnapshot(tx *Tx, addrs []*uint64)
 }
 
-// Outcome tells the driver how to proceed after a Signal was handled.
-type Outcome int
-
-const (
-	// OutcomeRetry re-executes the transaction body after contention backoff.
-	OutcomeRetry Outcome = iota
-	// OutcomeRetryNow re-executes the transaction body immediately.
-	OutcomeRetryNow
-)
-
 // Signal is a control transfer raised inside a transaction body (by
 // panicking with a value implementing it). The driver rolls the attempt
-// back, then invokes Handle, which decides how the thread proceeds —
-// typically by sleeping until a wakeup condition holds. This is the
-// mechanism packages core and condvar use to implement Deschedule, Retry,
-// Await, WaitPred and transaction-safe condition variables without tm
-// depending on them.
+// back, runs Handle — typically a sleep until a wakeup condition holds —
+// and re-executes the body at once, from its checkpoint with fresh
+// scheduling state (Algorithm 4). This is the mechanism package core uses
+// to implement Deschedule, Retry, Await and WaitPred without tm depending
+// on it. Handle may run transactions of its own on tx's thread.
 type Signal interface {
-	Handle(tx *Tx) Outcome
+	Handle(tx *Tx)
+}
+
+// Punctuation is a Signal raised through Tx.CommitThen: the driver commits
+// the attempt at the raise point, through the same epilogue a returning
+// body takes, and then runs Handle. If that commit aborts, the driver runs
+// Withdraw instead of Handle and takes the ordinary abort path. The
+// condition-variable wait of package condvar is one.
+type Punctuation interface {
+	Signal
+	Withdraw()
 }
 
 type abortSig struct{ reason AbortReason }
@@ -477,7 +472,8 @@ const (
 	// AbortReason, or TraceRestartArg for an explicit driver restart.
 	TraceAbort TraceKind = iota
 	// TraceBlock reports that a condition-synchronization Signal is about
-	// to put the thread to sleep (the attempt has been rolled back).
+	// to put the thread to sleep (the attempt has been rolled back, or a
+	// Punctuation has committed it).
 	TraceBlock
 	// TraceWake reports that the Signal handler returned and the thread is
 	// about to re-execute its transaction body.
@@ -1039,24 +1035,25 @@ func (t *Thread) Atomic(fn func(tx *Tx)) {
 	t.backoff.Reset()
 	for {
 		res := t.attempt(tx, fn)
+		if res.kind == attemptPunctuation {
+			p := res.sig.(Punctuation)
+			if res = t.commitPunctuation(tx, p); res.kind != attemptCommitted {
+				p.Withdraw()
+			}
+		}
 		switch res.kind {
 		case attemptCommitted:
-			return
+			if res.sig == nil {
+				return
+			}
+			t.handle(tx, res.sig, nil)
 		case attemptAborted:
-			t.Sys.Engine.Rollback(tx)
-			t.Sys.ExitSerialIfHeld(tx)
-			tx.Nesting = 0
-			t.ActiveStart.Store(0)
-			tx.resetAfterAttempt(false)
+			t.unwind(tx)
 			t.recordAbort(res.reason)
 			t.traceEvent(TraceAbort, uint64(res.reason))
 			t.backoff.Wait()
 		case attemptRestart:
-			t.Sys.Engine.Rollback(tx)
-			t.Sys.ExitSerialIfHeld(tx)
-			tx.Nesting = 0
-			t.ActiveStart.Store(0)
-			tx.resetAfterAttempt(false)
+			t.unwind(tx)
 			t.traceEvent(TraceAbort, TraceRestartArg)
 			// Immediate re-execution; the Restart baseline relies on the
 			// lack of backoff growth here. A bare processor yield is still
@@ -1066,24 +1063,12 @@ func (t *Thread) Atomic(fn func(tx *Tx)) {
 			// respin burned a whole preemption quantum).
 			spinYield()
 		case attemptSignal:
-			t.Sys.Engine.Rollback(tx)
-			// Release exclusivity before the handler sleeps, or a
-			// descheduled irrevocable transaction would block the world.
-			t.Sys.ExitSerialIfHeld(tx)
-			tx.Nesting = 0
-			t.ActiveStart.Store(0)
-			// Reset BEFORE Handle: handlers run fresh transactions on this
-			// descriptor (predicate double-checks), which must not inherit
-			// the rolled-back attempt's logs — a stale redo log would be
-			// written back by the inner commit. Handlers capture anything
-			// they need from the attempt when they raise the signal.
-			tx.resetAfterAttempt(false)
-			t.traceEvent(TraceBlock, 0)
-			out := res.sig.Handle(tx)
-			t.traceEvent(TraceWake, 0)
-			if out == OutcomeRetry {
-				t.backoff.Wait()
-			}
+			// The handler's waitset may name the attempt's allocations
+			// (captured memory, Algorithm 6): they are freed only after it.
+			mallocs := tx.Mallocs
+			tx.Mallocs = nil
+			t.unwind(tx)
+			t.handle(tx, res.sig, mallocs)
 		}
 	}
 }
@@ -1095,8 +1080,11 @@ const (
 	attemptAborted
 	attemptRestart
 	attemptSignal
+	attemptPunctuation
 )
 
+// attemptResult is how an attempt ended. A committed result carries the
+// Punctuation it committed for, if any.
 type attemptResult struct {
 	kind   attemptKind
 	reason AbortReason
@@ -1104,29 +1092,7 @@ type attemptResult struct {
 }
 
 func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch s := r.(type) {
-		case abortSig:
-			res = attemptResult{kind: attemptAborted, reason: s.reason}
-		case restartSig:
-			res = attemptResult{kind: attemptRestart}
-		case Signal:
-			res = attemptResult{kind: attemptSignal, sig: s}
-		default:
-			// A genuine (user) panic: clean up engine state so locks are
-			// not leaked, then propagate.
-			t.Sys.Engine.Rollback(tx)
-			t.Sys.ExitSerialIfHeld(tx)
-			tx.Nesting = 0
-			t.ActiveStart.Store(0)
-			tx.resetAfterAttempt(false)
-			panic(r)
-		}
-	}()
+	defer t.caught(tx, &res)
 	tx.Attempts++
 	tx.Nesting = 1
 	t.list()
@@ -1146,6 +1112,48 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 	}
 	t.Sys.Engine.Begin(tx)
 	fn(tx)
+	t.commit(tx)
+	return attemptResult{kind: attemptCommitted}
+}
+
+// commitPunctuation commits the attempt whose body raised p through
+// CommitThen, at the raise point.
+func (t *Thread) commitPunctuation(tx *Tx, p Punctuation) (res attemptResult) {
+	defer t.caught(tx, &res)
+	t.commit(tx)
+	return attemptResult{kind: attemptCommitted, sig: p}
+}
+
+// caught classifies the control transfer that ended an attempt, if any. A
+// genuine (user) panic propagates, unwinding the attempt first if it has
+// not committed, so no lock leaks.
+func (t *Thread) caught(tx *Tx, res *attemptResult) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	switch s := r.(type) {
+	case abortSig:
+		*res = attemptResult{kind: attemptAborted, reason: s.reason}
+	case restartSig:
+		*res = attemptResult{kind: attemptRestart}
+	case Punctuation:
+		*res = attemptResult{kind: attemptPunctuation, sig: s}
+	case Signal:
+		*res = attemptResult{kind: attemptSignal, sig: s}
+	default:
+		if t.InTx() {
+			t.unwind(tx)
+		}
+		panic(r)
+	}
+}
+
+// commit commits the attempt and runs the commit epilogue: the commit
+// counters, the attempt's OnCommit actions and the PostCommit hook. Every
+// commit — a body that returns, a punctuation — comes through here, which
+// makes it the one per-commit insertion point.
+func (t *Thread) commit(tx *Tx) {
 	// Capture write-ness before Commit: engines may consume their logs
 	// while committing, and the PostCommit hook must still fire.
 	wrote := tx.DidWrite()
@@ -1180,7 +1188,35 @@ func (t *Thread) attempt(tx *Tx, fn func(tx *Tx)) (res attemptResult) {
 		t.inPostCommit = false
 	}
 	t.postOrecs, t.postStripes = writeOrecs[:0], writeStripes[:0]
-	return attemptResult{kind: attemptCommitted}
+}
+
+// unwind rolls the attempt back and releases everything it held: locks,
+// the serial section, its quiescence slot, its logs and allocations.
+func (t *Thread) unwind(tx *Tx) {
+	t.Sys.Engine.Rollback(tx)
+	// Release exclusivity before any handler sleeps, or a descheduled
+	// irrevocable transaction would block the world.
+	t.Sys.ExitSerialIfHeld(tx)
+	tx.Nesting = 0
+	t.ActiveStart.Store(0)
+	tx.resetAfterAttempt(false)
+}
+
+// handle runs a Signal's handler between the TraceBlock and TraceWake
+// events. The descriptor is already reset, so transactions the handler
+// runs on this thread (predicate double-checks) inherit nothing of the
+// attempt: a stale redo log would be written back by their commit.
+// Afterwards the body re-executes with fresh scheduling state, and
+// mallocs, the allocations of the attempt the signal unwound, go back to
+// the pool.
+func (t *Thread) handle(tx *Tx, s Signal, mallocs [][]uint64) {
+	t.traceEvent(TraceBlock, 0)
+	s.Handle(tx)
+	t.traceEvent(TraceWake, 0)
+	tx.Attempts, tx.WantSoftware, tx.IsRetry = 0, false, false
+	for _, b := range mallocs {
+		t.Sys.pool.put(b)
+	}
 }
 
 func (t *Thread) recordAbort(r AbortReason) {
@@ -1228,13 +1264,4 @@ func (p *blockPool) put(b []uint64) {
 	p.mu.Lock()
 	p.lists[len(b)] = append(p.lists[len(b)], b)
 	p.mu.Unlock()
-}
-
-// FreeBlocks returns blocks to the allocation pool. The Deschedule
-// protocol uses it to finally undo allocations whose reclamation was
-// deferred across a sleep (captured memory, Algorithm 6).
-func (s *System) FreeBlocks(blocks [][]uint64) {
-	for _, b := range blocks {
-		s.pool.put(b)
-	}
 }

@@ -204,8 +204,8 @@ func TestSmokeTmlintUsage(t *testing.T) {
 
 // TestProtocolMutationDrill proves the runtime suite is what guards the
 // orec protocol: each row reverts one soundness fix in internal/tm/orec.go
-// (or, for the live set the protocol's walks rely on, tm.go) with a
-// minimal edit, builds the package with the edited file overlaid (nothing
+// (or, for the live set the protocol's walks rely on and the driver's
+// handler window, tm.go) with a minimal edit, builds the package with the edited file overlaid (nothing
 // on disk changes), and demands that `go test -run TestProtocol
 // ./internal/tm` fail, naming the test that states the broken fact — or,
 // where the Stamp type makes the revert unwritable, that the package not
@@ -329,6 +329,24 @@ func TestProtocolMutationDrill(t *testing.T) {
 			old:  "\ttx.WriteOrecs = append(tx.WriteOrecs, tx.Locks...)\n",
 			new:  "",
 			want: "TestProtocolWriteOrecsCoverWrites",
+		},
+		{
+			// A punctuation whose commit aborts stays published: a condition
+			// variable would keep a waiter queued that never sleeps.
+			name: "an aborted punctuation is not withdrawn",
+			file: "tm.go",
+			old:  "\t\t\t\tp.Withdraw()\n",
+			new:  "",
+			want: "TestProtocolPunctuation",
+		},
+		{
+			// The re-execution after a handler inherits the unwound
+			// attempt's count and mode requests.
+			name: "a handler leaves scheduling state behind",
+			file: "tm.go",
+			old:  "\ttx.Attempts, tx.WantSoftware, tx.IsRetry = 0, false, false\n",
+			new:  "",
+			want: "TestProtocolHandlerFreshState",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -144,38 +144,3 @@ func TestFacadeRetryOrigSTMOnly(t *testing.T) {
 		tmsync.RetryOrig(tx)
 	})
 }
-
-func TestHarnessEngineParity(t *testing.T) {
-	// The harness enumerates engines by name; it must stay in lockstep
-	// with the facade's EngineKinds so "all four engines" means the same
-	// thing in both places.
-	s := tmsync.GenerateScenario(1, tmsync.ScenarioGenConfig{})
-	seen := map[string]bool{}
-	for _, r := range tmsync.RunScenario(s) {
-		seen[r.Engine] = true
-		if !r.Pass {
-			t.Errorf("%s", r.String())
-		}
-	}
-	if len(seen) != len(tmsync.EngineKinds) {
-		t.Fatalf("harness ran %d engines, facade has %d", len(seen), len(tmsync.EngineKinds))
-	}
-	for _, k := range tmsync.EngineKinds {
-		if !seen[string(k)] {
-			t.Errorf("harness never ran engine %q", k)
-		}
-	}
-}
-
-func TestHarnessFacadeFaultDetection(t *testing.T) {
-	s := tmsync.GenerateScenario(5, tmsync.ScenarioGenConfig{InjectFault: true})
-	caught := false
-	for _, r := range tmsync.RunScenario(s) {
-		if !r.Pass {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Fatal("injected fault escaped the facade harness")
-	}
-}
