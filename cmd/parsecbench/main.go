@@ -12,8 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"time"
 
-	"tmsync/internal/bench"
+	"tmsync"
+	"tmsync/internal/mech"
 	"tmsync/internal/parsecsim"
 	"tmsync/internal/stats"
 )
@@ -26,8 +29,8 @@ func main() {
 	quick := flag.Bool("quick", false, "small run: scale 1, 2 trials, threads {1,2,4}")
 	flag.Parse()
 
-	if _, err := bench.NewSystem(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if !slices.Contains(tmsync.EngineKinds, tmsync.EngineKind(*engine)) {
+		fmt.Fprintf(os.Stderr, "parsecbench: unknown engine %q\n", *engine)
 		os.Exit(2)
 	}
 	threads := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -51,7 +54,7 @@ func main() {
 	fmt.Printf("# Figure %s: PARSEC performance with %s\n", figure, *engine)
 	fmt.Printf("# scale %d, %d trials; values: seconds (mean±stddev)\n\n", *scale, *trials)
 
-	mechs := bench.MechsFor(*engine)
+	mechs := append([]mech.Mechanism{mech.Pthreads}, mech.ForEngine(*engine)...)
 	for _, b := range parsecsim.Benchmarks {
 		if *benchName != "" && b.Name != *benchName {
 			continue
@@ -70,20 +73,24 @@ func main() {
 			}
 			fmt.Printf("%-8d", n)
 			for _, m := range mechs {
-				ts, cs, err := bench.RunParsec(bench.ParsecConfig{
-					Engine: *engine, Mech: m, Benchmark: b.Name,
-					Threads: n, Scale: *scale, Trials: *trials,
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				if first {
-					checksum = cs
-					first = false
-				} else if cs != checksum {
-					fmt.Fprintf(os.Stderr, "%s: checksum mismatch (%x vs %x) for %s@%d\n", b.Name, cs, checksum, m, n)
-					os.Exit(1)
+				ts := make([]float64, *trials)
+				for i := range ts {
+					k := &parsecsim.Kit{Mech: m}
+					if m != mech.Pthreads {
+						k.Sys = tmsync.New(tmsync.EngineKind(*engine), tmsync.Config{}).System
+					}
+					start := time.Now()
+					cs := b.Run(k, n, *scale)
+					ts[i] = time.Since(start).Seconds()
+					// Every trial of every mechanism must compute the
+					// same result, or the timings compare different work.
+					if first {
+						checksum = cs
+						first = false
+					} else if cs != checksum {
+						fmt.Fprintf(os.Stderr, "%s: checksum mismatch (%x vs %x) for %s@%d\n", b.Name, cs, checksum, m, n)
+						os.Exit(1)
+					}
 				}
 				fmt.Printf(" %16s", stats.Summarize(ts))
 			}

@@ -43,7 +43,6 @@ import (
 	"tmsync/internal/harness"
 	"tmsync/internal/locktable"
 	"tmsync/internal/mech"
-	"tmsync/internal/mono"
 	"tmsync/internal/trace"
 )
 
@@ -134,7 +133,7 @@ func main() {
 	knobs := harness.Knobs{Stripes: *stripes}
 
 	var rep harness.Report
-	start := mono.Now()
+	start := time.Now()
 	scenarios := 0
 
 	runOne := func(s *harness.Scenario, k harness.Knobs) {
@@ -159,10 +158,10 @@ func main() {
 	// applicable mechanism) and writes it as a trace file the -replay mode
 	// and the committed-fixture suite can rerun.
 	recordOne := func(s *harness.Scenario) {
-		recMech := harness.MechsFor(engines[0])[0]
+		recMech := mech.ForEngine(engines[0])[0]
 		if *only != "" {
 			found := false
-			for _, m := range harness.MechsFor(engines[0]) {
+			for _, m := range mech.ForEngine(engines[0]) {
 				if m == mech.Mechanism(*only) {
 					found = true
 				}
@@ -209,7 +208,7 @@ func main() {
 		}
 		sort.Strings(files)
 		for _, file := range files {
-			if *budget > 0 && start.Elapsed() > *budget {
+			if *budget > 0 && time.Since(start) > *budget {
 				fmt.Printf("# budget %v exhausted before %s\n", *budget, file)
 				break
 			}
@@ -237,7 +236,7 @@ func main() {
 		}
 	case *parsec:
 		for _, s := range harness.ParsecScenarios(*threads, *scale) {
-			if *budget > 0 && start.Elapsed() > *budget {
+			if *budget > 0 && time.Since(start) > *budget {
 				break
 			}
 			runOne(s, knobs)
@@ -249,7 +248,7 @@ func main() {
 			}
 		}
 		for i := 0; i < *n; i++ {
-			if *budget > 0 && start.Elapsed() > *budget {
+			if *budget > 0 && time.Since(start) > *budget {
 				fmt.Printf("# budget %v exhausted after %d of %d scenarios\n", *budget, i, *n)
 				break
 			}
@@ -269,7 +268,7 @@ func main() {
 	}
 
 	failures := rep.Failures()
-	fmt.Printf("\n# %d scenario(s), %v elapsed\n", scenarios, start.Elapsed().Round(time.Millisecond))
+	fmt.Printf("\n# %d scenario(s), %v elapsed\n", scenarios, time.Since(start).Round(time.Millisecond))
 	fmt.Print(rep.EngineTable())
 	if rep.Runs() == 0 {
 		// An OK verdict over zero executions would be vacuous — the

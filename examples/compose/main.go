@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tmsync"
-	"tmsync/internal/mono"
 )
 
 type buffer struct {
@@ -76,7 +75,7 @@ func runComposition(sys *tmsync.System, name string, wait func(tx *tmsync.Tx, b 
 	obs := sys.NewThread()
 	var violations atomic.Int64
 	fed := false
-	start := mono.Now()
+	start := time.Now()
 	for {
 		var ip uint64
 		obs.Atomic(func(tx *tmsync.Tx) { ip = tx.Read(&inprogress) })
@@ -98,7 +97,7 @@ func runComposition(sys *tmsync.System, name string, wait func(tx *tmsync.Tx, b 
 			return int(violations.Load())
 		default:
 		}
-		if start.Elapsed() > 10*time.Second {
+		if time.Since(start) > 10*time.Second {
 			fmt.Printf("%-9s wedged (should not happen)\n", name+":")
 			return -1
 		}

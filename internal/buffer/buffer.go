@@ -21,25 +21,6 @@ import (
 	"tmsync/internal/tm"
 )
 
-// Mechanism names one condition-synchronization technique (see package mech).
-type Mechanism = mech.Mechanism
-
-const (
-	Pthreads  = mech.Pthreads
-	TMCondVar = mech.TMCondVar
-	WaitPred  = mech.WaitPred
-	Await     = mech.Await
-	Retry     = mech.Retry
-	RetryOrig = mech.RetryOrig
-	Restart   = mech.Restart
-)
-
-// Mechanisms lists every technique, in the order the paper's legends use.
-var Mechanisms = mech.All
-
-// TMMechanisms lists the transactional techniques (everything but Pthreads).
-var TMMechanisms = mech.TM
-
 // TMBuffer is the transactional bounded buffer. All its methods run inside
 // (possibly nested) transactions and may be composed into larger atomic
 // operations.
@@ -277,40 +258,40 @@ func (b *TMBuffer) GetCondVar(thr *tm.Thread) uint64 {
 	return out
 }
 
-// PutMech dispatches to the named mechanism (benchmark harness).
-func (b *TMBuffer) PutMech(thr *tm.Thread, m Mechanism, x uint64) {
+// PutMech dispatches to the named mechanism.
+func (b *TMBuffer) PutMech(thr *tm.Thread, m mech.Mechanism, x uint64) {
 	switch m {
-	case TMCondVar:
+	case mech.TMCondVar:
 		b.PutCondVar(thr, x)
-	case WaitPred:
+	case mech.WaitPred:
 		b.PutPred(thr, x)
-	case Await:
+	case mech.Await:
 		b.PutAwait(thr, x)
-	case Retry:
+	case mech.Retry:
 		b.PutRetry(thr, x)
-	case RetryOrig:
+	case mech.RetryOrig:
 		b.PutOrig(thr, x)
-	case Restart:
+	case mech.Restart:
 		b.PutRestart(thr, x)
 	default:
 		panic("buffer: mechanism " + string(m) + " is not transactional")
 	}
 }
 
-// GetMech dispatches to the named mechanism (benchmark harness).
-func (b *TMBuffer) GetMech(thr *tm.Thread, m Mechanism) uint64 {
+// GetMech dispatches to the named mechanism.
+func (b *TMBuffer) GetMech(thr *tm.Thread, m mech.Mechanism) uint64 {
 	switch m {
-	case TMCondVar:
+	case mech.TMCondVar:
 		return b.GetCondVar(thr)
-	case WaitPred:
+	case mech.WaitPred:
 		return b.GetPred(thr)
-	case Await:
+	case mech.Await:
 		return b.GetAwait(thr)
-	case Retry:
+	case mech.Retry:
 		return b.GetRetry(thr)
-	case RetryOrig:
+	case mech.RetryOrig:
 		return b.GetOrig(thr)
-	case Restart:
+	case mech.Restart:
 		return b.GetRestart(thr)
 	default:
 		panic("buffer: mechanism " + string(m) + " is not transactional")

@@ -6,12 +6,11 @@ import (
 	"testing/quick"
 	"time"
 
-	"tmsync/internal/mono"
-
 	"tmsync/internal/buffer"
 	"tmsync/internal/core"
 	"tmsync/internal/htm"
 	"tmsync/internal/hybrid"
+	"tmsync/internal/mech"
 	"tmsync/internal/mem"
 	"tmsync/internal/stm/eager"
 	"tmsync/internal/stm/lazy"
@@ -35,21 +34,6 @@ func newSys(kind string) *tm.System {
 }
 
 var allEngines = []string{"eager", "lazy", "htm", "hybrid"}
-
-// mechsFor returns the transactional mechanisms applicable to an engine
-// (Retry-Orig is STM-only, as in the paper's figures).
-func mechsFor(kind string) []buffer.Mechanism {
-	if kind == "htm" || kind == "hybrid" {
-		out := make([]buffer.Mechanism, 0, len(buffer.TMMechanisms)-1)
-		for _, m := range buffer.TMMechanisms {
-			if m != buffer.RetryOrig {
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-	return buffer.TMMechanisms
-}
 
 func TestLockBufferFIFO(t *testing.T) {
 	b := buffer.NewLock(4)
@@ -91,7 +75,7 @@ func TestTMBufferFIFOSingleThread(t *testing.T) {
 	for _, kind := range allEngines {
 		t.Run(kind, func(t *testing.T) {
 			sys := newSys(kind)
-			for _, m := range mechsFor(kind) {
+			for _, m := range mech.ForEngine(kind) {
 				t.Run(string(m), func(t *testing.T) {
 					b := buffer.NewTM(8)
 					thr := sys.NewThread()
@@ -134,7 +118,7 @@ func TestPrefill(t *testing.T) {
 // runProducersConsumers drives p producers and c consumers moving total
 // elements through b with mechanism m, and checks conservation: every
 // produced value is consumed exactly once.
-func runProducersConsumers(t *testing.T, sys *tm.System, m buffer.Mechanism, capacity, p, c, total int) {
+func runProducersConsumers(t *testing.T, sys *tm.System, m mech.Mechanism, capacity, p, c, total int) {
 	t.Helper()
 	b := buffer.NewTM(capacity)
 	var wg sync.WaitGroup
@@ -204,7 +188,7 @@ func stressTotal(full int) int {
 func TestProducerConsumerAllMechanisms(t *testing.T) {
 	for _, kind := range allEngines {
 		t.Run(kind, func(t *testing.T) {
-			for _, m := range mechsFor(kind) {
+			for _, m := range mech.ForEngine(kind) {
 				t.Run(string(m), func(t *testing.T) {
 					sys := newSys(kind)
 					runProducersConsumers(t, sys, m, 4, 2, 2, stressTotal(2000))
@@ -219,7 +203,7 @@ func TestProducerConsumerImbalanced(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			for _, pc := range [][2]int{{1, 4}, {4, 1}} {
 				sys := newSys(kind)
-				runProducersConsumers(t, sys, buffer.Retry, 4, pc[0], pc[1], stressTotal(2000))
+				runProducersConsumers(t, sys, mech.Retry, 4, pc[0], pc[1], stressTotal(2000))
 			}
 		})
 	}
@@ -228,7 +212,7 @@ func TestProducerConsumerImbalanced(t *testing.T) {
 func TestTinyBufferHighContention(t *testing.T) {
 	for _, kind := range allEngines {
 		t.Run(kind, func(t *testing.T) {
-			for _, m := range []buffer.Mechanism{buffer.Retry, buffer.WaitPred, buffer.Await, buffer.TMCondVar} {
+			for _, m := range mech.ForEngine(kind) {
 				t.Run(string(m), func(t *testing.T) {
 					sys := newSys(kind)
 					runProducersConsumers(t, sys, m, 1, 3, 3, stressTotal(900))
@@ -256,7 +240,7 @@ func TestComposeRetryIsAtomic(t *testing.T) {
 			}()
 			obs := sys.NewThread()
 			violations := 0
-			start := mono.Now()
+			start := time.Now()
 			fed := false
 			for {
 				var ip uint64
@@ -288,7 +272,7 @@ func TestComposeRetryIsAtomic(t *testing.T) {
 					return
 				default:
 				}
-				if start.Elapsed() > 5*time.Second {
+				if time.Since(start) > 5*time.Second {
 					t.Fatal("composition never completed")
 				}
 			}
@@ -313,14 +297,14 @@ func TestComposeCondVarBreaksAtomicity(t *testing.T) {
 			}()
 			obs := sys.NewThread()
 			sawPartial := false
-			start := mono.Now()
+			start := time.Now()
 			for !sawPartial {
 				var ip uint64
 				obs.Atomic(func(tx *tm.Tx) { ip = tx.Read(inprogress.Addr()) })
 				if ip != 0 {
 					sawPartial = true
 				}
-				if start.Elapsed() > 5*time.Second {
+				if time.Since(start) > 5*time.Second {
 					t.Fatal("never observed the atomicity break")
 				}
 			}

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tmsync/internal/mono"
-
 	"tmsync/internal/condvar"
 	"tmsync/internal/htm"
 	"tmsync/internal/hybrid"
@@ -37,9 +35,9 @@ func forEach(t *testing.T, fn func(t *testing.T, sys *tm.System)) {
 
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	start := mono.Now()
+	start := time.Now()
 	for !cond() {
-		if start.Elapsed() > 5*time.Second {
+		if time.Since(start) > 5*time.Second {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
@@ -97,12 +95,19 @@ func TestWaitBreaksAtomicity(t *testing.T) {
 			})
 			close(done)
 		}()
+		// The waiter is queued before its commit, so the partial effect
+		// may lag the queue entry; it must appear while the waiter sleeps.
 		waitCond(t, "queued waiter", func() bool { return cv.WaitingLen() == 1 })
 		obs := sys.NewThread()
-		var seen uint64
-		obs.Atomic(func(tx *tm.Tx) { seen = tx.Read(&partial) })
-		if seen != 1 {
-			t.Fatalf("partial effect not visible during wait: saw %d, want 1", seen)
+		waitCond(t, "partial effect visible during wait", func() bool {
+			var seen uint64
+			obs.Atomic(func(tx *tm.Tx) { seen = tx.Read(&partial) })
+			return seen == 1
+		})
+		select {
+		case <-done:
+			t.Fatal("waiter finished without a signal")
+		default:
 		}
 		obs.Atomic(func(tx *tm.Tx) { tx.Write(&gate, 1) })
 		cv.SignalNow()

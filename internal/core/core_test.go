@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tmsync/internal/mono"
-
 	"tmsync/internal/core"
 	"tmsync/internal/htm"
 	"tmsync/internal/hybrid"
@@ -61,9 +59,9 @@ func forEachCfg(t *testing.T, kinds []string, cfg tm.Config, fn func(t *testing.
 // waitCond polls until cond holds or the deadline passes.
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	start := mono.Now()
+	start := time.Now()
 	for !cond() {
-		if start.Elapsed() > 5*time.Second {
+		if time.Since(start) > 5*time.Second {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)

@@ -29,7 +29,6 @@ import (
 
 	"tmsync"
 	"tmsync/internal/mech"
-	"tmsync/internal/mono"
 	"tmsync/internal/tm"
 )
 
@@ -64,20 +63,6 @@ func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
 		return nil, fmt.Errorf("harness: unknown engine %q", engine)
 	}
 	return tmsync.New(tmsync.EngineKind(engine), tm.Config{Stripes: k.Stripes}).System, nil
-}
-
-// MechsFor returns the transactional mechanisms applicable to an engine:
-// everything but the Pthreads baseline, minus Retry-Orig under the
-// hardware engines (it needs STM metadata).
-func MechsFor(engine string) []mech.Mechanism {
-	out := make([]mech.Mechanism, 0, len(mech.TM))
-	for _, m := range mech.ForEngine(engine) {
-		if m == mech.Pthreads {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // Observation is a rendered snapshot of a scenario's observable final
@@ -142,7 +127,7 @@ type Scenario struct {
 	// Threads is the number of concurrent workers the program uses.
 	Threads int
 	// Mechs lists the mechanisms the scenario can run under on the given
-	// engine; defaults to MechsFor when nil.
+	// engine; defaults to mech.ForEngine when nil.
 	Mechs func(engine string) []mech.Mechanism
 	// Oracle returns the expected observation, computed sequentially.
 	Oracle func() Observation
@@ -225,7 +210,7 @@ func RunScenarioKnobs(s *Scenario, engines []string, only mech.Mechanism, k Knob
 	oracle := s.Oracle()
 	mechs := s.Mechs
 	if mechs == nil {
-		mechs = MechsFor
+		mechs = mech.ForEngine
 	}
 	var out []Result
 	for _, engine := range engines {
@@ -246,9 +231,9 @@ func runOne(s *Scenario, oracle Observation, engine string, m mech.Mechanism, k 
 		res.Err = err
 		return res
 	}
-	start := mono.Now()
+	start := time.Now()
 	obs, err := s.Run(sys, m)
-	res.Duration = start.Elapsed()
+	res.Duration = time.Since(start)
 	st := sys.Stats.Sum()
 	res.Commits = st.Commits + st.ROCommits
 	res.Aborts = st.Aborts

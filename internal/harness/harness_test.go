@@ -109,23 +109,6 @@ func TestDiffRendering(t *testing.T) {
 	}
 }
 
-func TestMechsFor(t *testing.T) {
-	for _, e := range Engines {
-		ms := MechsFor(e)
-		for _, m := range ms {
-			if m == mech.Pthreads {
-				t.Errorf("%s: Pthreads is not a transactional mechanism", e)
-			}
-			if m == mech.RetryOrig && (e == "htm" || e == "hybrid") {
-				t.Errorf("%s: Retry-Orig needs STM metadata", e)
-			}
-		}
-		if len(ms) == 0 {
-			t.Errorf("%s: no mechanisms", e)
-		}
-	}
-}
-
 func TestParsecScenariosMatchReference(t *testing.T) {
 	scens := ParsecScenarios(2, 1)
 	if len(scens) != 8 {

@@ -36,7 +36,7 @@ func ParsecScenarios(threads, scale int) []*Scenario {
 		out = append(out, &Scenario{
 			Name:    "parsec/" + b.Name,
 			Threads: n,
-			Mechs:   MechsFor,
+			Mechs:   mech.ForEngine,
 			Oracle: func() Observation {
 				once.Do(func() {
 					ref = Observation{"checksum": fmt.Sprintf("%x", b.Reference(scale))}

@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"tmsync/internal/mech"
-	"tmsync/internal/mono"
 	"tmsync/internal/trace"
 )
 
@@ -49,9 +49,9 @@ func Record(s *Scenario, engine string, m mech.Mechanism, k Knobs) (*trace.Trace
 	}
 	rec := trace.NewRecorder(s.Name, s.Seed, EncodeKnobs(k), s.ReplayArgs, specWorld(s.sp))
 	rec.Attach(sys)
-	start := mono.Now()
+	start := time.Now()
 	obs, runErr := runSpecRec(s.sp, sys, m, rec)
-	res.Duration = start.Elapsed()
+	res.Duration = time.Since(start)
 	st := sys.Stats.Sum()
 	res.Commits = st.Commits + st.ROCommits
 	res.Aborts = st.Aborts

@@ -1,6 +1,6 @@
 // Package mech names the seven condition-synchronization mechanisms the
 // evaluation compares, shared by the bounded-buffer and PARSEC-skeleton
-// workloads and by the benchmark harness.
+// workloads, the figure commands and the differential checker.
 package mech
 
 // Mechanism names one condition-synchronization technique.
@@ -23,19 +23,17 @@ const (
 	Restart Mechanism = "restart"
 )
 
-// All lists every mechanism in the order the paper's legends use.
-var All = []Mechanism{Pthreads, TMCondVar, WaitPred, Await, Retry, RetryOrig, Restart}
-
-// TM lists the transactional mechanisms (everything but Pthreads).
+// TM lists the transactional mechanisms (everything but Pthreads), in the
+// order the paper's legends use.
 var TM = []Mechanism{TMCondVar, WaitPred, Await, Retry, RetryOrig, Restart}
 
-// ForEngine returns the mechanisms applicable to an engine: Retry-Orig is
-// STM-only (the paper's HTM figures omit it; hardware modes expose no
-// metadata), and Pthreads applies to all configurations as the
-// non-transactional baseline.
+// ForEngine returns the transactional mechanisms applicable to an engine:
+// Retry-Orig is STM-only (the paper's HTM figures omit it; hardware modes
+// expose no metadata). The figure commands put the Pthreads baseline in
+// front themselves.
 func ForEngine(engine string) []Mechanism {
-	out := make([]Mechanism, 0, len(All))
-	for _, m := range All {
+	out := make([]Mechanism, 0, len(TM))
+	for _, m := range TM {
 		if m == RetryOrig && (engine == "htm" || engine == "hybrid") {
 			continue
 		}
@@ -43,6 +41,3 @@ func ForEngine(engine string) []Mechanism {
 	}
 	return out
 }
-
-// Transactional reports whether the mechanism runs inside transactions.
-func (m Mechanism) Transactional() bool { return m != Pthreads }

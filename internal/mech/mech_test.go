@@ -6,15 +6,6 @@ import (
 	"tmsync/internal/mech"
 )
 
-func TestAllContainsSeven(t *testing.T) {
-	if len(mech.All) != 7 {
-		t.Fatalf("All has %d mechanisms, want 7", len(mech.All))
-	}
-	if mech.All[0] != mech.Pthreads {
-		t.Fatal("Pthreads must lead the legend order")
-	}
-}
-
 func TestTMExcludesPthreads(t *testing.T) {
 	if len(mech.TM) != 6 {
 		t.Fatalf("TM has %d mechanisms", len(mech.TM))
@@ -27,26 +18,18 @@ func TestTMExcludesPthreads(t *testing.T) {
 }
 
 func TestForEngine(t *testing.T) {
-	for engine, want := range map[string]int{"eager": 7, "lazy": 7, "htm": 6, "hybrid": 6} {
+	for engine, want := range map[string]int{"eager": 6, "lazy": 6, "htm": 5, "hybrid": 5} {
 		got := mech.ForEngine(engine)
 		if len(got) != want {
 			t.Errorf("ForEngine(%s) = %d mechanisms, want %d", engine, len(got), want)
 		}
 		for _, m := range got {
-			if m == mech.RetryOrig && (engine == "htm" || engine == "hybrid") {
-				t.Errorf("ForEngine(%s) offers RetryOrig", engine)
+			if m == mech.Pthreads {
+				t.Errorf("ForEngine(%s): Pthreads is not a transactional mechanism", engine)
 			}
-		}
-	}
-}
-
-func TestTransactional(t *testing.T) {
-	if mech.Pthreads.Transactional() {
-		t.Error("Pthreads is not transactional")
-	}
-	for _, m := range mech.TM {
-		if !m.Transactional() {
-			t.Errorf("%s should be transactional", m)
+			if m == mech.RetryOrig && (engine == "htm" || engine == "hybrid") {
+				t.Errorf("ForEngine(%s): Retry-Orig needs STM metadata", engine)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"tmsync/internal/core"
 	"tmsync/internal/htm"
+	"tmsync/internal/hybrid"
 	"tmsync/internal/mech"
 	"tmsync/internal/parsecsim"
 	"tmsync/internal/stm/eager"
@@ -24,6 +25,8 @@ func newKit(engine string, m mech.Mechanism) *parsecsim.Kit {
 		sys = tm.NewSystem(tm.Config{}, lazy.New)
 	case "htm":
 		sys = tm.NewSystem(tm.Config{}, htm.New)
+	case "hybrid":
+		sys = tm.NewSystem(tm.Config{}, hybrid.New)
 	}
 	core.Enable(sys)
 	return &parsecsim.Kit{Mech: m, Sys: sys}
@@ -59,7 +62,7 @@ func TestChecksumThreadIndependentPthreads(t *testing.T) {
 func TestAllMechanismsMatchReference(t *testing.T) {
 	// Short mode runs a reduced matrix (one engine) instead of skipping,
 	// so `go test -short` still exercises every mechanism × benchmark.
-	engines := []string{"eager", "lazy", "htm"}
+	engines := []string{"eager", "lazy", "htm", "hybrid"}
 	if testing.Short() {
 		engines = engines[:1]
 	}
@@ -67,9 +70,6 @@ func TestAllMechanismsMatchReference(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			for _, m := range mech.ForEngine(engine) {
-				if m == mech.Pthreads {
-					continue
-				}
 				t.Run(string(m), func(t *testing.T) {
 					for _, b := range parsecsim.Benchmarks {
 						n := 2

@@ -24,7 +24,6 @@ import (
 
 	"tmsync/internal/clock"
 	"tmsync/internal/locktable"
-	"tmsync/internal/mono"
 	"tmsync/internal/sem"
 	"tmsync/internal/spin"
 )
@@ -792,9 +791,9 @@ func NewSystem(cfg Config, mk func(*System) Engine) *System {
 func (s *System) SemWait(t *Thread, sm *sem.Sem) {
 	t.unlist()
 	if fn := s.WakeLatency; fn != nil {
-		t0 := mono.Now()
+		t0 := time.Now()
 		sm.Wait()
-		fn(t0.Elapsed())
+		fn(time.Since(t0))
 		return
 	}
 	sm.Wait()

@@ -131,7 +131,6 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "1", "-seed", "2", "-inject"}, "OK: all injected violations caught"},
-		{"tmstress", []string{"-engine", "hybrid", "-mech", "retry", "-threads", "4", "-seconds", "0.3", "-cap", "2"}, "OK"},
 		{"boundedbuffer", []string{"-quick", "-engine", "eager", "-ops", "2048", "-trials", "1"}, "bounded buffer performance"},
 		{"parsecbench", []string{"-quick", "-engine", "lazy", "-trials", "1", "-bench", "dedup"}, "dedup"},
 		{"loctable", nil, "bodytrack"},
