@@ -14,7 +14,8 @@ import (
 	"tmsync/internal/tm"
 )
 
-// Var is a transaction-safe condition variable.
+// Var is a transaction-safe condition variable. The zero value is not
+// usable; construct with New.
 type Var struct {
 	mu    spin.Lock
 	queue []*waiter
@@ -26,6 +27,10 @@ type Var struct {
 	// a stale snapshot — the transactional analogue of enqueuing under
 	// the monitor lock.
 	waitseq uint64
+
+	// signalNow and broadcastNow are SignalNow and BroadcastNow bound
+	// once, in New, so that deferring one to a commit allocates nothing.
+	signalNow, broadcastNow func()
 }
 
 // waiter is one queued Wait: the punctuation its transaction commits with.
@@ -35,7 +40,11 @@ type waiter struct {
 }
 
 // New returns an empty condition variable.
-func New() *Var { return &Var{} }
+func New() *Var {
+	v := &Var{}
+	v.signalNow, v.broadcastNow = v.SignalNow, v.BroadcastNow
+	return v
+}
 
 // WaitingLen reports the number of queued waiters (tests and stats).
 func (v *Var) WaitingLen() int {
@@ -124,12 +133,12 @@ func (w *waiter) Withdraw() { w.v.dequeueSpecific(w) }
 
 // Signal wakes one queued waiter, deferred until tx commits.
 func (v *Var) Signal(tx *tm.Tx) {
-	tx.OnCommit = append(tx.OnCommit, v.SignalNow)
+	tx.OnCommit = append(tx.OnCommit, v.signalNow)
 }
 
 // Broadcast wakes all queued waiters, deferred until tx commits.
 func (v *Var) Broadcast(tx *tm.Tx) {
-	tx.OnCommit = append(tx.OnCommit, v.BroadcastNow)
+	tx.OnCommit = append(tx.OnCommit, v.broadcastNow)
 }
 
 // SignalNow wakes one queued waiter immediately (non-transactional use).

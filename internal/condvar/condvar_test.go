@@ -199,6 +199,30 @@ func TestSignalNoWaitersIsNoop(t *testing.T) {
 	}
 }
 
+// TestSignalCommitAllocatesNothing: a writer commit that signals and
+// broadcasts a condition variable nobody waits on allocates nothing on any
+// engine — the deferred actions are bound once, and the driver hands the
+// commit's action array back to the next attempt.
+func TestSignalCommitAllocatesNothing(t *testing.T) {
+	forEach(t, func(t *testing.T, sys *tm.System) {
+		thr := sys.NewThread()
+		cv := condvar.New()
+		x := new(uint64)
+		body := func(tx *tm.Tx) {
+			tx.Write(x, tx.Read(x)+1)
+			cv.Signal(tx)
+			cv.Broadcast(tx)
+		}
+		thr.Atomic(body) // size the descriptor's logs once
+		if n := testing.AllocsPerRun(500, func() { thr.Atomic(body) }); n != 0 {
+			t.Errorf("signalling writer commit allocates %v times", n)
+		}
+		if *x != 502 {
+			t.Errorf("x = %d after 502 commits", *x)
+		}
+	})
+}
+
 func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 	// Punctuation commit must publish writes made before the Wait even
 	// when the engine buffers them (lazy, HTM), and must hand the

@@ -56,7 +56,7 @@ func TestStaleTokenDoesNotCauseSpuriousWakeup(t *testing.T) {
 }
 
 // TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig is the same reproducer
-// for the Retry-Orig sleep path (origSignal.Handle).
+// for the Retry-Orig sleep path ((*origSignal).Handle).
 func TestStaleTokenDoesNotCauseSpuriousWakeupRetryOrig(t *testing.T) {
 	forEach(t, stmEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		var flag uint64

@@ -16,9 +16,14 @@
 // wake a waiter.
 //
 // Retry-Orig sleepers are listed in the same registry and found by the same
-// scan; they carry no predicate, and sharing an orec with the commit is
-// what wakes them — the metadata-based decision the paper contrasts with
-// the value-based one.
+// scan; they carry neither a predicate nor a waitset, and sharing an orec
+// with the commit is what wakes them — the metadata-based decision the
+// paper contrasts with the value-based one.
+//
+// A sleep cycle allocates one object, its Waiter: the waiter holds its
+// slots, waitset and arguments inline while they are small, and is itself
+// the Signal the descheduling transaction raises. A commit that wakes
+// waiters batches their semaphores on its stack.
 package core
 
 import (
@@ -37,28 +42,38 @@ import (
 // WaitPred, or condition-variable waits.
 type Pred func(tx *tm.Tx, args []uint64) bool
 
-// Waiter is one published sleeper: a deschedule request or, with a nil
-// Pred, a Retry-Orig entry (Algorithm 1). A fresh Waiter is created per
-// sleep cycle so that late wakeWaiters scans holding a stale snapshot of
-// the registry only ever observe immutable fields.
+// Waiter is one published sleeper, of one of three kinds: a WaitPred
+// request (Pred and Args), a Retry or Await request (Waitset: it wakes once
+// a logged address no longer holds its value — ready), or, with neither, a
+// Retry-Orig entry (Algorithm 1). A fresh Waiter is created per sleep cycle
+// so that late wakeWaiters scans holding a stale snapshot of the registry
+// only ever observe fields the owner wrote before listing it.
 type Waiter struct {
 	Thr     *tm.Thread
-	Pred    Pred // nil: sharing an orec with a commit is the wake decision
+	Pred    Pred
 	Args    []uint64
 	Waitset []tm.AddrVal
 
+	cs    *CondSync
+	start uint64 // Retry-Orig: the failed attempt's start time
+
 	// slots is the ascending set of orec slots the waiter sleeps on — those
 	// covering Waitset, or a Retry-Orig sleeper's whole read set; empty
-	// only for WaitPred. Written by newWaiter before the waiter is listed
+	// only for WaitPred. Written by its owner before the waiter is listed
 	// and read by committing writers under the shard lock: a commit that
 	// wrote none of them skips the waiter (concerns).
 	slots []uint32
 
 	// shards is the ascending set of waiter-index shards covering slots,
-	// which insert and remove lock; only the owner reads it. shardBuf
-	// backs it while the slots span few stripes.
-	shards   []uint32
+	// which insert and remove lock; only the owner reads it.
+	shards []uint32
+
+	// Inline storage backing slots, shards, Waitset and Args while they
+	// are small; larger sets spill to the heap through append.
+	slotBuf  [4]uint32
 	shardBuf [4]uint32
+	waitBuf  [2]tm.AddrVal
+	argBuf   [2]uint64
 
 	// asleep is true from publication until a waker (or the waiter
 	// itself, deciding not to sleep) claims the wakeup with a CAS;
@@ -73,7 +88,7 @@ type Waiter struct {
 // committing writers, which skip the lock — the shard's only shared write
 // — when it reads 0. That loses no wakeup: a waiter stores n (insert)
 // before the double-check transaction that decides whether it sleeps (a
-// Retry-Orig sleeper, before it validates its read set: origSignal.Handle),
+// Retry-Orig sleeper, before it validates its read set: (*origSignal).Handle),
 // and a writer loads n after its write-back released its orecs;
 // sync/atomic operations are sequentially consistent, so a writer that
 // reads 0 made its writes visible before that check ran, and the waiter
@@ -124,7 +139,7 @@ type CondSync struct {
 	// writer re-evaluates them.
 	unindexed waiterShard
 
-	// origPublished, if set, runs in origSignal.Handle between publishing
+	// origPublished, if set, runs in (*origSignal).Handle between publishing
 	// a sleeper's shard lengths and validating its read set — the window
 	// the empty-shard guard's soundness rests on (tests).
 	origPublished func()
@@ -136,7 +151,7 @@ type CondSync struct {
 func Enable(sys *tm.System) *CondSync {
 	cs := &CondSync{sys: sys, shards: make([]paddedShard, sys.Table.NumStripes())}
 	sys.Ext = cs
-	sys.PostCommit = cs.postCommit
+	sys.PostCommit = cs.wakeWaiters
 	return cs
 }
 
@@ -149,22 +164,49 @@ func For(tx *tm.Tx) *CondSync {
 	return cs
 }
 
-// newWaiter builds the waiter of a mechanism that sleeps on orec slots
-// (every one but WaitPred): w.slots is the deduplicated, ascending set of
-// the given slots and w.shards the waiter-index shards covering it.
-// Ascending shard order matters: every multi-shard lock acquisition in this
-// package goes low-to-high, which rules out deadlock between two mutators
-// whose shard sets overlap. An attempt that read nothing sleeps on no slot a
-// commit could write: that is a bug in the caller, reported here — before
-// any signal is raised — instead of by a thread that never wakes.
-func (cs *CondSync) newWaiter(tx *tm.Tx, mech string, slots []uint32) *Waiter {
-	if len(slots) == 0 {
+// newWaiter returns the fresh waiter of one sleep cycle of tx's thread —
+// the cycle's one allocation — with empty slots on its inline array.
+func (cs *CondSync) newWaiter(tx *tm.Tx) *Waiter {
+	w := &Waiter{Thr: tx.Thr, cs: cs}
+	w.slots = w.slotBuf[:0]
+	return w
+}
+
+// indexSlots finishes the waiter of a mechanism that sleeps on orec slots
+// (every one but WaitPred), once the caller has appended them to w.slots:
+// w.slots becomes their deduplicated, ascending set and w.shards the
+// waiter-index shards covering it. Ascending shard order matters: every
+// multi-shard lock acquisition in this package goes low-to-high, which
+// rules out deadlock between two mutators whose shard sets overlap. An
+// attempt that read nothing sleeps on no slot a commit could write: that is
+// a bug in the caller, reported here — before any signal is raised —
+// instead of by a thread that never wakes.
+func (w *Waiter) indexSlots(mech string) {
+	if len(w.slots) == 0 {
 		panic("core: " + mech + " with an empty read set can never be woken")
 	}
-	slices.Sort(slots)
-	w := &Waiter{Thr: tx.Thr, slots: slices.Compact(slots)}
-	w.shards = cs.sys.Table.StripesOf(w.slots, w.shardBuf[:0])
-	return w
+	slices.Sort(w.slots)
+	w.slots = slices.Compact(w.slots)
+	w.shards = w.cs.sys.Table.StripesOf(w.slots, w.shardBuf[:0])
+}
+
+// ready is the wake test of Retry, Await and WaitPred, evaluated in tx by
+// a waker and by the owner's double-check: WaitPred's predicate holds, or
+// some address in the waitset no longer holds the value the failed attempt
+// observed (Algorithm 5's wakeup predicate). Reads go through the
+// transaction so the evaluation is consistent (and, under HTM, subject to
+// ordinary conflict detection). A Retry-Orig sleeper has neither and is
+// never asked.
+func (w *Waiter) ready(tx *tm.Tx) bool {
+	if w.Pred != nil {
+		return w.Pred(tx, w.Args)
+	}
+	for _, av := range w.Waitset {
+		if tx.Read(av.Addr) != av.Val {
+			return true
+		}
+	}
+	return false
 }
 
 // maxSlotCompares is the number of slot × write-orec pairs up to which
@@ -325,26 +367,14 @@ func (cs *CondSync) WaitingLen() int {
 	return len(seen)
 }
 
-// postCommit is installed as the system's PostCommit hook; it runs on the
+// wakeWaiters is installed as the system's PostCommit hook; it runs on the
 // committing thread strictly after the writer's effects are visible, with
 // the attempt's write orecs and write-stripe set captured by the driver (so
 // neither OnCommit callbacks nor the nested predicate transactions below
 // can clobber them).
 //
-// The scan accumulates the waiters it claims into one per-commit batch, and
-// every semaphore signal is issued after the last shard lock has been
-// released: the per-commit form of Algorithm 4's deferred semaphore
-// operations.
-func (cs *CondSync) postCommit(t *tm.Thread, writeOrecs, writeStripes []uint32) {
-	var batch sem.Batch
-	cs.wakeWaiters(t, writeOrecs, writeStripes, &batch)
-	if n := batch.SignalAll(); n > 0 {
-		t.Stat.BatchedSignals.Add(uint64(n))
-	}
-}
-
-// wakeWaiters implements the bottom half of Algorithm 4 (and, for waiters
-// without a predicate, Algorithm 1's TxCommit lines 10–15), narrowed twice.
+// It implements the bottom half of Algorithm 4 (and, for Retry-Orig
+// waiters, Algorithm 1's TxCommit lines 10–15), narrowed twice.
 // By stripe: visit the waiter shards of exactly the stripes the committed
 // write set touched, plus the unindexed list. By orec: of the waiters found
 // there, examine those sleeping on an orec slot the write set shares — any
@@ -354,9 +384,9 @@ func (cs *CondSync) postCommit(t *tm.Thread, writeOrecs, writeStripes []uint32) 
 // it meets.
 //
 // The snapshots are gathered into one buffer before any predicate runs.
-// It starts on this frame — postCommit is never re-entered on a thread —
+// It starts on this frame — the hook is never re-entered on a thread —
 // so a commit that finds few waiters, or none, allocates nothing.
-func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32, batch *sem.Batch) {
+func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32) {
 	var scratch [smallScan]*Waiter
 	ws := scratch[:0]
 	scanned := len(touched)
@@ -378,14 +408,29 @@ func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32, batc
 		ws = dedupe(ws)
 	}
 	ws = cs.unindexed.snapshot(ws, writeOrecs)
+	if len(ws) > 0 {
+		cs.wakeSome(t, ws)
+	}
+}
+
+// wakeSome examines the gathered waiters, accumulating the ones it claims
+// into one batch, and issues every semaphore signal after the last shard
+// lock has been released: the per-commit form of Algorithm 4's deferred
+// semaphore operations. The batch lives on this frame, which only a commit
+// that found a waiter builds.
+func (cs *CondSync) wakeSome(t *tm.Thread, ws []*Waiter) {
+	var batch sem.Batch
 	checks := 0
 	for _, w := range ws {
-		if cs.tryWake(t, w, batch) {
+		if cs.tryWake(t, w, &batch) {
 			checks++
 		}
 	}
 	if checks > 0 {
 		t.Stat.WakeChecks.Add(uint64(checks))
+	}
+	if n := batch.SignalAll(); n > 0 {
+		t.Stat.BatchedSignals.Add(uint64(n))
 	}
 }
 
@@ -420,9 +465,9 @@ func dedupe(ws []*Waiter) []*Waiter {
 }
 
 // tryWake examines one sleeping waiter the commit concerns and reports that
-// it did; a waiter already claimed costs nothing. A predicate is evaluated
-// in a fresh (read-only, hardware-friendly) transaction; a waiter without
-// one (Retry-Orig) should wake because it got here — for Algorithm 1 the
+// it did; a waiter already claimed costs nothing. Its wake test (ready) is
+// evaluated in a fresh (read-only, hardware-friendly) transaction; a
+// Retry-Orig waiter should wake because it got here — for Algorithm 1 the
 // shared orec is the decision. If the waiter should wake, claim it with a
 // CAS and hand its semaphore to the per-commit batch (the claim makes the
 // wakeup this commit's responsibility; the signal itself is deferred until
@@ -432,10 +477,10 @@ func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) bool {
 	if !w.asleep.Load() {
 		return false
 	}
-	should := w.Pred == nil
+	should := w.Pred == nil && w.Waitset == nil // Retry-Orig
 	if !should {
 		t.Atomic(func(tx *tm.Tx) {
-			should = w.asleep.Load() && w.Pred(tx, w.Args)
+			should = w.asleep.Load() && w.ready(tx)
 		})
 	}
 	if should && w.asleep.CompareAndSwap(true, false) {
@@ -458,20 +503,20 @@ func (cs *CondSync) sleep(tx *tm.Tx, w *Waiter) {
 	cs.remove(w)
 }
 
-// deschedSignal unwinds a transaction that must be descheduled. By the
-// time Handle runs the driver has rolled the attempt back and reset the
-// descriptor, so memory is indistinguishable from the transaction never
-// having run; what remains is the publish / double-check / sleep protocol
-// of Algorithm 4. The driver undoes the attempt's allocations only once
-// Handle returns (captured-memory rule: the waitset may name them) and
-// then restarts the parent transaction with fresh scheduling state.
-type deschedSignal struct {
-	cs *CondSync
-	w  *Waiter
-}
+// deschedSignal is a Waiter raised as the Signal that unwinds a
+// transaction which must be descheduled (a pointer needs no interface
+// box). By the time Handle runs the driver has rolled the attempt back and
+// reset the descriptor, so memory is indistinguishable from the
+// transaction never having run; what remains is the publish / double-check
+// / sleep protocol of Algorithm 4. The driver undoes the attempt's
+// allocations only once Handle returns (captured-memory rule: the waitset
+// may name them) and then restarts the parent transaction with fresh
+// scheduling state.
+type deschedSignal Waiter
 
-func (s deschedSignal) Handle(tx *tm.Tx) {
-	cs, w := s.cs, s.w
+func (s *deschedSignal) Handle(tx *tm.Tx) {
+	w := (*Waiter)(s)
+	cs := w.cs
 	tx.Thr.Stat.Deschedules.Add(1)
 
 	// Discard any token left over from an earlier sleep cycle BEFORE this
@@ -488,7 +533,7 @@ func (s deschedSignal) Handle(tx *tm.Tx) {
 	// evaluation is guaranteed to observe it — no lost wakeups.
 	hold := false
 	tx.Thr.Atomic(func(chk *tm.Tx) {
-		hold = w.Pred(chk, w.Args)
+		hold = w.ready(chk)
 	})
 
 	if hold {
@@ -505,40 +550,25 @@ func (s deschedSignal) Handle(tx *tm.Tx) {
 	}
 }
 
-// findChanges is Algorithm 5's wakeup predicate: the waiter should resume
-// iff some address in its waitset no longer holds the value the failed
-// attempt observed. Reads go through the transaction so the evaluation is
-// consistent (and, under HTM, subject to ordinary conflict detection).
-func findChanges(w *Waiter) Pred {
-	return func(tx *tm.Tx, _ []uint64) bool {
-		for _, av := range w.Waitset {
-			if tx.Read(av.Addr) != av.Val {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // deschedOnWaitset raises Retry's and Await's deschedule signal: sleep on
-// the orec slots covering the attempt's waitset until findChanges holds.
+// the orec slots covering the attempt's waitset until one of its values
+// changes (ready).
 func (cs *CondSync) deschedOnWaitset(tx *tm.Tx, mech string) {
-	slots := make([]uint32, len(tx.Waitset))
+	w := cs.newWaiter(tx)
 	for i := range tx.Waitset {
-		slots[i] = cs.sys.Table.IndexOf(tx.Waitset[i].Addr)
+		w.slots = append(w.slots, cs.sys.Table.IndexOf(tx.Waitset[i].Addr))
 	}
-	w := cs.newWaiter(tx, mech, slots)
-	w.Waitset = append([]tm.AddrVal(nil), tx.Waitset...)
-	w.Pred = findChanges(w)
-	panic(deschedSignal{cs: cs, w: w})
+	w.indexSlots(mech)
+	w.Waitset = append(w.waitBuf[:0], tx.Waitset...)
+	panic((*deschedSignal)(w))
 }
 
 // Retry implements Algorithm 5. A first call inside an uninstrumented
 // attempt restarts the transaction in a mode that logs an address/value
 // pair on every read (hardware transactions additionally switch to the
 // serial software mode, since HTM lacks escape actions); the re-executed
-// attempt reaches Retry with a populated waitset and deschedules on
-// findChanges.
+// attempt reaches Retry with a populated waitset and deschedules until a
+// value in it changes.
 func Retry(tx *tm.Tx) {
 	cs := For(tx)
 	if tx.Mode == tm.ModeHW {
@@ -556,17 +586,21 @@ func Retry(tx *tm.Tx) {
 }
 
 // Await implements Algorithm 6: wait until any of the given addresses —
-// which the transaction must already have read — changes value. The
-// engine's AwaitSnapshot undoes speculative writes (holding locks where
-// read-for-write demands it) and logs the committed values; hardware
-// transactions first restart in software mode.
+// which the transaction must already have read — changes value. It logs
+// the addresses into the waitset, and the engine's AwaitSnapshot undoes
+// speculative writes (holding locks where read-for-write demands it) and
+// fills in their committed values; hardware transactions first restart in
+// software mode.
 func Await(tx *tm.Tx, addrs ...*uint64) {
 	cs := For(tx)
 	if tx.Mode == tm.ModeHW {
 		tx.RestartSoftware()
 	}
 	tx.ResetWaitset()
-	tx.Sys.Engine.AwaitSnapshot(tx, addrs)
+	for _, addr := range addrs {
+		tx.LogWait(addr, 0)
+	}
+	tx.Sys.Engine.AwaitSnapshot(tx)
 	cs.deschedOnWaitset(tx, "Await")
 }
 
@@ -580,22 +614,18 @@ func WaitPred(tx *tm.Tx, pred Pred, args ...uint64) {
 	if tx.Mode == tm.ModeHW {
 		tx.RestartSoftware()
 	}
-	w := &Waiter{
-		Thr:  tx.Thr,
-		Pred: pred,
-		Args: append([]uint64(nil), args...),
-	}
-	panic(deschedSignal{cs: cs, w: w})
+	w := cs.newWaiter(tx)
+	w.Pred = pred
+	w.Args = append(w.argBuf[:0], args...)
+	panic((*deschedSignal)(w))
 }
 
-// origSignal implements the sleep half of Algorithm 1. The waiter carries
-// the read metadata captured when RetryOrig was called (the descriptor is
-// reset before Handle runs): its slots are the read set's orecs.
-type origSignal struct {
-	cs    *CondSync
-	w     *Waiter
-	start uint64
-}
+// origSignal is a Retry-Orig Waiter raised as the Signal that implements
+// the sleep half of Algorithm 1. The waiter carries the read metadata
+// captured when RetryOrig was called (the descriptor is reset before
+// Handle runs): its slots are the read set's orecs, and start the
+// attempt's start time.
+type origSignal Waiter
 
 // RetryOrig implements the original Retry mechanism (Algorithm 1), the
 // good-faith adaptation of Harris et al.'s STM retry: publish the
@@ -608,15 +638,18 @@ func RetryOrig(tx *tm.Tx) {
 	if tx.Mode != tm.ModeSTM {
 		panic("core: RetryOrig requires an STM engine (no HTM support, §2.1)")
 	}
-	slots := make([]uint32, len(tx.Reads))
+	w := cs.newWaiter(tx)
 	for i := range tx.Reads {
-		slots[i] = tx.Reads[i].Orec
+		w.slots = append(w.slots, tx.Reads[i].Orec)
 	}
-	panic(origSignal{cs: cs, w: cs.newWaiter(tx, "RetryOrig", slots), start: tx.Start})
+	w.indexSlots("RetryOrig")
+	w.start = tx.Start
+	panic((*origSignal)(w))
 }
 
-func (s origSignal) Handle(tx *tm.Tx) {
-	cs, w := s.cs, s.w
+func (s *origSignal) Handle(tx *tm.Tx) {
+	w := (*Waiter)(s)
+	cs := w.cs
 	tbl := cs.sys.Table
 	tx.Thr.Stat.Deschedules.Add(1)
 	// Discard any stale token from an earlier sleep cycle before this
@@ -649,7 +682,7 @@ func (s origSignal) Handle(tx *tm.Tx) {
 	valid := true
 	for _, idx := range w.slots {
 		o := tbl.Get(idx)
-		if locktable.Locked(o) || locktable.Version(o) > s.start {
+		if locktable.Locked(o) || locktable.Version(o) > w.start {
 			// A concurrent modification means re-execution may already
 			// be profitable; restart instead of risking a missed wakeup.
 			// No scan has seen the waiter: the locks are still held.

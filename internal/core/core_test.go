@@ -421,7 +421,7 @@ func TestManyWaitersBroadcastSemantics(t *testing.T) {
 
 func TestDeschedulePreservesAllocationsUntilWake(t *testing.T) {
 	// Captured memory: a transaction allocates, reads the allocation, and
-	// retries; findChanges must be able to read the block while the
+	// retries; the waiter's wake test must be able to read the block while the
 	// waiter sleeps (i.e. it was not recycled), and the block is undone
 	// after wakeup.
 	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
@@ -442,7 +442,7 @@ func TestDeschedulePreservesAllocationsUntilWake(t *testing.T) {
 		waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
 		writer := sys.NewThread()
 		// Wake repeatedly with gate still closed: each futile wakeup
-		// re-evaluates findChanges over the captured block.
+		// re-evaluates the waitset over the captured block.
 		for i := 0; i < 5; i++ {
 			writer.Atomic(func(tx *tm.Tx) { tx.Write(&gate, 0) })
 			time.Sleep(2 * time.Millisecond)

@@ -103,7 +103,9 @@ func TestEmptyShardLengthsTrackLists(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w := &Waiter{} // no slots: unindexed
 		if i%4 != 3 {
-			w = cs.newWaiter(tx, "test", []uint32{sys.Table.IndexOf(&words[i*64]), sys.Table.IndexOf(&words[i*64+8])})
+			w = cs.newWaiter(tx)
+			w.slots = append(w.slots, sys.Table.IndexOf(&words[i*64]), sys.Table.IndexOf(&words[i*64+8]))
+			w.indexSlots("test")
 		}
 		w.asleep.Store(true)
 		cs.insert(w)

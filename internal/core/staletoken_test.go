@@ -1,7 +1,7 @@
 package core_test
 
 // Reproducer for the stale-token self-clear path of the Deschedule sleep
-// cycle (deschedSignal.Handle).
+// cycle ((*deschedSignal).Handle).
 //
 // The fragile window: a waiter consumes a STALE token (a claim-winning
 // waker's batched signal from a cycle the thread already departed), so no

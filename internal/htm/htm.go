@@ -110,12 +110,12 @@ func (*Engine) Rollback(tx *tm.Tx) {
 // unavailable, so the caller (core.Await) switches to software first; in
 // serial mode the section runs alone, so after undoing its writes the
 // committed values can be read directly.
-func (*Engine) AwaitSnapshot(tx *tm.Tx, addrs []*uint64) {
+func (*Engine) AwaitSnapshot(tx *tm.Tx) {
 	if tx.Mode != tm.ModeSerial {
 		panic("htm: AwaitSnapshot requires software (serial) mode")
 	}
 	tx.UndoWrites()
-	for _, addr := range addrs {
-		tx.LogWait(addr, atomic.LoadUint64(addr))
+	for i := range tx.Waitset {
+		tx.Waitset[i].Val = atomic.LoadUint64(tx.Waitset[i].Addr)
 	}
 }

@@ -77,9 +77,9 @@ func (e *Engine) Rollback(tx *tm.Tx) {
 
 // AwaitSnapshot implements tm.Engine: hardware transactions must restart
 // in software mode first (core.Await arranges that).
-func (e *Engine) AwaitSnapshot(tx *tm.Tx, addrs []*uint64) {
+func (e *Engine) AwaitSnapshot(tx *tm.Tx) {
 	if tx.Mode == tm.ModeHW {
 		panic("hybrid: AwaitSnapshot requires software mode")
 	}
-	e.Engine.AwaitSnapshot(tx, addrs)
+	e.Engine.AwaitSnapshot(tx)
 }

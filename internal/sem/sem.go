@@ -48,30 +48,48 @@ func (s *Sem) TryDrain() bool {
 // writer CAS-claims every waiter it should wake into a Batch while walking
 // its shards, then issues every signal in one burst with SignalAll.
 //
-// The zero value is an empty batch ready for use. A Batch is not safe for
-// concurrent use; each committing thread builds its own.
+// The first batchInline semaphores live in the Batch itself, so a batch
+// declared on the stack that wakes that many allocates nothing; more spill
+// into a slice. The zero value is an empty batch ready for use. A Batch is
+// not safe for concurrent use; each committing thread builds its own.
 type Batch struct {
-	sems []*Sem
+	n      int
+	inline [batchInline]*Sem
+	spill  []*Sem
 }
+
+// batchInline is the number of semaphores a Batch holds without allocating.
+const batchInline = 8
 
 // Add appends a semaphore to the batch. The caller must already hold the
 // exclusive claim on the corresponding waiter (the asleep/woken CAS), so
 // the same waiter can never be added twice for one sleep cycle.
 func (b *Batch) Add(s *Sem) {
-	b.sems = append(b.sems, s)
+	if b.n < batchInline {
+		b.inline[b.n] = s
+	} else {
+		b.spill = append(b.spill, s)
+	}
+	b.n++
 }
 
 // Len reports the number of pending signals.
-func (b *Batch) Len() int { return len(b.sems) }
+func (b *Batch) Len() int { return b.n }
 
 // SignalAll delivers every pending signal, empties the batch (retaining
-// capacity for reuse), and returns the number of signals issued.
+// the spill's capacity for reuse), and returns the number of signals
+// issued.
 func (b *Batch) SignalAll() int {
-	n := len(b.sems)
-	for i, s := range b.sems {
-		s.Signal()
-		b.sems[i] = nil
+	n := b.n
+	for i := range min(n, batchInline) {
+		b.inline[i].Signal()
+		b.inline[i] = nil
 	}
-	b.sems = b.sems[:0]
+	for i, s := range b.spill {
+		s.Signal()
+		b.spill[i] = nil
+	}
+	b.spill = b.spill[:0]
+	b.n = 0
 	return n
 }

@@ -61,10 +61,9 @@ func TestTryDrain(t *testing.T) {
 }
 
 // TestBatchReuseAcrossFlushCycles pins the contract of a reused Batch:
-// SignalAll empties the batch but retains capacity for the next cycle, and
-// a reused batch must deliver exactly the semaphores added since the last
-// SignalAll — never re-delivering a prior cycle's, whose waiters have long
-// departed.
+// SignalAll empties the batch, and a reused batch must deliver exactly the
+// semaphores added since the last SignalAll — never re-delivering a prior
+// cycle's, whose waiters have long departed.
 func TestBatchReuseAcrossFlushCycles(t *testing.T) {
 	var b Batch
 	first := []*Sem{New(), New(), New()}
@@ -78,9 +77,6 @@ func TestBatchReuseAcrossFlushCycles(t *testing.T) {
 		if !s.TryDrain() {
 			t.Fatalf("first-cycle sem %d missing its token", i)
 		}
-	}
-	if cap(b.sems) < 3 {
-		t.Errorf("SignalAll dropped the batch's capacity (cap %d, want >= 3)", cap(b.sems))
 	}
 
 	// Second cycle on the same batch: only the new semaphore may fire.
@@ -101,6 +97,59 @@ func TestBatchReuseAcrossFlushCycles(t *testing.T) {
 	// An empty flush stays empty.
 	if n := b.SignalAll(); n != 0 {
 		t.Fatalf("empty batch delivered %d signals", n)
+	}
+}
+
+// TestBatchSpillDeliversEvery fills a batch well past its inline array:
+// every semaphore gets exactly one token, and a second cycle on the same
+// batch — inline and spilled slots both reused — fires only its own.
+func TestBatchSpillDeliversEvery(t *testing.T) {
+	var b Batch
+	sems := make([]*Sem, 20)
+	for i := range sems {
+		sems[i] = New()
+		b.Add(sems[i])
+	}
+	if n := b.SignalAll(); n != len(sems) {
+		t.Fatalf("spilled batch delivered %d signals, want %d", n, len(sems))
+	}
+	for i, s := range sems {
+		if !s.TryDrain() {
+			t.Fatalf("sem %d of %d missing its token", i, len(sems))
+		}
+	}
+	second := New()
+	b.Add(second)
+	if n := b.SignalAll(); n != 1 || !second.TryDrain() {
+		t.Fatalf("second cycle delivered %d signals, want 1 to its own sem", n)
+	}
+	for i, s := range sems {
+		if s.TryDrain() {
+			t.Fatalf("reused batch re-delivered first-cycle sem %d", i)
+		}
+	}
+}
+
+// TestBatchInlineAllocatesNothing: a batch of up to eight semaphores,
+// declared on the stack as a committing writer declares it, allocates
+// nothing to fill and deliver.
+func TestBatchInlineAllocatesNothing(t *testing.T) {
+	var sems [batchInline]*Sem
+	for i := range sems {
+		sems[i] = New()
+	}
+	n := testing.AllocsPerRun(200, func() {
+		var b Batch
+		for _, s := range sems {
+			b.Add(s)
+		}
+		b.SignalAll()
+		for _, s := range sems {
+			s.TryDrain()
+		}
+	})
+	if n != 0 {
+		t.Errorf("Add x%d + SignalAll allocates %v times", batchInline, n)
 	}
 }
 

@@ -72,4 +72,4 @@ func (*Engine) Rollback(tx *tm.Tx) {
 }
 
 // AwaitSnapshot implements tm.Engine.
-func (*Engine) AwaitSnapshot(tx *tm.Tx, addrs []*uint64) { tx.AwaitSnapshot(addrs) }
+func (*Engine) AwaitSnapshot(tx *tm.Tx) { tx.AwaitSnapshot() }

@@ -55,4 +55,4 @@ func (*Engine) Rollback(tx *tm.Tx) { tx.ReleaseLocks() }
 
 // AwaitSnapshot implements tm.Engine: speculative writes live only in the
 // redo log, so the committed values are read directly from memory.
-func (*Engine) AwaitSnapshot(tx *tm.Tx, addrs []*uint64) { tx.AwaitSnapshot(addrs) }
+func (*Engine) AwaitSnapshot(tx *tm.Tx) { tx.AwaitSnapshot() }

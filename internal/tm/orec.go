@@ -277,13 +277,13 @@ func (tx *Tx) UndoWrites() {
 // AwaitSnapshot is the Await re-read step (Algorithm 6) for the software
 // engines: undo the attempt's in-place writes while still holding their
 // locks (releasing would be incorrect for read-for-write accesses; a redo
-// log has none to undo), then read each address consistently with the
-// whole transaction and log it to the waitset. The caller subsequently
+// log has none to undo), then read each waitset address consistently with
+// the whole transaction and fill in its value. The caller subsequently
 // deschedules, at which point Rollback releases the retained locks.
-func (tx *Tx) AwaitSnapshot(addrs []*uint64) {
+func (tx *Tx) AwaitSnapshot() {
 	tx.UndoWrites()
-	for _, addr := range addrs {
-		tx.LogWait(addr, tx.ReadCommitted(addr))
+	for i := range tx.Waitset {
+		tx.Waitset[i].Val = tx.ReadCommitted(tx.Waitset[i].Addr)
 	}
 }
 

@@ -426,11 +426,13 @@ type Engine interface {
 	// Commit returned. It must tolerate being called after AwaitSnapshot
 	// has already applied the undo log.
 	Rollback(tx *Tx)
-	// AwaitSnapshot implements the tricky step of Algorithm 6: undo this
-	// transaction's writes (holding locks where the engine requires it),
-	// then read each address consistently with the transaction and append
-	// the observed address/value pairs to tx.Waitset. It may Abort.
-	AwaitSnapshot(tx *Tx, addrs []*uint64)
+	// AwaitSnapshot implements the tricky step of Algorithm 6. The caller
+	// has logged the awaited addresses into tx.Waitset, values unset; the
+	// engine undoes this transaction's writes (holding locks where it
+	// requires them), then sets each entry's Val to its address's
+	// committed value, read consistently with the transaction. It may
+	// Abort.
+	AwaitSnapshot(tx *Tx)
 }
 
 // Signal is a control transfer raised inside a transaction body (by
@@ -1166,7 +1168,9 @@ func (t *Thread) commit(tx *Tx) {
 	// nested commits must not reuse — and thereby clobber — the backing
 	// arrays the outer commit's wake scan is about to be handed. A nested
 	// commit finds postOrecs nil, allocates its own capture, and restores
-	// it on return; our locals stay intact throughout.
+	// it on return; our locals stay intact throughout. The deferred
+	// actions are detached the same way, and their array handed back once
+	// they have run, so the next attempt appends to it without allocating.
 	writeOrecs := append(t.postOrecs[:0], tx.WriteOrecs...)
 	writeStripes := append(t.postStripes[:0], tx.WriteStripes...)
 	t.postOrecs, t.postStripes = nil, nil
@@ -1181,6 +1185,8 @@ func (t *Thread) commit(tx *Tx) {
 	for _, f := range deferred {
 		f()
 	}
+	clear(deferred)
+	tx.OnCommit = deferred[:0]
 	if wrote && t.Sys.PostCommit != nil && !t.inPostCommit {
 		t.inPostCommit = true
 		t.Sys.PostCommit(t, writeOrecs, writeStripes)
