@@ -20,10 +20,12 @@
 // with the commit is what wakes them — the metadata-based decision the
 // paper contrasts with the value-based one.
 //
-// A sleep cycle allocates one object, its Waiter: the waiter holds its
-// slots, waitset and arguments inline while they are small, and is itself
-// the Signal the descheduling transaction raises. A commit that wakes
-// waiters batches their semaphores on its stack.
+// A sleep cycle allocates nothing: each thread reuses one Waiter, its sleep
+// record, which holds the slots, waitset and arguments inline while they
+// are small and is itself the Signal the descheduling transaction raises.
+// A wake scan that still holds a thread's record keeps it from being
+// reused, and the thread's next cycle then allocates a fresh one. A commit
+// that wakes waiters batches their semaphores on its stack.
 package core
 
 import (
@@ -39,15 +41,28 @@ import (
 
 // Pred is a wakeup predicate evaluated inside a (read-only) transaction.
 // It must not write shared memory and must not itself call Retry, Await,
-// WaitPred, or condition-variable waits.
+// WaitPred, or condition-variable waits, and it must not keep args past the
+// call: they live in the sleeper's reusable record.
 type Pred func(tx *tm.Tx, args []uint64) bool
 
 // Waiter is one published sleeper, of one of three kinds: a WaitPred
 // request (Pred and Args), a Retry or Await request (Waitset: it wakes once
 // a logged address no longer holds its value — ready), or, with neither, a
-// Retry-Orig entry (Algorithm 1). A fresh Waiter is created per sleep cycle
-// so that late wakeWaiters scans holding a stale snapshot of the registry
-// only ever observe fields the owner wrote before listing it.
+// Retry-Orig entry (Algorithm 1).
+//
+// Each thread reuses one Waiter, its sleep record, across sleep cycles
+// (newWaiter), yet a wake scan holding a stale snapshot of the registry
+// only ever observes fields the owner wrote before listing it:
+//   - every reference a scan holds outside a shard lock was counted in refs
+//     under that lock (snapshot), and is dropped only after the scan's last
+//     access to the waiter (wakeSome, after tryWake);
+//   - the owner's remove takes the same lock afterwards, so it happens after
+//     that increment;
+//   - the owner rewrites the record only after it loads refs == 0, which
+//     happens after the scan's last access; while refs is not 0 it takes a
+//     fresh record instead;
+//   - a Retry-Orig waiter whose validation fails is unlisted under locks held
+//     since it was listed, so no scan can have gathered it.
 type Waiter struct {
 	Thr     *tm.Thread
 	Pred    Pred
@@ -74,6 +89,10 @@ type Waiter struct {
 	shardBuf [4]uint32
 	waitBuf  [2]tm.AddrVal
 	argBuf   [2]uint64
+
+	// refs counts the wake scans that gathered the waiter and have not
+	// finished with it; the owner reuses the record only at 0.
+	refs atomic.Int32
 
 	// asleep is true from publication until a waker (or the waiter
 	// itself, deciding not to sleep) claims the wakeup with a CAS;
@@ -164,11 +183,25 @@ func For(tx *tm.Tx) *CondSync {
 	return cs
 }
 
-// newWaiter returns the fresh waiter of one sleep cycle of tx's thread —
-// the cycle's one allocation — with empty slots on its inline array.
+// newWaiter returns the waiter of one sleep cycle of tx's thread, reset and
+// unlisted: the thread's sleep record once no wake scan holds it (refs reads
+// 0; see Waiter), and otherwise a fresh record that becomes the thread's
+// own — the old one is collected once the stale scan drops it. Slots,
+// shards, waitset and arguments start empty, on their inline arrays or on
+// whatever larger ones they spilled to in an earlier cycle.
 func (cs *CondSync) newWaiter(tx *tm.Tx) *Waiter {
-	w := &Waiter{Thr: tx.Thr, cs: cs}
-	w.slots = w.slotBuf[:0]
+	w := (*Waiter)(tx.SleepRecord)
+	if w == nil || w.refs.Load() != 0 {
+		w = &Waiter{Thr: tx.Thr, cs: cs}
+		w.slots, w.shards = w.slotBuf[:0], w.shardBuf[:0]
+		w.Waitset, w.Args = w.waitBuf[:0], w.argBuf[:0]
+		tx.SleepRecord = unsafe.Pointer(w)
+	}
+	clear(w.Waitset) // drop the last cycle's addresses for the GC
+	w.Pred, w.start = nil, 0
+	w.slots, w.shards = w.slots[:0], w.shards[:0]
+	w.Waitset, w.Args = w.Waitset[:0], w.Args[:0]
+	w.asleep.Store(false)
 	return w
 }
 
@@ -187,7 +220,7 @@ func (w *Waiter) indexSlots(mech string) {
 	}
 	slices.Sort(w.slots)
 	w.slots = slices.Compact(w.slots)
-	w.shards = w.cs.sys.Table.StripesOf(w.slots, w.shardBuf[:0])
+	w.shards = w.cs.sys.Table.StripesOf(w.slots, w.shards)
 }
 
 // ready is the wake test of Retry, Await and WaitPred, evaluated in tx by
@@ -325,8 +358,9 @@ func (cs *CondSync) remove(w *Waiter) {
 // that wakeWaiters iterates (Algorithm 4, wakeWaiters line 1), avoiding
 // contention with concurrent inserts while predicates are evaluated. A
 // waiter the commit's write orecs do not concern is left out here, under
-// the lock, at the cost of a few compares. An empty shard costs one load
-// of n and no write; see waiterShard.
+// the lock, at the cost of a few compares; one gathered is counted in its
+// refs, under the lock, until wakeSome is done with it. An empty shard costs
+// one load of n and no write; see waiterShard.
 //
 //tm:lockorder-checked
 func (sh *waiterShard) snapshot(buf []*Waiter, writeOrecs []uint32) []*Waiter {
@@ -336,6 +370,7 @@ func (sh *waiterShard) snapshot(buf []*Waiter, writeOrecs []uint32) []*Waiter {
 	sh.mu.Lock()
 	for _, w := range sh.waiters {
 		if w.concerns(writeOrecs) {
+			w.refs.Add(1)
 			buf = append(buf, w)
 		}
 	}
@@ -417,7 +452,9 @@ func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32) {
 // into one batch, and issues every semaphore signal after the last shard
 // lock has been released: the per-commit form of Algorithm 4's deferred
 // semaphore operations. The batch lives on this frame, which only a commit
-// that found a waiter builds.
+// that found a waiter builds. Each waiter's count (snapshot) is dropped once
+// tryWake is done with it; the batch holds the thread's semaphore, not the
+// waiter.
 func (cs *CondSync) wakeSome(t *tm.Thread, ws []*Waiter) {
 	var batch sem.Batch
 	checks := 0
@@ -425,6 +462,7 @@ func (cs *CondSync) wakeSome(t *tm.Thread, ws []*Waiter) {
 		if cs.tryWake(t, w, &batch) {
 			checks++
 		}
+		w.refs.Add(-1)
 	}
 	if checks > 0 {
 		t.Stat.WakeChecks.Add(uint64(checks))
@@ -439,7 +477,8 @@ func (cs *CondSync) wakeSome(t *tm.Thread, ws []*Waiter) {
 const smallScan = 16
 
 // dedupe removes repeated waiters from ws in place, keeping first
-// occurrences in order.
+// occurrences in order and dropping the count (snapshot) each removed
+// repeat took.
 func dedupe(ws []*Waiter) []*Waiter {
 	out := ws[:0]
 	if len(ws) <= smallScan {
@@ -447,6 +486,7 @@ func dedupe(ws []*Waiter) []*Waiter {
 		for _, w := range ws {
 			for _, x := range out {
 				if x == w {
+					w.refs.Add(-1)
 					continue next
 				}
 			}
@@ -456,10 +496,12 @@ func dedupe(ws []*Waiter) []*Waiter {
 	}
 	seen := make(map[*Waiter]struct{}, len(ws))
 	for _, w := range ws {
-		if _, dup := seen[w]; !dup {
-			seen[w] = struct{}{}
-			out = append(out, w)
+		if _, dup := seen[w]; dup {
+			w.refs.Add(-1)
+			continue
 		}
+		seen[w] = struct{}{}
+		out = append(out, w)
 	}
 	return out
 }
@@ -472,12 +514,13 @@ func dedupe(ws []*Waiter) []*Waiter {
 // CAS and hand its semaphore to the per-commit batch (the claim makes the
 // wakeup this commit's responsibility; the signal itself is deferred until
 // every shard has been scanned — Algorithm 4 line 9, applied per commit
-// rather than per waiter).
+// rather than per waiter). Its last touch of the waiter is w.Thr.Sem: the
+// caller may let the record be reused once it returns.
 func (cs *CondSync) tryWake(t *tm.Thread, w *Waiter, batch *sem.Batch) bool {
 	if !w.asleep.Load() {
 		return false
 	}
-	should := w.Pred == nil && w.Waitset == nil // Retry-Orig
+	should := w.Pred == nil && len(w.Waitset) == 0 // Retry-Orig
 	if !should {
 		t.Atomic(func(tx *tm.Tx) {
 			should = w.asleep.Load() && w.ready(tx)
@@ -559,7 +602,7 @@ func (cs *CondSync) deschedOnWaitset(tx *tm.Tx, mech string) {
 		w.slots = append(w.slots, cs.sys.Table.IndexOf(tx.Waitset[i].Addr))
 	}
 	w.indexSlots(mech)
-	w.Waitset = append(w.waitBuf[:0], tx.Waitset...)
+	w.Waitset = append(w.Waitset, tx.Waitset...)
 	panic((*deschedSignal)(w))
 }
 
@@ -616,7 +659,7 @@ func WaitPred(tx *tm.Tx, pred Pred, args ...uint64) {
 	}
 	w := cs.newWaiter(tx)
 	w.Pred = pred
-	w.Args = append(w.argBuf[:0], args...)
+	w.Args = append(w.Args, args...)
 	panic((*deschedSignal)(w))
 }
 

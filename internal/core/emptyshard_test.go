@@ -82,7 +82,9 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 }
 
 // TestEmptyShardLengthsTrackLists pins n == len(waiters) on every shard
-// and the unindexed list across insert and remove.
+// and the unindexed list across insert and remove. Each listed waiter is
+// the sleep record of its own thread, as in a real run: a thread sleeps
+// on one predicate at a time.
 func TestEmptyShardLengthsTrackLists(t *testing.T) {
 	sys := tm.NewSystem(tm.Config{Stripes: 4}, eager.New)
 	cs := Enable(sys)
@@ -98,12 +100,10 @@ func TestEmptyShardLengthsTrackLists(t *testing.T) {
 		}
 	}
 	words := make([]uint64, 512)
-	tx := &sys.NewThread().Tx
 	var ws []*Waiter
 	for i := 0; i < 8; i++ {
-		w := &Waiter{} // no slots: unindexed
-		if i%4 != 3 {
-			w = cs.newWaiter(tx)
+		w := cs.newWaiter(&sys.NewThread().Tx)
+		if i%4 != 3 { // otherwise no slots: unindexed
 			w.slots = append(w.slots, sys.Table.IndexOf(&words[i*64]), sys.Table.IndexOf(&words[i*64+8]))
 			w.indexSlots("test")
 		}

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,5 +174,77 @@ func TestWaiterChurn(t *testing.T) {
 		if got := cs.WaitingLen(); got != 0 {
 			t.Fatalf("registry holds %d stale waiters", got)
 		}
+	})
+}
+
+// TestSleepRecordReuseStress has Retry, Await and WaitPred sleepers, each
+// waiting for the sum of two of three shared words (on distinct stripes) to
+// change, woken by two writers whose write sets overlap on the middle word,
+// so that several commits' wake scans gather one sleeper at once and a
+// woken sleeper starts its next cycle while another scan still holds its
+// record. Run under -race in CI: an owner rewriting a record a scan still
+// reads is a data race there.
+func TestSleepRecordReuseStress(t *testing.T) {
+	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+		const sleepers, rounds = 6, 1000
+		words := disjointStripeAddrs(t, sys, 3)
+		sumOf := func(tx *tm.Tx, p, q *uint64) uint64 { return tx.Read(p) + tx.Read(q) }
+		var sleeping sync.WaitGroup
+		for i := 0; i < sleepers; i++ {
+			p, q := words[i%3], words[(i+1)%3]
+			changed := func(tx *tm.Tx, args []uint64) bool { return sumOf(tx, p, q) != args[0] }
+			sleeping.Add(1)
+			go func() {
+				defer sleeping.Done()
+				thr := sys.NewThread()
+				var last uint64
+				for r := 0; r < rounds; r++ {
+					thr.Atomic(func(tx *tm.Tx) {
+						s := sumOf(tx, p, q)
+						if s == last {
+							switch i % 3 {
+							case 0:
+								core.Retry(tx)
+							case 1:
+								core.Await(tx, p, q)
+							default:
+								core.WaitPred(tx, changed, last)
+							}
+						}
+						last = s
+					})
+				}
+			}()
+		}
+		var stop atomic.Bool
+		var writing sync.WaitGroup
+		for wr := 0; wr < 2; wr++ {
+			p, q := words[wr], words[wr+1]
+			writing.Add(1)
+			go func() {
+				defer writing.Done()
+				thr := sys.NewThread()
+				for !stop.Load() {
+					thr.Atomic(func(tx *tm.Tx) {
+						tx.Write(p, tx.Read(p)+1)
+						tx.Write(q, tx.Read(q)+1)
+					})
+					runtime.Gosched()
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { sleeping.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("sleepers wedged: a wakeup was lost")
+		}
+		stop.Store(true)
+		writing.Wait()
+		if n := cs.WaitingLen(); n != 0 {
+			t.Fatalf("registry holds %d stale waiters", n)
+		}
+		t.Logf("%d deschedules", sys.Stats.Sum().Deschedules)
 	})
 }

@@ -39,7 +39,8 @@ func (k *Kit) NewThread() *tm.Thread {
 // the workhorse behind completion counters, start gates, termination
 // flags, and frame-progress waits. Each mechanism supplies its own wait
 // implementation; increments broadcast under Pthreads because waiters may
-// have different targets.
+// have different targets. Only the kit's mechanism's waiting state is
+// built: cond under Pthreads, tcv under TMCondVar, pred under WaitPred.
 type Counter struct {
 	k *Kit
 
@@ -55,9 +56,15 @@ type Counter struct {
 
 // NewCounter returns a counter starting at zero.
 func (k *Kit) NewCounter() *Counter {
-	c := &Counter{k: k, tcv: condvar.New()}
-	c.cond = sync.NewCond(&c.mu)
-	c.pred = func(tx *tm.Tx, args []uint64) bool { return c.v.Get(tx) >= args[0] }
+	c := &Counter{k: k}
+	switch k.Mech {
+	case mech.Pthreads:
+		c.cond = sync.NewCond(&c.mu)
+	case mech.TMCondVar:
+		c.tcv = condvar.New()
+	case mech.WaitPred:
+		c.pred = func(tx *tm.Tx, args []uint64) bool { return c.v.Get(tx) >= args[0] }
+	}
 	return c
 }
 
@@ -150,7 +157,8 @@ func (c *Counter) WaitAtLeast(thr *tm.Thread, target uint64) {
 // Barrier is a reusable sense-reversing barrier. As §2.3 observes, the
 // classic two-wait reusable barrier cannot be obtained from condition
 // variables by simple substitution; the sense-reversing restructuring
-// below is the redesign the paper anticipates.
+// below is the redesign the paper anticipates. As with Counter, only the
+// kit's mechanism's waiting state is built.
 type Barrier struct {
 	k     *Kit
 	n     uint64
@@ -167,9 +175,15 @@ type Barrier struct {
 
 // NewBarrier returns a barrier for n participants.
 func (k *Kit) NewBarrier(n int) *Barrier {
-	b := &Barrier{k: k, n: uint64(n), tcv: condvar.New()}
-	b.cond = sync.NewCond(&b.mu)
-	b.pred = func(tx *tm.Tx, args []uint64) bool { return b.sense.Get(tx) != args[0] }
+	b := &Barrier{k: k, n: uint64(n)}
+	switch k.Mech {
+	case mech.Pthreads:
+		b.cond = sync.NewCond(&b.mu)
+	case mech.TMCondVar:
+		b.tcv = condvar.New()
+	case mech.WaitPred:
+		b.pred = func(tx *tm.Tx, args []uint64) bool { return b.sense.Get(tx) != args[0] }
+	}
 	return b
 }
 

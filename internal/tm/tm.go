@@ -208,13 +208,18 @@ type Tx struct {
 	// fuller than sigClearFill.
 	sigFill uint64
 
-	// Two spare words that keep every field below, and so every Thread
+	// SleepRecord is the thread's reusable sleep record, owned and
+	// interpreted by the condition-synchronization layer (core's Waiter);
+	// tm only keeps it with the descriptor, one per thread.
+	SleepRecord unsafe.Pointer
+
+	// A spare word that keeps every field below, and so every Thread
 	// field behind the descriptor, at the offset Thread's cache-line plan
-	// was measured with. A field added to the descriptor takes one of
-	// them, and a change to the descriptor's size is a layout change:
-	// measure it on its own and update TestThreadLayout on purpose rather
-	// than padding around it.
-	_ [2]uint64
+	// was measured with. A field added to the descriptor takes it, and a
+	// change to the descriptor's size is a layout change: measure it on
+	// its own and update TestThreadLayout on purpose rather than padding
+	// around it.
+	_ uint64
 
 	// OnCommit holds actions deferred until the attempt commits (e.g.
 	// condition-variable signals, which must not fire from an attempt
