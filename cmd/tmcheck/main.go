@@ -13,19 +13,20 @@
 //	go run ./cmd/tmcheck -budget 30s            # as many scenarios as fit
 //	go run ./cmd/tmcheck -parsec -scale 2       # PARSEC skeletons instead
 //	go run ./cmd/tmcheck -n 5 -inject           # prove the checker detects faults
-//	go run ./cmd/tmcheck -n 20 -zipf 1.2        # Zipf-skewed key contention
-//	go run ./cmd/tmcheck -n 20 -read-mostly     # read-mostly long transactions
-//	go run ./cmd/tmcheck -n 10 -phases 20:counters,20:readmostly,10:map  # phase-shifting mix
 //	go run ./cmd/tmcheck -n 5 -record traces/   # capture each run as a replayable trace
 //	go run ./cmd/tmcheck -replay 'traces/*.trace'  # differential replay of recorded traces
+//
+// Each seed draws its own filler shape — uniform or Zipf-skewed keys, and
+// a schedule of one to three op mixes — so any run of several seeds covers
+// skewed contention, read-mostly transactions and phase shifts.
 //
 // Mode flags are validated for coherence before anything runs: -stripes
 // must be a power of two within the table. -replay reruns
 // committed traces, so it contradicts every flag that shapes generation
-// (-seed, -n, -threads, -ops, -zipf, -read-mostly, -phases, -inject,
-// -parsec, -record); -stripes remains allowed and overrides the trace's
-// stamped stripe count. Nonsensical combinations exit 2 instead
-// of silently running just one of the modes.
+// (-seed, -n, -threads, -ops, -inject, -parsec, -record); -stripes
+// remains allowed and overrides the trace's stamped stripe count.
+// Nonsensical combinations exit 2 instead of silently running just one of
+// the modes.
 //
 // Exit status is 0 iff every execution matched its oracle (inverted under
 // -inject: the run fails if any injected fault goes undetected).
@@ -58,19 +59,16 @@ func main() {
 	parsec := flag.Bool("parsec", false, "check the eight PARSEC skeletons instead of random scenarios")
 	scale := flag.Int("scale", 1, "PARSEC workload scale (with -parsec)")
 	inject := flag.Bool("inject", false, "inject a deliberate invariant violation into every scenario; exit 0 iff all are caught")
-	zipf := flag.Float64("zipf", 0, "Zipf exponent for key selection in generated scenarios (0 = uniform); skews contention onto a few hot keys")
-	readMostly := flag.Bool("read-mostly", false, "generate read-mostly long transactions (wide read scans with one commutative write)")
-	phases := flag.String("phases", "", "phase-shifting workload schedule `ops:mix,ops:mix,...` (mixes: "+strings.Join(harness.Mixes, ", ")+")")
 	record := flag.String("record", "", "record one execution of every scenario as a replayable trace into this `dir`")
 	replay := flag.String("replay", "", "differentially replay the traces matching this `glob` instead of generating scenarios")
 	verbose := flag.Bool("v", false, "per-scenario progress and the engine × mechanism breakdown")
 	flag.Parse()
 
 	// Flag-coherence validation. Each mode flag selects one experiment;
-	// some overlap (Zipf skew at a pinned stripe count is a meaningful
-	// cross), others contradict each other outright, and a contradiction
-	// accepted silently is a green run that never tested what the
-	// invocation claimed.
+	// some overlap (fault injection at a pinned stripe count is a
+	// meaningful cross), others contradict each other outright, and a
+	// contradiction accepted silently is a green run that never tested
+	// what the invocation claimed.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	fail := func(format string, args ...any) {
@@ -85,30 +83,15 @@ func main() {
 		// skeletons are fixed workloads with nothing to inject into.
 		fail("-inject applies to randomized scenarios only, not -parsec")
 	}
-	if *zipf < 0 {
-		fail("-zipf %g must be >= 0", *zipf)
-	}
-	for _, genFlag := range []string{"zipf", "read-mostly", "phases", "record"} {
-		if explicit[genFlag] && *parsec {
-			// The PARSEC skeletons are fixed workloads: nothing to skew,
-			// reshape, or record as an op program.
-			fail("-%s applies to randomized scenarios only, not -parsec", genFlag)
-		}
-	}
-	if *readMostly && *phases != "" {
-		fail("-read-mostly names a default mix and is ignored under -phases; put readmostly in the schedule instead")
-	}
-	var phaseSchedule []harness.Phase
-	if *phases != "" {
-		var err error
-		if phaseSchedule, err = harness.ParsePhases(*phases); err != nil {
-			fail("-phases: %v", err)
-		}
+	if *record != "" && *parsec {
+		// The PARSEC skeletons are fixed workloads with no op program to
+		// record.
+		fail("-record applies to randomized scenarios only, not -parsec")
 	}
 	if *replay != "" {
 		// Replay reruns committed programs; every flag that shapes
 		// generation would be silently ignored, so reject the combination.
-		for _, genFlag := range []string{"seed", "n", "threads", "ops", "inject", "parsec", "scale", "zipf", "read-mostly", "phases", "record"} {
+		for _, genFlag := range []string{"seed", "n", "threads", "ops", "inject", "parsec", "scale", "record"} {
 			if explicit[genFlag] {
 				fail("-replay reruns recorded traces; -%s shapes generation and contradicts it", genFlag)
 			}
@@ -137,7 +120,7 @@ func main() {
 	scenarios := 0
 
 	runOne := func(s *harness.Scenario, k harness.Knobs) {
-		results := harness.RunScenarioKnobs(s, engines, mech.Mechanism(*only), k)
+		results := harness.RunScenario(s, engines, mech.Mechanism(*only), k)
 		rep.Add(results)
 		scenarios++
 		failed := 0
@@ -256,9 +239,6 @@ func main() {
 				Threads:     *threads,
 				Ops:         *ops,
 				InjectFault: *inject,
-				Zipf:        *zipf,
-				ReadMostly:  *readMostly,
-				Phases:      phaseSchedule,
 			})
 			runOne(s, knobs)
 			if *record != "" {

@@ -51,10 +51,6 @@ func NewTM(capacity int) *TMBuffer {
 	return b
 }
 
-// CountAddr exposes the address of the count word (used by Await callers
-// and tests).
-func (b *TMBuffer) CountAddr() *uint64 { return b.count.Addr() }
-
 // Cap returns the buffer capacity.
 func (b *TMBuffer) Cap() int { return int(b.capacity) }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"strconv"
 	"strings"
 
 	"tmsync/internal/mech"
@@ -13,7 +11,9 @@ import (
 )
 
 // GenConfig bounds the randomized scenario generator. Zero values pick
-// seed-derived defaults.
+// seed-derived defaults. The filler's shape — uniform or Zipf-skewed key
+// selection, and a schedule of one to three op mixes — is always drawn
+// from the seed, so every run of the generator covers every shape.
 type GenConfig struct {
 	// Threads fixes the worker count (default: seed-derived, 2–4).
 	Threads int
@@ -24,179 +24,69 @@ type GenConfig struct {
 	// executed program while leaving the oracle intact, so the harness's
 	// detection path itself can be exercised end to end.
 	InjectFault bool
-	// Zipf, when > 0, draws every key selection (counter indices, the
-	// per-thread map-key ranks) from a Zipf distribution with this
-	// exponent instead of uniformly: rank i is chosen with probability
-	// proportional to 1/(i+1)^Zipf, so a few hot keys absorb most of the
-	// traffic — the skewed-contention shape real workloads have and the
-	// uniform generator never produces.
-	Zipf float64
-	// ReadMostly switches the filler mix to read-mostly long
-	// transactions: most filler ops become one wide read scan over the
-	// counter array followed by a single commutative add (opReadHeavy),
-	// stressing read-set validation and wake-scan overlap instead of
-	// write contention. Ignored when Phases is set (name the mix there).
-	ReadMostly bool
-	// Phases, when non-empty, replaces the seed-derived filler with an
-	// explicit schedule: phase k contributes Ops filler operations per
-	// thread drawn from mix Mix, in order, so the workload's op-mix
-	// shifts mid-scenario. Blocking producer/consumer ops are still woven
-	// across the whole program.
-	Phases []Phase
 }
 
-// Phase is one segment of a phase-shifting workload schedule.
-type Phase struct {
-	// Ops is the number of filler operations per thread in this phase
-	// (must be positive).
-	Ops int
-	// Mix names the phase's filler distribution: "mixed" (the default
-	// generator blend), "counters" (commutative adds only), "transfers"
-	// (sum-conserving moves), "readmostly" (wide read-scan transactions),
-	// or "map" (thread-partitioned map churn).
-	Mix string
-}
+// mix names the distribution one phase of a thread's filler draws from.
+type mix uint8
 
-// Mixes lists the valid Phase.Mix names.
-var Mixes = []string{"mixed", "counters", "transfers", "readmostly", "map"}
-
-func validMix(m string) bool {
-	for _, x := range Mixes {
-		if x == m {
-			return true
-		}
-	}
-	return false
-}
-
-// diversified reports whether any of the widened-generator knobs is on;
-// when none is, Generate takes the original draw path verbatim, so pinned
-// seeds from before the widening keep their digests.
-func (cfg GenConfig) diversified() bool {
-	return cfg.Zipf > 0 || cfg.ReadMostly || len(cfg.Phases) > 0
-}
-
-// ParsePhases parses the CLI phase-schedule syntax "ops:mix,ops:mix,..."
-// (e.g. "20:counters,20:readmostly,10:map") into a Phase slice.
-func ParsePhases(s string) ([]Phase, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty phase schedule")
-	}
-	var out []Phase
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("phase %q: want <ops>:<mix>", part)
-		}
-		n, err := strconv.Atoi(kv[0])
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("phase %q: ops must be a positive integer", part)
-		}
-		if !validMix(kv[1]) {
-			return nil, fmt.Errorf("phase %q: unknown mix (have %s)", part, strings.Join(Mixes, ", "))
-		}
-		out = append(out, Phase{Ops: n, Mix: kv[1]})
-	}
-	return out, nil
-}
-
-// FormatPhases renders a schedule in the syntax ParsePhases reads.
-func FormatPhases(ph []Phase) string {
-	parts := make([]string, len(ph))
-	for i, p := range ph {
-		parts[i] = fmt.Sprintf("%d:%s", p.Ops, p.Mix)
-	}
-	return strings.Join(parts, ",")
-}
-
-// zipfDist is a deterministic Zipf sampler over n ranks: rank i has
-// weight 1/(i+1)^s. The cumulative table is built once per Generate with
-// a fixed summation order and portablePow (not math.Pow, whose last bits
-// may differ across architectures and Go releases), so a pinned seed
-// draws the same ranks on every platform forever.
-type zipfDist struct{ cum []float64 }
-
-func newZipf(n int, s float64) *zipfDist {
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += portablePow(float64(i+1), -s)
-		cum[i] = total
-	}
-	return &zipfDist{cum: cum}
-}
-
-// portablePow returns x**y for finite x > 0 through a fixed sequence of
-// exactly-rounded IEEE-754 operations (+, -, *, /) plus the exact bit
-// manipulations Frexp/Ldexp/Floor — every one of which Go evaluates
-// bit-identically on all architectures and releases, unlike math.Pow,
-// which has per-platform assembly. The Zipf golden digests pin draws
-// derived from these weights, so they must be stable bits, not just
-// accurate values (relative error here is ~1e-15, far below what shaping
-// a sampling distribution needs).
-func portablePow(x, y float64) float64 {
-	t := y * portableLog(x)
-	if math.IsNaN(t) {
-		return t
-	}
-	if t < -745.2 { // exp underflows to 0; also keeps int(k) below in range
-		return 0
-	}
-	if t > 709.7 {
-		return math.Inf(1)
-	}
-	return portableExp(t)
-}
-
-// ln 2 split into a 32-bit head and a tail, so k*ln2Hi is exact for the
-// small k range-reduction produces.
 const (
-	ln2Hi = 6.93147180369123816490e-01
-	ln2Lo = 1.90821492927058770002e-10
+	mixMixed     mix = iota // counter adds, transfers and map churn, 2:1:1
+	mixCounters             // commutative adds only
+	mixTransfers            // sum-conserving moves
+	mixScans                // wide read-scan transactions, one add in four
+	mixMap                  // thread-partitioned map churn, one add in four
+	numMixes
 )
 
-// portableLog is the natural log for finite x > 0: Frexp-normalize into
-// m ∈ [√2/2, √2), then the atanh series log m = 2t(1 + t²/3 + t⁴/5 + …)
-// with t = (m-1)/(m+1), |t| < 0.1716, truncated where the tail is < 1 ulp.
-func portableLog(x float64) float64 {
-	m, e := math.Frexp(x)
-	if m < math.Sqrt2/2 {
-		m *= 2
-		e--
-	}
-	t := (m - 1) / (m + 1)
-	t2 := t * t
-	p := 0.0
-	for k := 27; k >= 3; k -= 2 {
-		p = p*t2 + 1/float64(k)
-	}
-	return 2*t*(1+t2*p) + float64(e)*ln2Hi + float64(e)*ln2Lo
+// shape is the filler's seed-drawn shape.
+type shape struct {
+	// zipf selects counter indices and map-key ranks Zipf-skewed, so a
+	// few hot keys absorb most of the traffic, instead of uniformly.
+	zipf bool
+	// phases lists the mixes each thread's filler runs through, in order,
+	// so the op mix shifts mid-scenario when there is more than one.
+	phases []mix
 }
 
-// portableExp range-reduces y = k·ln2 + r with |r| ≤ ln2/2 and sums the
-// Taylor series for exp(r) with a fixed term count (tail < 1 ulp at
-// |r| ≤ 0.347), then rescales exactly with Ldexp.
-func portableExp(y float64) float64 {
-	k := math.Floor(y/math.Ln2 + 0.5)
-	r := (y - k*ln2Hi) - k*ln2Lo
-	term, sum := 1.0, 1.0
-	for i := 1; i <= 14; i++ {
-		term *= r / float64(i)
-		sum += term
+func drawShape(r *prng) shape {
+	sh := shape{zipf: r.intn(2) == 0}
+	for n := 1 + r.intn(3); n > 0; n-- {
+		sh.phases = append(sh.phases, mix(r.intn(int(numMixes))))
 	}
-	return math.Ldexp(sum, int(k))
+	return sh
 }
 
-func (z *zipfDist) draw(r *prng) int {
+// zipf holds the cumulative weights of a Zipf distribution with exponent
+// 1 over len(z) ranks: rank i has weight 1/(i+1). Each weight is one
+// exactly-rounded IEEE division, summed in a fixed order, so a seed draws
+// the same ranks on every platform. A nil zipf draws uniformly.
+type zipf []float64
+
+func newZipf(n int) zipf {
+	z := make(zipf, n)
+	total := 0.0
+	for i := range z {
+		total += 1 / float64(i+1)
+		z[i] = total
+	}
+	return z
+}
+
+// draw returns a rank in [0, n): Zipf-skewed from z, whose length is n,
+// or uniformly when z is nil.
+func (z zipf) draw(r *prng, n int) int {
+	if z == nil {
+		return r.intn(n)
+	}
 	// 53 uniform bits, scaled into [0, total); ranks are few (counters
 	// and per-thread key ranks), so a linear scan beats a binary search.
-	u := float64(r.next()>>11) / (1 << 53) * z.cum[len(z.cum)-1]
-	for i, c := range z.cum {
+	u := float64(r.next()>>11) / (1 << 53) * z[len(z)-1]
+	for i, c := range z {
 		if u < c {
 			return i
 		}
 	}
-	return len(z.cum) - 1
+	return len(z) - 1
 }
 
 // prng is splitmix64 — deterministic, seedable, and stable across Go
@@ -320,49 +210,20 @@ func Generate(seed uint64, cfg GenConfig) *Scenario {
 		}
 	}
 
-	// Filler: commutative counter arithmetic and thread-partitioned map
-	// ops, interleaved deterministically with the role ops.
-	const keysPerThread = 3
+	// Filler: commutative counter arithmetic, sum-conserving transfers,
+	// read-heavy scans and thread-partitioned map ops, interleaved
+	// deterministically with the role ops. Its shape is drawn after the
+	// geometry and the role ops, which therefore do not depend on it.
 	if sp.hasMap {
 		sp.mapKeys = sp.threads * keysPerThread
 	}
-	var zc, zk *zipfDist
-	if cfg.Zipf > 0 {
-		zc = newZipf(sp.counters, cfg.Zipf)
-		zk = newZipf(keysPerThread, cfg.Zipf)
+	sp.shape = drawShape(r)
+	var zc, zk zipf
+	if sp.shape.zipf {
+		zc, zk = newZipf(sp.counters), newZipf(keysPerThread)
 	}
 	for t := 0; t < sp.threads; t++ {
-		var filler []op
-		if cfg.diversified() {
-			filler = diversifiedFiller(r, sp, cfg, t, ops, keysPerThread, zc, zk)
-		} else {
-			// One guaranteed counter op per thread, making the fault-injection
-			// target unconditional (injectFault drops a counter-add).
-			filler = []op{{kind: opCounterAdd, a: uint64(r.intn(sp.counters)), b: uint64(1 + r.intn(8))}}
-			nf := 1 + r.intn(max(1, ops/2))
-			for i := 0; i < nf; i++ {
-				switch r.intn(4) {
-				case 0, 1:
-					filler = append(filler, op{kind: opCounterAdd, a: uint64(r.intn(sp.counters)), b: uint64(1 + r.intn(8))})
-				case 2:
-					from := r.intn(sp.counters)
-					to := (from + 1 + r.intn(sp.counters-1)) % sp.counters
-					filler = append(filler, op{kind: opTransfer, a: uint64(from), b: uint64(to), c: uint64(1 + r.intn(4))})
-				case 3:
-					if sp.hasMap {
-						key := uint64(t*keysPerThread + r.intn(keysPerThread) + 1)
-						if r.intn(3) == 0 {
-							filler = append(filler, op{kind: opMapDel, a: key})
-						} else {
-							filler = append(filler, op{kind: opMapPut, a: key, b: r.next() % 1000})
-						}
-					} else {
-						filler = append(filler, op{kind: opCounterAdd, a: uint64(r.intn(sp.counters)), b: 1})
-					}
-				}
-			}
-		}
-		sp.programs[t] = weave(r, role[t], filler)
+		sp.programs[t] = weave(r, role[t], filler(r, sp, t, ops, zc, zk))
 	}
 
 	// Size the arenas so allocation pressure never blocks a producer
@@ -379,40 +240,19 @@ func Generate(seed uint64, cfg GenConfig) *Scenario {
 		runSp = injectFault(sp)
 	}
 
-	replay := ""
+	var replay []string
 	if cfg.Threads != 0 {
-		replay += fmt.Sprintf("-threads %d", cfg.Threads)
+		replay = append(replay, fmt.Sprintf("-threads %d", cfg.Threads))
 	}
 	if cfg.Ops != 0 {
-		if replay != "" {
-			replay += " "
-		}
-		replay += fmt.Sprintf("-ops %d", cfg.Ops)
-	}
-	if cfg.Zipf > 0 {
-		if replay != "" {
-			replay += " "
-		}
-		replay += fmt.Sprintf("-zipf %g", cfg.Zipf)
-	}
-	if cfg.ReadMostly && len(cfg.Phases) == 0 {
-		if replay != "" {
-			replay += " "
-		}
-		replay += "-read-mostly"
-	}
-	if len(cfg.Phases) > 0 {
-		if replay != "" {
-			replay += " "
-		}
-		replay += "-phases " + FormatPhases(cfg.Phases)
+		replay = append(replay, fmt.Sprintf("-ops %d", cfg.Ops))
 	}
 
 	return &Scenario{
 		Name:       fmt.Sprintf("gen-%d", seed),
 		Seed:       seed,
 		Injected:   cfg.InjectFault,
-		ReplayArgs: replay,
+		ReplayArgs: strings.Join(replay, " "),
 		Digest:     runSp.digest(),
 		Threads:    sp.threads,
 		Oracle:     func() Observation { return oracleObs },
@@ -481,92 +321,71 @@ func injectFault(sp *spec) *spec {
 	return &cp
 }
 
-// diversifiedFiller is the widened-generator filler path: the same
-// guaranteed leading counter-add, then a phase schedule of mix-drawn ops.
-// Without an explicit schedule the whole filler is one phase whose mix is
-// "mixed" (or "readmostly" under cfg.ReadMostly) and whose length is the
-// seed-derived filler count the legacy path uses.
-func diversifiedFiller(r *prng, sp *spec, cfg GenConfig, t, ops, keysPerThread int, zc, zk *zipfDist) []op {
-	counterIdx := func() uint64 {
-		if zc != nil {
-			return uint64(zc.draw(r))
-		}
-		return uint64(r.intn(sp.counters))
-	}
-	filler := []op{{kind: opCounterAdd, a: counterIdx(), b: uint64(1 + r.intn(8))}}
-	phases := cfg.Phases
-	if len(phases) == 0 {
-		mix := "mixed"
-		if cfg.ReadMostly {
-			mix = "readmostly"
-		}
-		phases = []Phase{{Ops: 1 + r.intn(max(1, ops/2)), Mix: mix}}
-	}
-	for _, ph := range phases {
-		if ph.Ops <= 0 || !validMix(ph.Mix) {
-			panic(fmt.Sprintf("harness: invalid phase %+v (build schedules with ParsePhases)", ph))
-		}
-		for i := 0; i < ph.Ops; i++ {
-			filler = append(filler, mixOp(r, sp, ph.Mix, t, keysPerThread, counterIdx, zk))
+// keysPerThread is how many map keys each thread owns.
+const keysPerThread = 3
+
+// filler draws thread t's non-blocking ops: one leading counter-add (the
+// target injectFault drops, so every thread has one), then each phase of
+// sp.shape in order, 1 to ops/(2·phases) ops from its mix. zc and zk pick
+// counter indices and map-key ranks.
+func filler(r *prng, sp *spec, t, ops int, zc, zk zipf) []op {
+	out := []op{{kind: opCounterAdd, a: uint64(zc.draw(r, sp.counters)), b: uint64(1 + r.intn(8))}}
+	phases := sp.shape.phases
+	for _, m := range phases {
+		for n := 1 + r.intn(max(1, ops/(2*len(phases)))); n > 0; n-- {
+			out = append(out, mixOp(r, sp, m, t, zc, zk))
 		}
 	}
-	return filler
+	return out
 }
 
-// mixOp draws one filler op from the named mix. Every mix keeps the
-// oracle interleaving-independent: counter effects are commutative adds,
+// mixOp draws one filler op from mix m. Every mix keeps the oracle
+// interleaving-independent: counter effects are commutative adds,
 // transfers conserve the sum, map keys stay thread-partitioned, and the
 // read-heavy transaction's reads feed nothing.
-func mixOp(r *prng, sp *spec, mix string, t, keysPerThread int, counterIdx func() uint64, zk *zipfDist) op {
+func mixOp(r *prng, sp *spec, m mix, t int, zc, zk zipf) op {
+	counter := func() uint64 { return uint64(zc.draw(r, sp.counters)) }
 	counterAdd := func() op {
-		return op{kind: opCounterAdd, a: counterIdx(), b: uint64(1 + r.intn(8))}
+		return op{kind: opCounterAdd, a: counter(), b: uint64(1 + r.intn(8))}
 	}
 	transfer := func() op {
-		from := int(counterIdx())
+		from := int(counter())
 		to := (from + 1 + r.intn(sp.counters-1)) % sp.counters
 		return op{kind: opTransfer, a: uint64(from), b: uint64(to), c: uint64(1 + r.intn(4))}
-	}
-	readHeavy := func() op {
-		return op{kind: opReadHeavy, a: counterIdx(), b: uint64(1 + r.intn(4)), c: uint64(2 + r.intn(6))}
 	}
 	mapOp := func() op {
 		if !sp.hasMap {
 			return counterAdd()
 		}
-		rank := r.intn(keysPerThread)
-		if zk != nil {
-			rank = zk.draw(r)
-		}
-		key := uint64(t*keysPerThread + rank + 1)
+		key := uint64(t*keysPerThread + zk.draw(r, keysPerThread) + 1)
 		if r.intn(3) == 0 {
 			return op{kind: opMapDel, a: key}
 		}
 		return op{kind: opMapPut, a: key, b: r.next() % 1000}
 	}
-	switch mix {
-	case "counters":
+	switch m {
+	case mixCounters:
 		return counterAdd()
-	case "transfers":
+	case mixTransfers:
 		return transfer()
-	case "readmostly":
+	case mixScans:
 		if r.intn(4) == 3 {
 			return counterAdd()
 		}
-		return readHeavy()
-	case "map":
+		return op{kind: opReadHeavy, a: counter(), b: uint64(1 + r.intn(4)), c: uint64(2 + r.intn(6))}
+	case mixMap:
 		if r.intn(4) == 3 {
 			return counterAdd()
-		}
-		return mapOp()
-	default: // "mixed": the legacy generator blend
-		switch r.intn(4) {
-		case 0, 1:
-			return counterAdd()
-		case 2:
-			return transfer()
 		}
 		return mapOp()
 	}
+	switch r.intn(4) { // mixMixed
+	case 0, 1:
+		return counterAdd()
+	case 2:
+		return transfer()
+	}
+	return mapOp()
 }
 
 func takeKind(put opKind) opKind {

@@ -1,46 +1,46 @@
 package harness
 
-// Tests for the portable Zipf weight math. The golden digests in
-// golden_test.go pin the draw stream bit-for-bit; these tests pin the
-// property that makes that pinning legitimate across platforms — the
-// weights come from a fixed sequence of exactly-rounded operations — and
-// guard portablePow against implementation blunders by holding it near
-// math.Pow over the argument range newZipf actually uses.
+import "testing"
 
-import (
-	"math"
-	"testing"
-)
-
-func TestPortablePowMatchesMathPow(t *testing.T) {
-	// newZipf calls portablePow(i+1, -s) for ranks up to MaxCounters-ish
-	// and CLI-supplied exponents; sweep well past both.
-	for _, s := range []float64{0.1, 0.5, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 2.0, 3.0, 10.0} {
-		for i := 1; i <= 8192; i *= 2 {
-			for _, x := range []float64{float64(i), float64(i + 1)} {
-				got := portablePow(x, -s)
-				want := math.Pow(x, -s)
-				if relErr := math.Abs(got-want) / want; relErr > 1e-13 {
-					t.Errorf("portablePow(%g, %g) = %g, math.Pow = %g (rel err %g)", x, -s, got, want, relErr)
+// TestSeedsCoverEveryShape holds the seed ranges the differential rows of
+// cmd/tmcheck/ci_matrix.txt run (-n 15 -seed 1, and the race leg's -n 6
+// -seed 1) to covering every filler shape the generator draws: both key
+// distributions, all five mixes, a multi-phase schedule, and read-heavy
+// transactions actually in the programs. A generator change that re-rolls
+// the stream so that a shape drops out of those runs fails here instead of
+// leaving that shape unchecked.
+func TestSeedsCoverEveryShape(t *testing.T) {
+	for _, n := range []uint64{15, 6} {
+		zipf := map[bool]bool{}
+		mixes := map[mix]bool{}
+		multiPhase, readHeavy := false, false
+		for seed := uint64(1); seed <= n; seed++ {
+			s := Generate(seed, GenConfig{})
+			sh := s.sp.shape
+			zipf[sh.zipf] = true
+			for _, m := range sh.phases {
+				mixes[m] = true
+			}
+			multiPhase = multiPhase || len(sh.phases) > 1
+			for _, prog := range s.sp.programs {
+				for _, o := range prog {
+					readHeavy = readHeavy || o.kind == opReadHeavy
 				}
 			}
 		}
-	}
-}
-
-func TestPortablePowEdges(t *testing.T) {
-	if got := portablePow(1, -2.5); got != 1 {
-		t.Errorf("portablePow(1, -2.5) = %g, want 1", got)
-	}
-	// Hostile CLI exponents must degrade gracefully (underflow to 0 or
-	// propagate NaN), never convert an out-of-range float to int.
-	if got := portablePow(2, -1e6); got != 0 {
-		t.Errorf("portablePow(2, -1e6) = %g, want underflow to 0", got)
-	}
-	if got := portablePow(2, 1e6); !math.IsInf(got, 1) {
-		t.Errorf("portablePow(2, 1e6) = %g, want +Inf", got)
-	}
-	if got := portablePow(1, math.Inf(-1)); !math.IsNaN(got) {
-		t.Errorf("portablePow(1, -Inf) = %g, want NaN (0·∞ in the exponent)", got)
+		if len(zipf) != 2 {
+			t.Errorf("seeds 1-%d draw only zipf=%v", n, zipf)
+		}
+		for m := mix(0); m < numMixes; m++ {
+			if !mixes[m] {
+				t.Errorf("seeds 1-%d never draw mix %d", n, m)
+			}
+		}
+		if !multiPhase {
+			t.Errorf("seeds 1-%d never draw a multi-phase schedule", n)
+		}
+		if !readHeavy {
+			t.Errorf("seeds 1-%d generate no read-heavy transaction", n)
+		}
 	}
 }

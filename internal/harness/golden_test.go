@@ -8,16 +8,19 @@ package harness
 // changes these digests and must be a conscious decision (update the
 // goldens in the same commit and say why), never silent drift.
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 var goldenScenarios = []struct {
 	seed    uint64
 	threads int
 	digest  string
 }{
-	{seed: 1, threads: 4, digest: "e5d019defe3666a2"},
-	{seed: 42, threads: 3, digest: "370e0e3bab8e3d21"},
-	{seed: 9001, threads: 4, digest: "fb5397eba2fea5c4"},
+	{seed: 1, threads: 4, digest: "0ce83a1b08507e60"},
+	{seed: 42, threads: 3, digest: "7c6f7152a4c6ba2d"},
+	{seed: 9001, threads: 4, digest: "d1d1491b4ff194b8"},
 }
 
 func TestGoldenSeedDigests(t *testing.T) {
@@ -33,25 +36,28 @@ func TestGoldenSeedDigests(t *testing.T) {
 	}
 }
 
-// goldenDiversified pins the widened-generator paths (Zipf skew,
-// read-mostly transactions, phase schedules) with their own golden
-// digests; the plain-config goldens above prove the legacy draw stream is
-// untouched when every new knob is off.
+// goldenDiversified pins seeds whose drawn filler shape is Zipf-skewed,
+// single-phase read-mostly, and multi-phase. Each row states the shape it
+// stands for, so a generator change that re-rolls a seed into another
+// shape fails here even if the digest is re-pinned.
 var goldenDiversified = []struct {
 	name   string
 	seed   uint64
-	cfg    GenConfig
+	shape  shape
 	digest string
 }{
-	{name: "zipf", seed: 42, cfg: GenConfig{Zipf: 1.2}, digest: "3244d5c1f2b8ca0d"},
-	{name: "readmostly", seed: 42, cfg: GenConfig{ReadMostly: true}, digest: "06f93220c27f5dcf"},
-	{name: "phases", seed: 42, cfg: GenConfig{Phases: []Phase{{Ops: 6, Mix: "counters"}, {Ops: 6, Mix: "readmostly"}, {Ops: 4, Mix: "map"}}}, digest: "99cc6eeb8b42c358"},
-	{name: "zipf+phases", seed: 9001, cfg: GenConfig{Zipf: 0.9, Phases: []Phase{{Ops: 8, Mix: "transfers"}, {Ops: 8, Mix: "mixed"}}}, digest: "15f26a25d644282a"},
+	{name: "zipf", seed: 3, shape: shape{zipf: true, phases: []mix{mixTransfers}}, digest: "6e188c53dc81c271"},
+	{name: "readmostly", seed: 23, shape: shape{phases: []mix{mixScans}}, digest: "41056b7a588b843f"},
+	{name: "phases", seed: 2, shape: shape{phases: []mix{mixCounters, mixMixed, mixCounters}}, digest: "7f81f91c113c518e"},
+	{name: "zipf+phases", seed: 24, shape: shape{zipf: true, phases: []mix{mixScans, mixCounters, mixMixed}}, digest: "f49e66ed0632518c"},
 }
 
 func TestGoldenDiversifiedDigests(t *testing.T) {
 	for _, g := range goldenDiversified {
-		s := Generate(g.seed, g.cfg)
+		s := Generate(g.seed, GenConfig{})
+		if !reflect.DeepEqual(s.sp.shape, g.shape) {
+			t.Errorf("%s (seed %d): drew shape %+v, want %+v", g.name, g.seed, s.sp.shape, g.shape)
+		}
 		if s.Digest != g.digest {
 			t.Errorf("%s (seed %d): digest %s, golden %s — generator drift; if intentional, update the golden and explain why",
 				g.name, g.seed, s.Digest, g.digest)
@@ -60,11 +66,11 @@ func TestGoldenDiversifiedDigests(t *testing.T) {
 }
 
 func TestDiversifiedScenariosPassDifferential(t *testing.T) {
-	// Each widened-generator shape must still hold the oracle on a real
-	// engine; one engine here keeps the test fast, CI sweeps all four.
+	// Each pinned shape must still hold the oracle on a real engine; one
+	// engine here keeps the test fast, CI sweeps all four.
 	for _, g := range goldenDiversified {
-		s := Generate(g.seed, g.cfg)
-		for _, res := range RunScenarioOn(s, []string{"eager"}, "tmcondvar") {
+		s := Generate(g.seed, GenConfig{})
+		for _, res := range RunScenario(s, []string{"eager"}, "tmcondvar", Knobs{}) {
 			if res.Failed() {
 				t.Errorf("%s: %s", g.name, res.String())
 			}

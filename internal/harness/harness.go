@@ -52,13 +52,8 @@ type Knobs struct {
 }
 
 // NewSystem builds the named engine's System, with condition
-// synchronization enabled, through tmsync.New.
-func NewSystem(engine string) (*tm.System, error) {
-	return NewSystemKnobs(engine, Knobs{})
-}
-
-// NewSystemKnobs is NewSystem with explicit performance knobs.
-func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
+// synchronization enabled and k's performance knobs, through tmsync.New.
+func NewSystem(engine string, k Knobs) (*tm.System, error) {
 	if !slices.Contains(Engines, engine) {
 		return nil, fmt.Errorf("harness: unknown engine %q", engine)
 	}
@@ -191,22 +186,13 @@ func (r *Result) String() string {
 	return s
 }
 
-// RunScenario executes s under every engine × applicable mechanism and
-// returns one Result per pair, each diffed against the sequential oracle.
-func RunScenario(s *Scenario) []Result {
-	return RunScenarioOn(s, Engines, "")
-}
-
-// RunScenarioOn is RunScenario restricted to the given engines and, when
-// only is non-empty, to one mechanism.
-func RunScenarioOn(s *Scenario, engines []string, only mech.Mechanism) []Result {
-	return RunScenarioKnobs(s, engines, only, Knobs{})
-}
-
-// RunScenarioKnobs is RunScenarioOn with explicit performance knobs for
-// every system it builds — the entry point for proving that a knob (e.g.
-// the stripe count) is observably inert across the whole scenario suite.
-func RunScenarioKnobs(s *Scenario, engines []string, only mech.Mechanism, k Knobs) []Result {
+// RunScenario executes s under each of the given engines × every
+// applicable mechanism (only that one, when only is non-empty), with k's
+// performance knobs for every system it builds, and returns one Result per
+// pair, each diffed against the sequential oracle. Running one scenario
+// under several knob settings proves a knob (e.g. the stripe count)
+// observably inert.
+func RunScenario(s *Scenario, engines []string, only mech.Mechanism, k Knobs) []Result {
 	oracle := s.Oracle()
 	mechs := s.Mechs
 	if mechs == nil {
@@ -226,7 +212,7 @@ func RunScenarioKnobs(s *Scenario, engines []string, only mech.Mechanism, k Knob
 
 func runOne(s *Scenario, oracle Observation, engine string, m mech.Mechanism, k Knobs) Result {
 	res := Result{Scenario: s.Name, Seed: s.Seed, Injected: s.Injected, ReplayArgs: s.ReplayArgs, Engine: engine, Mech: m}
-	sys, err := NewSystemKnobs(engine, k)
+	sys, err := NewSystem(engine, k)
 	if err != nil {
 		res.Err = err
 		return res

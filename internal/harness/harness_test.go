@@ -30,7 +30,7 @@ func TestGeneratedScenarioRunsMatchOracleEverywhere(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		s := Generate(seed, GenConfig{})
-		for _, r := range RunScenario(s) {
+		for _, r := range RunScenario(s, Engines, "", Knobs{}) {
 			if !r.Pass {
 				t.Errorf("%s", r.String())
 			}
@@ -42,8 +42,8 @@ func TestSameSeedSameObservationAcrossEngines(t *testing.T) {
 	// The differential property stated directly: two arbitrary engine ×
 	// mechanism pairs observe identical final state for the same seed.
 	s := Generate(42, GenConfig{})
-	sysA, _ := NewSystem("eager")
-	sysB, _ := NewSystem("hybrid")
+	sysA, _ := NewSystem("eager", Knobs{})
+	sysB, _ := NewSystem("hybrid", Knobs{})
 	obsA, errA := s.Run(sysA, mech.Retry)
 	obsB, errB := s.Run(sysB, mech.WaitPred)
 	if errA != nil || errB != nil {
@@ -57,7 +57,7 @@ func TestSameSeedSameObservationAcrossEngines(t *testing.T) {
 func TestInjectedFaultIsCaughtAndReproduces(t *testing.T) {
 	const seed = 7
 	s := Generate(seed, GenConfig{InjectFault: true})
-	results := RunScenarioOn(s, []string{"eager"}, mech.Retry)
+	results := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
 	if len(results) != 1 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -76,7 +76,7 @@ func TestInjectedFaultIsCaughtAndReproduces(t *testing.T) {
 	}
 	// Replay from the printed seed: the same fault must reproduce with an
 	// identical oracle diff (the detection is deterministic, not flaky).
-	replay := RunScenarioOn(Generate(seed, GenConfig{InjectFault: true}), []string{"eager"}, mech.Retry)
+	replay := RunScenario(Generate(seed, GenConfig{InjectFault: true}), []string{"eager"}, mech.Retry, Knobs{})
 	if replay[0].Pass || !reflect.DeepEqual(replay[0].Diff, r.Diff) {
 		t.Fatalf("replay diff differs:\n%v\nvs\n%v", replay[0].Diff, r.Diff)
 	}
@@ -87,7 +87,7 @@ func TestInjectedFaultCaughtOnEveryEngine(t *testing.T) {
 		t.Skip("full engine × mechanism sweep")
 	}
 	s := Generate(11, GenConfig{InjectFault: true})
-	for _, r := range RunScenario(s) {
+	for _, r := range RunScenario(s, Engines, "", Knobs{}) {
 		if r.Pass {
 			t.Errorf("%s/%s: injected fault not caught", r.Engine, r.Mech)
 		}
@@ -124,7 +124,7 @@ func TestParsecScenariosMatchReference(t *testing.T) {
 			engines = []string{"lazy"}
 		}
 		for _, engine := range engines {
-			for _, r := range RunScenarioOn(s, []string{engine}, mech.Retry) {
+			for _, r := range RunScenario(s, []string{engine}, mech.Retry, Knobs{}) {
 				if !r.Pass {
 					t.Errorf("%s", r.String())
 				}
@@ -136,7 +136,7 @@ func TestParsecScenariosMatchReference(t *testing.T) {
 func TestReportTables(t *testing.T) {
 	var rep Report
 	s := Generate(3, GenConfig{})
-	rep.Add(RunScenarioOn(s, []string{"eager", "htm"}, ""))
+	rep.Add(RunScenario(s, []string{"eager", "htm"}, "", Knobs{}))
 	if !rep.AllPassed() {
 		for _, f := range rep.Failures() {
 			t.Errorf("%s", f.String())
@@ -191,7 +191,7 @@ func TestWorldSnapshotAgainstHandBuiltSpec(t *testing.T) {
 	if d := Diff(want, oracle(sp)); d != nil {
 		t.Fatalf("oracle wrong:\n%s", strings.Join(d, "\n"))
 	}
-	sys, _ := NewSystem("lazy")
+	sys, _ := NewSystem("lazy", Knobs{})
 	got, err := runSpec(sp, sys, mech.Retry)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestWorldSnapshotAgainstHandBuiltSpec(t *testing.T) {
 
 func TestStatsReportedPerRun(t *testing.T) {
 	s := Generate(5, GenConfig{})
-	rs := RunScenarioOn(s, []string{"eager"}, mech.Retry)
+	rs := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
 	for _, r := range rs {
 		if r.Commits == 0 {
 			t.Errorf("%s/%s: no commits recorded", r.Engine, r.Mech)
@@ -218,7 +218,7 @@ var _ = tm.Config{} // keep the tm import for the hand-built-spec test's types
 
 func TestReplayHintCarriesGeneratorOverrides(t *testing.T) {
 	s := Generate(9, GenConfig{Threads: 3, Ops: 30, InjectFault: true})
-	rs := RunScenarioOn(s, []string{"eager"}, mech.Retry)
+	rs := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
 	if len(rs) != 1 || rs[0].Pass {
 		t.Fatalf("expected one failing run, got %+v", rs)
 	}
@@ -239,7 +239,7 @@ func TestEveryThreadHasInjectionTarget(t *testing.T) {
 		if reflect.DeepEqual(sp.Oracle(), faulted.Oracle()) {
 			// Oracles match by construction (fault only affects Run);
 			// the real check: the faulted run must fail somewhere.
-			rs := RunScenarioOn(faulted, []string{"lazy"}, mech.Retry)
+			rs := RunScenario(faulted, []string{"lazy"}, mech.Retry, Knobs{})
 			if rs[0].Pass {
 				t.Fatalf("seed %d: injected fault was a no-op", seed)
 			}

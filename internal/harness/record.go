@@ -43,7 +43,7 @@ func Record(s *Scenario, engine string, m mech.Mechanism, k Knobs) (*trace.Trace
 		return nil, Result{}, fmt.Errorf("harness: scenario %s is not spec-backed and cannot be recorded", s.Name)
 	}
 	res := Result{Scenario: s.Name, Seed: s.Seed, Injected: s.Injected, ReplayArgs: s.ReplayArgs, Engine: engine, Mech: m}
-	sys, err := NewSystemKnobs(engine, k)
+	sys, err := NewSystem(engine, k)
 	if err != nil {
 		return nil, Result{}, err
 	}

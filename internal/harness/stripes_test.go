@@ -22,7 +22,7 @@ func TestGeneratedSuiteIdenticalAcrossStripeCounts(t *testing.T) {
 	for _, seed := range seeds {
 		s := Generate(seed, GenConfig{})
 		for _, stripes := range stripeCounts {
-			for _, r := range RunScenarioKnobs(s, Engines, "", Knobs{Stripes: stripes}) {
+			for _, r := range RunScenario(s, Engines, "", Knobs{Stripes: stripes}) {
 				if !r.Pass {
 					t.Errorf("stripes=%d: %s", stripes, r.String())
 				}
@@ -37,7 +37,7 @@ func TestParsecScenarioIdenticalAcrossStripeCounts(t *testing.T) {
 	}
 	for _, s := range ParsecScenarios(4, 1) {
 		for _, stripes := range stripeCounts {
-			for _, r := range RunScenarioKnobs(s, Engines, "", Knobs{Stripes: stripes}) {
+			for _, r := range RunScenario(s, Engines, "", Knobs{Stripes: stripes}) {
 				if !r.Pass {
 					t.Errorf("stripes=%d: %s", stripes, r.String())
 				}
@@ -52,7 +52,7 @@ func TestParsecScenarioIdenticalAcrossStripeCounts(t *testing.T) {
 func TestInjectedFaultStillCaughtAtEveryStripeCount(t *testing.T) {
 	s := Generate(7, GenConfig{InjectFault: true})
 	for _, stripes := range stripeCounts {
-		results := RunScenarioKnobs(s, []string{"eager"}, "retry", Knobs{Stripes: stripes})
+		results := RunScenario(s, []string{"eager"}, "retry", Knobs{Stripes: stripes})
 		for _, r := range results {
 			if r.Pass {
 				t.Errorf("stripes=%d: injected fault went undetected", stripes)

@@ -60,6 +60,10 @@ type spec struct {
 	queueCap, stackCap, mapCap int
 
 	programs [][]op
+
+	// shape is the filler shape Generate drew (zero for a spec rebuilt
+	// from a trace); the digest covers its effect through programs.
+	shape shape
 }
 
 // producerSeq decomposes an encoded structure value into its producing

@@ -183,9 +183,6 @@ func (t *Table) CAS(idx uint32, old, new uint64) bool {
 // do this (release paths).
 func (t *Table) Set(idx uint32, w uint64) { t.slot(idx).Store(w) }
 
-// ForAddr returns the orec word covering addr.
-func (t *Table) ForAddr(addr *uint64) uint64 { return t.Get(t.IndexOf(addr)) }
-
 // StripesOf appends to buf[:0] the deduplicated stripes covering the given
 // orec slots, in ascending order. Slot sets are small relative to the
 // stripe count, so an insertion sort with linear dedup beats sorting a

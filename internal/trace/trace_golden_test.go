@@ -53,7 +53,7 @@ func TestGoldenTracesReplayOracleIdentical(t *testing.T) {
 			if s.Digest != g.digest {
 				t.Errorf("digest %s, golden %s — fixture or reconstruction drift; if intentional, update the golden and explain why", s.Digest, g.digest)
 			}
-			for _, res := range harness.RunScenarioKnobs(s, harness.Engines, "", k) {
+			for _, res := range harness.RunScenario(s, harness.Engines, "", k) {
 				if res.Failed() {
 					t.Errorf("%s", res.String())
 				}

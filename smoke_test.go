@@ -127,9 +127,6 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "3", "-seed", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "1"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-stripes", "4", "-mech", "retry-orig", "-engine", "eager"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-zipf", "1.2"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "1", "-seed", "2", "-inject"}, "OK: all injected violations caught"},
 		{"boundedbuffer", []string{"-quick", "-engine", "eager", "-ops", "2048", "-trials", "1"}, "bounded buffer performance"},
 		{"parsecbench", []string{"-quick", "-engine", "lazy", "-trials", "1", "-bench", "dedup"}, "dedup"},
