@@ -20,11 +20,12 @@
 // a schedule of one to three op mixes — so any run of several seeds covers
 // skewed contention, read-mostly transactions and phase shifts.
 //
-// Mode flags are validated for coherence before anything runs: -stripes
-// must be a power of two within the table. -replay reruns
-// committed traces, so it contradicts every flag that shapes generation
-// (-seed, -n, -threads, -ops, -inject, -parsec, -record); -stripes
-// remains allowed and overrides the trace's stamped stripe count.
+// Every system runs the one orec table (locktable.DefaultSize orecs in
+// locktable.DefaultStripes stripes); no flag changes its geometry.
+//
+// Mode flags are validated for coherence before anything runs: -replay
+// reruns committed traces, so it contradicts every flag that shapes
+// generation (-seed, -n, -threads, -ops, -inject, -parsec, -record).
 // Nonsensical combinations exit 2 instead of silently running just one of
 // the modes.
 //
@@ -42,7 +43,6 @@ import (
 	"time"
 
 	"tmsync/internal/harness"
-	"tmsync/internal/locktable"
 	"tmsync/internal/mech"
 	"tmsync/internal/trace"
 )
@@ -54,7 +54,6 @@ func main() {
 	ops := flag.Int("ops", 0, "approx ops per thread (0 = seed-derived 8-24)")
 	budget := flag.Duration("budget", 0, "stop starting new scenarios after this much time (0 = no budget)")
 	engine := flag.String("engine", "", "restrict to one engine (default: all four)")
-	stripes := flag.Int("stripes", 0, "orec-table stripe count for every system (0 = default); any power of two must yield identical outcomes")
 	only := flag.String("mech", "", "restrict to one mechanism (default: all applicable)")
 	parsec := flag.Bool("parsec", false, "check the eight PARSEC skeletons instead of random scenarios")
 	scale := flag.Int("scale", 1, "PARSEC workload scale (with -parsec)")
@@ -65,18 +64,14 @@ func main() {
 	flag.Parse()
 
 	// Flag-coherence validation. Each mode flag selects one experiment;
-	// some overlap (fault injection at a pinned stripe count is a
-	// meaningful cross), others contradict each other outright, and a
-	// contradiction accepted silently is a green run that never tested
-	// what the invocation claimed.
+	// some contradict each other outright, and a contradiction accepted
+	// silently is a green run that never tested what the invocation
+	// claimed.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tmcheck: "+format+"\n", args...)
 		os.Exit(2)
-	}
-	if *stripes < 0 || (*stripes > 0 && *stripes&(*stripes-1) != 0) || *stripes > locktable.DefaultSize {
-		fail("-stripes %d must be a power of two in [1, %d] (or 0 for the default)", *stripes, locktable.DefaultSize)
 	}
 	if *parsec && *inject {
 		// Fault injection rewrites generated programs; the PARSEC
@@ -113,14 +108,12 @@ func main() {
 		engines = []string{*engine}
 	}
 
-	knobs := harness.Knobs{Stripes: *stripes}
-
 	var rep harness.Report
 	start := time.Now()
 	scenarios := 0
 
-	runOne := func(s *harness.Scenario, k harness.Knobs) {
-		results := harness.RunScenario(s, engines, mech.Mechanism(*only), k)
+	runOne := func(s *harness.Scenario) {
+		results := harness.RunScenario(s, engines, mech.Mechanism(*only))
 		rep.Add(results)
 		scenarios++
 		failed := 0
@@ -154,7 +147,7 @@ func main() {
 			}
 			recMech = mech.Mechanism(*only)
 		}
-		tr, res, err := harness.Record(s, engines[0], recMech, knobs)
+		tr, res, err := harness.Record(s, engines[0], recMech)
 		if err != nil {
 			fail("-record: %v", err)
 		}
@@ -204,25 +197,19 @@ func main() {
 			if err != nil {
 				fail("-replay: %s: %v", file, err)
 			}
-			s, stamped, err := harness.ReplayTrace(tr)
+			s, err := harness.ReplayTrace(tr)
 			if err != nil {
 				fail("-replay: %s: %v", file, err)
 			}
-			// Start from the trace's stamped knobs; an explicit -stripes
-			// overrides the stamp.
-			k := stamped
-			if explicit["stripes"] {
-				k.Stripes = knobs.Stripes
-			}
 			s.Name = filepath.Base(file)
-			runOne(s, k)
+			runOne(s)
 		}
 	case *parsec:
 		for _, s := range harness.ParsecScenarios(*threads, *scale) {
 			if *budget > 0 && time.Since(start) > *budget {
 				break
 			}
-			runOne(s, knobs)
+			runOne(s)
 		}
 	default:
 		if *record != "" {
@@ -240,7 +227,7 @@ func main() {
 				Ops:         *ops,
 				InjectFault: *inject,
 			})
-			runOne(s, knobs)
+			runOne(s)
 			if *record != "" {
 				recordOne(s)
 			}

@@ -231,7 +231,7 @@ func TestWaitWithPriorWritesPublishesThem(t *testing.T) {
 		cv := condvar.New()
 		var a, b, gate uint64
 		posted := make(chan []uint32, 1)
-		sys.PostCommit = func(_ *tm.Thread, writeOrecs, _ []uint32) {
+		sys.PostCommit = func(_ *tm.Thread, writeOrecs []uint32) {
 			select {
 			case posted <- slices.Clone(writeOrecs):
 			default: // only the first writer commit is the punctuation commit

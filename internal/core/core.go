@@ -142,15 +142,12 @@ type CondSync struct {
 	// stripe, sized by Enable: a waiter that sleeps on orec slots — a
 	// waitset's, or a Retry-Orig read set's — registers on exactly the
 	// stripes covering them, and a committing writer visits only the
-	// shards of stripes in its write set, and there examines only waiters
-	// sharing an orec with it (Algorithm 4's wakeup, and Algorithm 1's,
-	// made O(write set) instead of O(waiters)). Algorithm 1 guards its
-	// registry with one global lock to make read-set validation atomic with
-	// insertion; here the locks of every covering shard, held together, do.
-	//
-	// A one-stripe table degenerates to the old global list, which the
-	// differential harness uses to prove the sharding observably
-	// equivalent.
+	// shards of the stripes its write orecs lie on, and there examines
+	// only waiters sharing an orec with it (Algorithm 4's wakeup, and
+	// Algorithm 1's, made O(write set) instead of O(waiters)). Algorithm 1
+	// guards its registry with one global lock to make read-set validation
+	// atomic with insertion; here the locks of every covering shard, held
+	// together, do.
 	shards []paddedShard
 
 	// unindexed lists the waiters without slots (WaitPred's arbitrary
@@ -402,38 +399,47 @@ func (cs *CondSync) WaitingLen() int {
 	return len(seen)
 }
 
+// A commit's stripe set is one uint64 (wakeWaiters): the build fails if
+// the table ever has more stripes than that holds.
+var _ [64 - locktable.DefaultStripes]struct{}
+
 // wakeWaiters is installed as the system's PostCommit hook; it runs on the
 // committing thread strictly after the writer's effects are visible, with
-// the attempt's write orecs and write-stripe set captured by the driver (so
-// neither OnCommit callbacks nor the nested predicate transactions below
-// can clobber them).
+// the attempt's write orecs captured by the driver (so neither OnCommit
+// callbacks nor the nested predicate transactions below can clobber them).
 //
 // It implements the bottom half of Algorithm 4 (and, for Retry-Orig
 // waiters, Algorithm 1's TxCommit lines 10–15), narrowed twice.
-// By stripe: visit the waiter shards of exactly the stripes the committed
-// write set touched, plus the unindexed list. By orec: of the waiters found
-// there, examine those sleeping on an orec slot the write set shares — any
-// other waits on words this commit did not store to, and the commit that
-// does store to one will examine it. A commit that recorded no stripes
-// scans every shard, and one that recorded no orecs examines every waiter
-// it meets.
+// By stripe: visit the waiter shard of each stripe a write orec lies on,
+// once, plus the unindexed list. By orec: of the waiters found there,
+// examine those sleeping on an orec slot the write set shares — any other
+// waits on words this commit did not store to, and the commit that does
+// store to one will examine it. A commit that recorded no orecs scans
+// every shard and examines every waiter it meets.
 //
 // The snapshots are gathered into one buffer before any predicate runs.
 // It starts on this frame — the hook is never re-entered on a thread —
 // so a commit that finds few waiters, or none, allocates nothing.
-func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs, touched []uint32) {
+func (cs *CondSync) wakeWaiters(t *tm.Thread, writeOrecs []uint32) {
 	var scratch [smallScan]*Waiter
 	ws := scratch[:0]
-	scanned := len(touched)
-	if scanned == 0 {
-		// The conservative full scan (also the exact behaviour of a
-		// one-stripe table).
+	scanned := 0
+	if len(writeOrecs) == 0 {
+		// The conservative full scan.
 		scanned = len(cs.shards)
 		for i := range cs.shards {
 			ws = cs.shards[i].snapshot(ws, writeOrecs)
 		}
 	} else {
-		for _, s := range touched {
+		tbl := cs.sys.Table
+		var visited uint64 // bit s: stripe s's shard is scanned
+		for _, o := range writeOrecs {
+			s := tbl.StripeOf(o)
+			if visited&(1<<s) != 0 {
+				continue
+			}
+			visited |= 1 << s
+			scanned++
 			ws = cs.shards[s].snapshot(ws, writeOrecs)
 		}
 	}

@@ -14,23 +14,19 @@ import (
 	"tmsync/internal/tm"
 )
 
-func newSys(kind string) (*tm.System, *core.CondSync) {
-	return newSysCfg(kind, tm.Config{})
-}
-
-// newSysCfg builds a system for the named engine under cfg with condition
+// newSys builds a system for the named engine with condition
 // synchronization enabled.
-func newSysCfg(kind string, cfg tm.Config) (*tm.System, *core.CondSync) {
+func newSys(kind string) (*tm.System, *core.CondSync) {
 	var sys *tm.System
 	switch kind {
 	case "eager":
-		sys = tm.NewSystem(cfg, eager.New)
+		sys = tm.NewSystem(tm.Config{}, eager.New)
 	case "lazy":
-		sys = tm.NewSystem(cfg, lazy.New)
+		sys = tm.NewSystem(tm.Config{}, lazy.New)
 	case "htm":
-		sys = tm.NewSystem(cfg, htm.New)
+		sys = tm.NewSystem(tm.Config{}, htm.New)
 	case "hybrid":
-		sys = tm.NewSystem(cfg, hybrid.New)
+		sys = tm.NewSystem(tm.Config{}, hybrid.New)
 	default:
 		panic(kind)
 	}
@@ -43,14 +39,9 @@ var stmEngines = []string{"eager", "lazy"}
 
 func forEach(t *testing.T, kinds []string, fn func(t *testing.T, sys *tm.System, cs *core.CondSync)) {
 	t.Helper()
-	forEachCfg(t, kinds, tm.Config{}, fn)
-}
-
-func forEachCfg(t *testing.T, kinds []string, cfg tm.Config, fn func(t *testing.T, sys *tm.System, cs *core.CondSync)) {
-	t.Helper()
 	for _, k := range kinds {
 		t.Run(k, func(t *testing.T) {
-			sys, cs := newSysCfg(k, cfg)
+			sys, cs := newSys(k)
 			fn(t, sys, cs)
 		})
 	}

@@ -84,9 +84,11 @@ func TestEmptyShardRetryOrigPublishesLengthBeforeValidating(t *testing.T) {
 // TestEmptyShardLengthsTrackLists pins n == len(waiters) on every shard
 // and the unindexed list across insert and remove. Each listed waiter is
 // the sleep record of its own thread, as in a real run: a thread sleeps
-// on one predicate at a time.
+// on one predicate at a time. Every indexed waiter sleeps on a word of
+// stripe 0 and one of stripe 1, so those two shards list several waiters
+// each and removal takes waiters from the middle of a list.
 func TestEmptyShardLengthsTrackLists(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{Stripes: 4}, eager.New)
+	sys := tm.NewSystem(tm.Config{}, eager.New)
 	cs := Enable(sys)
 	check := func(when string) {
 		t.Helper()
@@ -99,12 +101,22 @@ func TestEmptyShardLengthsTrackLists(t *testing.T) {
 			t.Errorf("%s: unindexed: n=%d, list has %d", when, sh.n.Load(), len(sh.waiters))
 		}
 	}
-	words := make([]uint64, 512)
+	words := make([]uint64, 4096)
+	var on [2][]uint32 // orec slots of words on stripes 0 and 1
+	for i := range words {
+		idx := sys.Table.IndexOf(&words[i])
+		if s := sys.Table.StripeOf(idx); s < 2 {
+			on[s] = append(on[s], idx)
+		}
+	}
+	if len(on[0]) < 8 || len(on[1]) < 8 {
+		t.Fatalf("found %d and %d words on stripes 0 and 1, want 8 each", len(on[0]), len(on[1]))
+	}
 	var ws []*Waiter
 	for i := 0; i < 8; i++ {
 		w := cs.newWaiter(&sys.NewThread().Tx)
 		if i%4 != 3 { // otherwise no slots: unindexed
-			w.slots = append(w.slots, sys.Table.IndexOf(&words[i*64]), sys.Table.IndexOf(&words[i*64+8]))
+			w.slots = append(w.slots, on[0][i], on[1][i])
 			w.indexSlots("test")
 		}
 		w.asleep.Store(true)

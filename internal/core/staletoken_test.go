@@ -33,7 +33,7 @@ func TestStaleTokenSelfClear(t *testing.T) {
 	if testing.Short() {
 		rounds = 15
 	}
-	forEachCfg(t, allEngines, tm.Config{Stripes: 4},
+	forEach(t, allEngines,
 		func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 			var flag uint64
 			waiter := sys.NewThread()

@@ -8,6 +8,7 @@ package core_test
 // the race detector should vet.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +126,43 @@ func TestMultiStripeWaitsetRegistersOnEachStripe(t *testing.T) {
 			<-done
 			waitCond(t, "index drained", func() bool { return cs.WaitingLen() == 0 })
 		}
+	})
+}
+
+// TestMultiStripeCommitExaminesEachWaiterOnce parks one Await waiter on
+// each of four words on distinct stripes, then commits one transaction
+// that writes all four. The scan derives the stripes it visits from the
+// commit's write orecs: it must visit every one of them, so every waiter
+// wakes, and examine each waiter exactly once.
+func TestMultiStripeCommitExaminesEachWaiterOnce(t *testing.T) {
+	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+		const waiters = 4
+		addrs := disjointStripeAddrs(t, sys, waiters)
+		var done [waiters]<-chan struct{}
+		for i, a := range addrs {
+			done[i] = awaitSleeper(sys, a)
+		}
+		// Each waiter's double-check is a read-only commit: once all are
+		// counted, no waiter can claim its own wakeup.
+		waitCond(t, "all waiters asleep", func() bool {
+			return cs.WaitingLen() == waiters && sys.Stats.Sum().ROCommits >= waiters
+		})
+
+		writer := sys.NewThread()
+		checks, signals := scanCost(sys, func() {
+			writer.Atomic(func(tx *tm.Tx) {
+				for _, a := range addrs {
+					tx.Write(a, 1)
+				}
+			})
+		})
+		if checks != waiters || signals != waiters {
+			t.Errorf("one commit to %d words on distinct stripes: %d waiters examined, %d signalled, want %d and %d", waiters, checks, signals, waiters, waiters)
+		}
+		for i := range done {
+			waitDone(t, fmt.Sprintf("waiter %d", i), done[i])
+		}
+		waitCond(t, "index drained", func() bool { return cs.WaitingLen() == 0 })
 	})
 }
 

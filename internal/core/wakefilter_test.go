@@ -17,14 +17,11 @@ import (
 	"tmsync/internal/tm"
 )
 
-// smallTable makes both orec collisions and same-stripe neighbours easy to
-// find: 256 orecs in 4 stripes of 64.
-var smallTable = tm.Config{TableSize: 256, Stripes: 4}
-
-// wordsByOrec groups the words of a fresh array by the orec slot covering
-// them; under smallTable every slot covers several.
+// wordsByOrec groups the words of a fresh array, four per orec of the
+// table, by the orec slot covering them: collisions and same-stripe
+// neighbours are then easy to find.
 func wordsByOrec(sys *tm.System) map[uint32][]*uint64 {
-	backing := make([]uint64, 4096)
+	backing := make([]uint64, 4*sys.Table.Len())
 	out := make(map[uint32][]*uint64)
 	for i := range backing {
 		idx := sys.Table.IndexOf(&backing[i])
@@ -90,7 +87,7 @@ func scanCost(sys *tm.System, commit func()) (checks, signals uint64) {
 // not an orec. A write to one's word must examine and wake exactly that
 // one; the stripe index alone would have examined both.
 func TestWakeFilterSkipsSameStripeNeighbour(t *testing.T) {
-	forEachCfg(t, allEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		ws := sameStripeWords(t, sys, 2)
 		first, second := awaitSleeper(sys, ws[0]), awaitSleeper(sys, ws[1])
 		waitCond(t, "both waiters asleep", func() bool { return cs.WaitingLen() == 2 })
@@ -117,11 +114,16 @@ func TestWakeFilterSkipsSameStripeNeighbour(t *testing.T) {
 // ruled out — the waiter is examined — and wakeup being value-based, it is
 // not woken.
 func TestWakeFilterExaminesOrecCollision(t *testing.T) {
-	forEachCfg(t, allEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		var waited, other *uint64
 		for _, words := range wordsByOrec(sys) {
-			waited, other = words[0], words[1]
-			break
+			if len(words) >= 2 {
+				waited, other = words[0], words[1]
+				break
+			}
+		}
+		if waited == nil {
+			t.Fatal("no two words share an orec")
 		}
 		done := awaitSleeper(sys, waited)
 		waitCond(t, "waiter asleep", func() bool { return cs.WaitingLen() == 1 })
@@ -146,7 +148,7 @@ func TestWakeFilterExaminesOrecCollision(t *testing.T) {
 // the attempt read, and a write to any single word of it must wake the
 // waiter.
 func TestWakeFilterRetryWaitsetWokenByAnyWord(t *testing.T) {
-	forEachCfg(t, allEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+	forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		ws := sameStripeWords(t, sys, 3)
 		writer := sys.NewThread()
 		for k := range ws {
@@ -228,7 +230,7 @@ func TestWakeFilterEveryWriterPathWakes(t *testing.T) {
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
-			forEachCfg(t, allEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+			forEach(t, allEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 				// Neighbours on the stripe keep the filter busy: they must
 				// stay asleep, the written word's sleeper must not.
 				ws := sameStripeWords(t, sys, 3)
@@ -254,12 +256,9 @@ func TestWakeFilterEveryWriterPathWakes(t *testing.T) {
 	}
 }
 
-// bigTable has room on one stripe for a waitset of more orecs than
-// concerns compares pair by pair (256): 4096 orecs in 4 stripes of 1024.
-var bigTable = tm.Config{TableSize: 4096, Stripes: 4}
-
 // TestWakeFilterLargeWaitsetIsExact: the filter stays exact past the size
-// where it stops comparing every pair. A sleeper on 300 orecs of one stripe
+// where it stops comparing every pair (256; a stripe has 1024 orecs). A
+// sleeper on 300 orecs of one stripe
 // is not examined by a commit to a 301st orec of that stripe, and is
 // examined — and woken — by a write to any one word it read. For Retry that
 // saves a predicate transaction; for Retry-Orig, whose sleepers wake on
@@ -279,7 +278,7 @@ func TestWakeFilterLargeWaitsetIsExact(t *testing.T) {
 		{"retry-orig", stmEngines, core.RetryOrig, false},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			forEachCfg(t, m.engines, bigTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+			forEach(t, m.engines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 				ws := sameStripeWords(t, sys, 301)
 				read, other := ws[:300], ws[300]
 				writer := sys.NewThread()
@@ -326,7 +325,7 @@ func TestWakeFilterLargeWaitsetIsExact(t *testing.T) {
 // sleeper parked on one word are found by the same scan of the same shard,
 // and one commit to the word wakes both through one signal batch.
 func TestWakeFilterMixedSleepersOneBatch(t *testing.T) {
-	forEachCfg(t, stmEngines, smallTable, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
+	forEach(t, stmEngines, func(t *testing.T, sys *tm.System, cs *core.CondSync) {
 		var word uint64
 		awaiter := awaitSleeper(sys, &word)
 		orig := make(chan struct{})

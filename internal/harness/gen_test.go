@@ -2,9 +2,10 @@ package harness
 
 import "testing"
 
-// TestSeedsCoverEveryShape holds the seed ranges the differential rows of
-// cmd/tmcheck/ci_matrix.txt run (-n 15 -seed 1, and the race leg's -n 6
-// -seed 1) to covering every filler shape the generator draws: both key
+// TestSeedsCoverEveryShape holds seed ranges the differential rows of
+// cmd/tmcheck/ci_matrix.txt run (seeds 1-15, well inside the baseline's
+// -n 50 -seed 1, and the race leg's -n 6 -seed 1) to covering every filler
+// shape the generator draws: both key
 // distributions, all five mixes, a multi-phase schedule, and read-heavy
 // transactions actually in the programs. A generator change that re-rolls
 // the stream so that a shape drops out of those runs fails here instead of

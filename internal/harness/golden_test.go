@@ -70,7 +70,7 @@ func TestDiversifiedScenariosPassDifferential(t *testing.T) {
 	// engine here keeps the test fast, CI sweeps all four.
 	for _, g := range goldenDiversified {
 		s := Generate(g.seed, GenConfig{})
-		for _, res := range RunScenario(s, []string{"eager"}, "tmcondvar", Knobs{}) {
+		for _, res := range RunScenario(s, []string{"eager"}, "tmcondvar") {
 			if res.Failed() {
 				t.Errorf("%s: %s", g.name, res.String())
 			}

@@ -30,6 +30,7 @@ import (
 	"tmsync"
 	"tmsync/internal/mech"
 	"tmsync/internal/tm"
+	"tmsync/internal/trace"
 )
 
 // Engines names the TM back ends of tmsync.EngineKinds, in its order.
@@ -41,23 +42,13 @@ var Engines = func() []string {
 	return out
 }()
 
-// Knobs is optional per-run system configuration, used by differential
-// sweeps over performance-only parameters (which must not change any
-// observable outcome).
-type Knobs struct {
-	// Stripes overrides the orec-table stripe count (0 = default). It
-	// also sizes the per-stripe waiter index, which has one shard per
-	// stripe.
-	Stripes int
-}
-
 // NewSystem builds the named engine's System, with condition
-// synchronization enabled and k's performance knobs, through tmsync.New.
-func NewSystem(engine string, k Knobs) (*tm.System, error) {
+// synchronization enabled, through tmsync.New.
+func NewSystem(engine string) (*tm.System, error) {
 	if !slices.Contains(Engines, engine) {
 		return nil, fmt.Errorf("harness: unknown engine %q", engine)
 	}
-	return tmsync.New(tmsync.EngineKind(engine), tm.Config{Stripes: k.Stripes}).System, nil
+	return tmsync.New(tmsync.EngineKind(engine), tm.Config{}).System, nil
 }
 
 // Observation is a rendered snapshot of a scenario's observable final
@@ -187,12 +178,9 @@ func (r *Result) String() string {
 }
 
 // RunScenario executes s under each of the given engines × every
-// applicable mechanism (only that one, when only is non-empty), with k's
-// performance knobs for every system it builds, and returns one Result per
-// pair, each diffed against the sequential oracle. Running one scenario
-// under several knob settings proves a knob (e.g. the stripe count)
-// observably inert.
-func RunScenario(s *Scenario, engines []string, only mech.Mechanism, k Knobs) []Result {
+// applicable mechanism (only that one, when only is non-empty) and returns
+// one Result per pair, each diffed against the sequential oracle.
+func RunScenario(s *Scenario, engines []string, only mech.Mechanism) []Result {
 	oracle := s.Oracle()
 	mechs := s.Mechs
 	if mechs == nil {
@@ -204,21 +192,30 @@ func RunScenario(s *Scenario, engines []string, only mech.Mechanism, k Knobs) []
 			if only != "" && m != only {
 				continue
 			}
-			out = append(out, runOne(s, oracle, engine, m, k))
+			out = append(out, runOne(s, oracle, engine, m, nil))
 		}
 	}
 	return out
 }
 
-func runOne(s *Scenario, oracle Observation, engine string, m mech.Mechanism, k Knobs) Result {
+// runOne executes s once under engine × m and diffs the outcome against
+// oracle. With rec set, s must be spec-backed, and the run is recorded
+// into rec.
+func runOne(s *Scenario, oracle Observation, engine string, m mech.Mechanism, rec *trace.Recorder) Result {
 	res := Result{Scenario: s.Name, Seed: s.Seed, Injected: s.Injected, ReplayArgs: s.ReplayArgs, Engine: engine, Mech: m}
-	sys, err := NewSystem(engine, k)
+	sys, err := NewSystem(engine)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	start := time.Now()
-	obs, err := s.Run(sys, m)
+	var obs Observation
+	if rec != nil {
+		rec.Attach(sys)
+		obs, err = runSpecRec(s.sp, sys, m, rec)
+	} else {
+		obs, err = s.Run(sys, m)
+	}
 	res.Duration = time.Since(start)
 	st := sys.Stats.Sum()
 	res.Commits = st.Commits + st.ROCommits

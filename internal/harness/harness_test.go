@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tmsync/internal/mech"
-	"tmsync/internal/tm"
 )
 
 func TestGeneratorIsDeterministic(t *testing.T) {
@@ -30,7 +29,7 @@ func TestGeneratedScenarioRunsMatchOracleEverywhere(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		s := Generate(seed, GenConfig{})
-		for _, r := range RunScenario(s, Engines, "", Knobs{}) {
+		for _, r := range RunScenario(s, Engines, "") {
 			if !r.Pass {
 				t.Errorf("%s", r.String())
 			}
@@ -42,8 +41,8 @@ func TestSameSeedSameObservationAcrossEngines(t *testing.T) {
 	// The differential property stated directly: two arbitrary engine ×
 	// mechanism pairs observe identical final state for the same seed.
 	s := Generate(42, GenConfig{})
-	sysA, _ := NewSystem("eager", Knobs{})
-	sysB, _ := NewSystem("hybrid", Knobs{})
+	sysA, _ := NewSystem("eager")
+	sysB, _ := NewSystem("hybrid")
 	obsA, errA := s.Run(sysA, mech.Retry)
 	obsB, errB := s.Run(sysB, mech.WaitPred)
 	if errA != nil || errB != nil {
@@ -57,7 +56,7 @@ func TestSameSeedSameObservationAcrossEngines(t *testing.T) {
 func TestInjectedFaultIsCaughtAndReproduces(t *testing.T) {
 	const seed = 7
 	s := Generate(seed, GenConfig{InjectFault: true})
-	results := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
+	results := RunScenario(s, []string{"eager"}, mech.Retry)
 	if len(results) != 1 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -76,7 +75,7 @@ func TestInjectedFaultIsCaughtAndReproduces(t *testing.T) {
 	}
 	// Replay from the printed seed: the same fault must reproduce with an
 	// identical oracle diff (the detection is deterministic, not flaky).
-	replay := RunScenario(Generate(seed, GenConfig{InjectFault: true}), []string{"eager"}, mech.Retry, Knobs{})
+	replay := RunScenario(Generate(seed, GenConfig{InjectFault: true}), []string{"eager"}, mech.Retry)
 	if replay[0].Pass || !reflect.DeepEqual(replay[0].Diff, r.Diff) {
 		t.Fatalf("replay diff differs:\n%v\nvs\n%v", replay[0].Diff, r.Diff)
 	}
@@ -87,7 +86,7 @@ func TestInjectedFaultCaughtOnEveryEngine(t *testing.T) {
 		t.Skip("full engine × mechanism sweep")
 	}
 	s := Generate(11, GenConfig{InjectFault: true})
-	for _, r := range RunScenario(s, Engines, "", Knobs{}) {
+	for _, r := range RunScenario(s, Engines, "") {
 		if r.Pass {
 			t.Errorf("%s/%s: injected fault not caught", r.Engine, r.Mech)
 		}
@@ -124,7 +123,7 @@ func TestParsecScenariosMatchReference(t *testing.T) {
 			engines = []string{"lazy"}
 		}
 		for _, engine := range engines {
-			for _, r := range RunScenario(s, []string{engine}, mech.Retry, Knobs{}) {
+			for _, r := range RunScenario(s, []string{engine}, mech.Retry) {
 				if !r.Pass {
 					t.Errorf("%s", r.String())
 				}
@@ -136,7 +135,7 @@ func TestParsecScenariosMatchReference(t *testing.T) {
 func TestReportTables(t *testing.T) {
 	var rep Report
 	s := Generate(3, GenConfig{})
-	rep.Add(RunScenario(s, []string{"eager", "htm"}, "", Knobs{}))
+	rep.Add(RunScenario(s, []string{"eager", "htm"}, ""))
 	if !rep.AllPassed() {
 		for _, f := range rep.Failures() {
 			t.Errorf("%s", f.String())
@@ -191,7 +190,7 @@ func TestWorldSnapshotAgainstHandBuiltSpec(t *testing.T) {
 	if d := Diff(want, oracle(sp)); d != nil {
 		t.Fatalf("oracle wrong:\n%s", strings.Join(d, "\n"))
 	}
-	sys, _ := NewSystem("lazy", Knobs{})
+	sys, _ := NewSystem("lazy")
 	got, err := runSpec(sp, sys, mech.Retry)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +202,7 @@ func TestWorldSnapshotAgainstHandBuiltSpec(t *testing.T) {
 
 func TestStatsReportedPerRun(t *testing.T) {
 	s := Generate(5, GenConfig{})
-	rs := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
+	rs := RunScenario(s, []string{"eager"}, mech.Retry)
 	for _, r := range rs {
 		if r.Commits == 0 {
 			t.Errorf("%s/%s: no commits recorded", r.Engine, r.Mech)
@@ -214,11 +213,9 @@ func TestStatsReportedPerRun(t *testing.T) {
 	}
 }
 
-var _ = tm.Config{} // keep the tm import for the hand-built-spec test's types
-
 func TestReplayHintCarriesGeneratorOverrides(t *testing.T) {
 	s := Generate(9, GenConfig{Threads: 3, Ops: 30, InjectFault: true})
-	rs := RunScenario(s, []string{"eager"}, mech.Retry, Knobs{})
+	rs := RunScenario(s, []string{"eager"}, mech.Retry)
 	if len(rs) != 1 || rs[0].Pass {
 		t.Fatalf("expected one failing run, got %+v", rs)
 	}
@@ -239,7 +236,7 @@ func TestEveryThreadHasInjectionTarget(t *testing.T) {
 		if reflect.DeepEqual(sp.Oracle(), faulted.Oracle()) {
 			// Oracles match by construction (fault only affects Run);
 			// the real check: the faulted run must fail somewhere.
-			rs := RunScenario(faulted, []string{"lazy"}, mech.Retry, Knobs{})
+			rs := RunScenario(faulted, []string{"lazy"}, mech.Retry)
 			if rs[0].Pass {
 				t.Fatalf("seed %d: injected fault was a no-op", seed)
 			}

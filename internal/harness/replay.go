@@ -29,16 +29,11 @@ import (
 	"tmsync/internal/trace"
 )
 
-// ReplayTrace turns a decoded trace back into a runnable scenario plus
-// the knob configuration stamped at record time.
-func ReplayTrace(tr *trace.Trace) (*Scenario, Knobs, error) {
+// ReplayTrace turns a decoded trace back into a runnable scenario.
+func ReplayTrace(tr *trace.Trace) (*Scenario, error) {
 	sp, err := specFromTrace(tr)
 	if err != nil {
-		return nil, Knobs{}, err
-	}
-	k, err := DecodeKnobs(tr.Knobs)
-	if err != nil {
-		return nil, Knobs{}, fmt.Errorf("trace knobs stamp: %w", err)
+		return nil, err
 	}
 	oracleObs := oracle(sp)
 	name := "replay"
@@ -56,7 +51,7 @@ func ReplayTrace(tr *trace.Trace) (*Scenario, Knobs, error) {
 			return runSpec(sp, sys, m)
 		},
 		sp: sp,
-	}, k, nil
+	}, nil
 }
 
 // specFromTrace rebuilds the spec a trace's program layer describes.

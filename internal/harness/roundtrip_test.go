@@ -12,7 +12,6 @@ package harness
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"tmsync/internal/mech"
@@ -39,7 +38,7 @@ func TestRecordReplayDigestRoundTrip(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				s := Generate(seed, c.cfg)
-				tr, res, err := Record(s, "eager", mech.Retry, Knobs{})
+				tr, res, err := Record(s, "eager", mech.Retry)
 				if err != nil {
 					t.Fatalf("seed %d: record: %v", seed, err)
 				}
@@ -67,15 +66,12 @@ func TestRecordReplayDigestRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: encode→decode→encode is not a fixed point", seed)
 				}
 
-				rs, k, err := ReplayTrace(dec)
+				rs, err := ReplayTrace(dec)
 				if err != nil {
 					t.Fatalf("seed %d: replay: %v", seed, err)
 				}
 				if rs.Digest != s.Digest {
 					t.Errorf("seed %d: replayed digest %s != recorded program digest %s", seed, rs.Digest, s.Digest)
-				}
-				if got := EncodeKnobs(k); got != "" {
-					t.Errorf("seed %d: default-knob recording replayed with knobs %q", seed, got)
 				}
 				if rs.Threads != s.Threads {
 					t.Errorf("seed %d: replayed threads %d != %d", seed, rs.Threads, s.Threads)
@@ -97,15 +93,15 @@ func TestReplayedScenarioPassesDifferential(t *testing.T) {
 		cfg  GenConfig
 	}{{7, GenConfig{}}, {7, GenConfig{InjectFault: true}}, {23, GenConfig{}}} {
 		s := Generate(c.seed, c.cfg)
-		tr, _, err := Record(s, "lazy", mech.WaitPred, Knobs{})
+		tr, _, err := Record(s, "lazy", mech.WaitPred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, k, err := ReplayTrace(tr)
+		rs, err := ReplayTrace(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, res := range RunScenario(rs, []string{"eager", "htm"}, mech.Retry, k) {
+		for _, res := range RunScenario(rs, []string{"eager", "htm"}, mech.Retry) {
 			if res.Failed() {
 				t.Errorf("seed %d inject=%v: %s", c.seed, c.cfg.InjectFault, res.String())
 			}
@@ -113,59 +109,10 @@ func TestReplayedScenarioPassesDifferential(t *testing.T) {
 	}
 }
 
-// TestKnobsStampRoundTrip pins the knob stamp codec both ways, including
-// through a recorded trace.
-func TestKnobsStampRoundTrip(t *testing.T) {
-	k := Knobs{Stripes: 128}
-	enc := EncodeKnobs(k)
-	dec, err := DecodeKnobs(enc)
-	if err != nil {
-		t.Fatalf("decode %q: %v", enc, err)
-	}
-	if got := EncodeKnobs(dec); got != enc {
-		t.Fatalf("knob stamp not a fixed point: %q -> %q", enc, got)
-	}
-	for _, c := range []struct{ stamp, wantErr string }{
-		{"stripes=2 bogus-knob=1", `unknown knob "bogus-knob"`},
-		{"stripes", `malformed knob "stripes"`},
-		// A trace stamped with a knob this build does not have must not
-		// replay as if it had been recorded under the default.
-		{"coalesce=8 max-delay=5ms", `unknown knob "coalesce"`},
-		{"stripes=1 min-stripes=1", `unknown knob "min-stripes"`},
-		{"stripes=1 max-stripes=64", `unknown knob "max-stripes"`},
-		// Spelled in two halves so a grep for the removed tmcheck flag of
-		// the same name finds nothing in the tree.
-		{"stripes=1 resize-" + "every=5", `unknown knob "resize-` + `every"`},
-		{"stripes=1 resize-schedule=4,64", `unknown knob "resize-schedule"`},
-		{"stripes=1 ext=1", `unknown knob "ext"`},
-		{"stripes=1 clock=pof", `unknown knob "clock"`},
-	} {
-		if _, err := DecodeKnobs(c.stamp); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("DecodeKnobs(%q) = %v, want error containing %q", c.stamp, err, c.wantErr)
-		}
-	}
-
-	s := Generate(11, GenConfig{})
-	tr, res, err := Record(s, "eager", mech.TMCondVar, k)
-	if err != nil || !res.Pass {
-		t.Fatalf("record under knobs: err=%v res=%+v", err, res)
-	}
-	if tr.Knobs != enc {
-		t.Fatalf("trace knob stamp %q, want %q", tr.Knobs, enc)
-	}
-	_, k2, err := ReplayTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if EncodeKnobs(k2) != enc {
-		t.Fatalf("replayed knobs %q, want %q", EncodeKnobs(k2), enc)
-	}
-}
-
 // TestRecordRejectsNonSpecScenario pins the spec-backed restriction.
 func TestRecordRejectsNonSpecScenario(t *testing.T) {
 	s := &Scenario{Name: "registered", Oracle: func() Observation { return Observation{} }}
-	if _, _, err := Record(s, "eager", mech.Retry, Knobs{}); err == nil {
+	if _, _, err := Record(s, "eager", mech.Retry); err == nil {
 		t.Error("recording a non-spec scenario must error")
 	}
 }

@@ -102,33 +102,19 @@ type Table struct {
 // DefaultSize is the default number of orecs (1<<16, 512 KiB).
 const DefaultSize = 1 << 16
 
-// DefaultStripes is the default stripe count. 64 stripes keep the
-// per-commit wakeup index small while still spreading independent
-// structures across distinct stripes with high probability.
+// DefaultStripes is the stripe count of every table of at least that
+// many orecs. 64 stripes keep the per-commit wakeup index small while
+// still spreading independent structures across distinct stripes with
+// high probability, and let a commit's stripe set fit one uint64.
 const DefaultStripes = 64
 
-// New returns a table with size orecs and the default stripe count
-// (clamped to size for tiny tables); size must be a power of two.
+// New returns a table with size orecs, a power of two, split into
+// DefaultStripes stripes (one per orec for a smaller table).
 func New(size int) *Table {
-	stripes := DefaultStripes
-	if size < stripes {
-		stripes = size
-	}
-	return NewSharded(size, stripes)
-}
-
-// NewSharded returns a table with size orecs split into the given number
-// of stripes. Both must be powers of two, with 1 <= stripes <= size.
-func NewSharded(size, stripes int) *Table {
 	if size <= 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("locktable: size %d is not a positive power of two", size))
 	}
-	if stripes <= 0 || stripes&(stripes-1) != 0 {
-		panic(fmt.Sprintf("locktable: stripe count %d is not a positive power of two", stripes))
-	}
-	if stripes > size {
-		panic(fmt.Sprintf("locktable: stripe count %d exceeds table size %d", stripes, size))
-	}
+	stripes := min(DefaultStripes, size)
 	per := size / stripes
 	t := &Table{
 		mask:   uintptr(size - 1),

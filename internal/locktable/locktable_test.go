@@ -181,29 +181,14 @@ func TestCASAndSet(t *testing.T) {
 	}
 }
 
-func TestNewShardedRejectsBadStripeCounts(t *testing.T) {
-	for _, c := range []struct{ size, stripes int }{
-		{32, 0}, {32, -1}, {32, 3}, {32, 12}, {32, 64}, {3, 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewSharded(%d, %d) did not panic", c.size, c.stripes)
-				}
-			}()
-			NewSharded(c.size, c.stripes)
-		}()
-	}
-}
-
 func TestNewClampsDefaultStripesToSize(t *testing.T) {
-	for _, size := range []int{1, 2, 8, 64, 256} {
+	for _, size := range []int{1, 2, 8, 64, 256, DefaultSize} {
 		tbl := New(size)
 		if tbl.Len() != size {
 			t.Fatalf("New(%d).Len() = %d", size, tbl.Len())
 		}
-		if n := tbl.NumStripes(); n > size || n <= 0 {
-			t.Fatalf("New(%d) has %d stripes", size, n)
+		if n := tbl.NumStripes(); n != min(size, DefaultStripes) {
+			t.Fatalf("New(%d) has %d stripes, want %d", size, n, min(size, DefaultStripes))
 		}
 		if tbl.NumStripes()*tbl.StripeLen() != tbl.Len() {
 			t.Fatalf("New(%d): stripes %d x %d != %d", size, tbl.NumStripes(), tbl.StripeLen(), tbl.Len())
@@ -215,21 +200,19 @@ func TestNewClampsDefaultStripesToSize(t *testing.T) {
 // in-range stripe, and the stripes split the slot space into equal parts —
 // the partition half of the stripe-mapping invariant.
 func TestStripesPartitionSlotSpace(t *testing.T) {
-	for _, cfg := range []struct{ size, stripes int }{
-		{1 << 10, 1}, {1 << 10, 4}, {1 << 10, 64}, {1 << 10, 1 << 10}, {64, 8},
-	} {
-		tbl := NewSharded(cfg.size, cfg.stripes)
+	for _, size := range []int{1, 4, 512, 1 << 10, 1 << 12} {
+		tbl := New(size)
 		counts := make([]int, tbl.NumStripes())
 		for idx := 0; idx < tbl.Len(); idx++ {
 			s := tbl.StripeOf(uint32(idx))
 			if int(s) >= tbl.NumStripes() {
-				t.Fatalf("size=%d stripes=%d: slot %d maps to out-of-range stripe %d", cfg.size, cfg.stripes, idx, s)
+				t.Fatalf("size=%d: slot %d maps to out-of-range stripe %d", size, idx, s)
 			}
 			counts[s]++
 		}
 		for s, n := range counts {
 			if n != tbl.StripeLen() {
-				t.Fatalf("size=%d stripes=%d: stripe %d owns %d slots, want %d", cfg.size, cfg.stripes, s, n, tbl.StripeLen())
+				t.Fatalf("size=%d: stripe %d owns %d slots, want %d", size, s, n, tbl.StripeLen())
 			}
 		}
 	}
@@ -243,9 +226,9 @@ func TestStripesPartitionSlotSpace(t *testing.T) {
 func TestAddressStripeMappingStableProperty(t *testing.T) {
 	words := make([]uint64, 512)
 	tables := []*Table{
-		NewSharded(1<<12, 1),
-		NewSharded(1<<12, 4),
-		NewSharded(1<<12, 64),
+		New(1),
+		New(4),
+		New(1 << 12),
 	}
 	f := func(which []uint16) bool {
 		for _, w := range which {
@@ -289,7 +272,7 @@ func TestStripesSpreadAddresses(t *testing.T) {
 // TestCrossStripeSlotsIndependent: Get/Set/CAS on slots in different
 // stripes do not interfere (the global-slot API survives the sharding).
 func TestCrossStripeSlotsIndependent(t *testing.T) {
-	tbl := NewSharded(256, 16)
+	tbl := New(1 << 10)
 	per := uint32(tbl.StripeLen())
 	a, b := uint32(0), per*3+1 // stripes 0 and 3
 	tbl.Set(a, UnlockedAt(11))
@@ -339,7 +322,7 @@ func TestConcurrentCASExclusive(t *testing.T) {
 }
 
 func TestStripesOfDedupsAndSorts(t *testing.T) {
-	tbl := NewSharded(64, 8)                   // 8 slots per stripe
+	tbl := New(512)                            // 8 slots per stripe
 	slots := []uint32{63, 0, 17, 7, 16, 62, 1} // stripes 7,0,2,0,2,7,0
 	got := tbl.StripesOf(slots, nil)
 	want := []uint32{0, 2, 7}

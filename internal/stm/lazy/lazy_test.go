@@ -89,19 +89,34 @@ func TestReadOwnWriteThroughRedo(t *testing.T) {
 }
 
 // TestSameOrecMultipleWrites exercises commit when several written
-// addresses share one orec (the holds() fast path).
+// addresses share one orec (the holds() fast path). A backing array of
+// four words per orec holds such collisions; the transaction writes every
+// word of two colliding groups.
 func TestSameOrecMultipleWrites(t *testing.T) {
-	sys := tm.NewSystem(tm.Config{TableSize: 4}, lazy.New) // force collisions
+	sys := tm.NewSystem(tm.Config{}, lazy.New)
+	backing := make([]uint64, 4*sys.Table.Len())
+	byOrec := make(map[uint32][]*uint64)
+	var words []*uint64
+	for i := range backing {
+		idx := sys.Table.IndexOf(&backing[i])
+		if byOrec[idx] = append(byOrec[idx], &backing[i]); len(byOrec[idx]) == 3 {
+			if words = append(words, byOrec[idx]...); len(words) == 6 {
+				break
+			}
+		}
+	}
+	if len(words) != 6 {
+		t.Fatalf("found %d words in colliding groups of 3, want 6", len(words))
+	}
 	thr := sys.NewThread()
-	words := make([]uint64, 32)
 	thr.Atomic(func(tx *tm.Tx) {
-		for i := range words {
-			tx.Write(&words[i], uint64(i)+1)
+		for i, w := range words {
+			tx.Write(w, uint64(i)+1)
 		}
 	})
-	for i := range words {
-		if words[i] != uint64(i)+1 {
-			t.Fatalf("words[%d] = %d", i, words[i])
+	for i, w := range words {
+		if *w != uint64(i)+1 {
+			t.Fatalf("word %d = %d", i, *w)
 		}
 	}
 	for idx := 0; idx < sys.Table.Len(); idx++ {

@@ -10,17 +10,12 @@ import (
 )
 
 // TestConfigRejects pins where a malformed Config fails: in NewSystem, on
-// the constructing goroutine, with a "tm:" message — never as a locktable
-// panic.
+// the constructing goroutine, with a "tm:" message.
 func TestConfigRejects(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  tm.Config
 	}{
-		{"TableSize not a power of two", tm.Config{TableSize: 3}},
-		{"TableSize negative", tm.Config{TableSize: -64}},
-		{"Stripes not a power of two", tm.Config{Stripes: 3}},
-		{"Stripes negative", tm.Config{Stripes: -4}},
 		{"HTMReadCap negative", tm.Config{HTMReadCap: -1}},
 		{"HTMWriteCap negative", tm.Config{HTMWriteCap: -1}},
 		{"HTMSpuriousAbortPerMille negative", tm.Config{HTMSpuriousAbortPerMille: -5}},
@@ -37,17 +32,6 @@ func TestConfigRejects(t *testing.T) {
 			}()
 			tm.NewSystem(c.cfg, eager.New)
 		})
-	}
-}
-
-// TestConfigClampsOutOfRangeStripeBounds pins the other half of the
-// contract: well-formed values that merely disagree with one another are
-// reconciled, not rejected.
-func TestConfigClampsOutOfRangeStripeBounds(t *testing.T) {
-	cfg := tm.Config{TableSize: 64, Stripes: 128}
-	sys := tm.NewSystem(cfg, eager.New)
-	if c := sys.Cfg; c.Stripes != 64 || sys.Table.NumStripes() != 64 {
-		t.Errorf("%+v resolved to TableSize=%d Stripes=%d over a %d-stripe table, want 64 stripes", cfg, c.TableSize, c.Stripes, sys.Table.NumStripes())
 	}
 }
 

@@ -548,10 +548,10 @@ func TestStatsCommitCounts(t *testing.T) {
 func TestPostCommitHookFiresOnWritesOnly(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, sys *tm.System) {
 		var fired int
-		var sawStripes int
-		sys.PostCommit = func(t *tm.Thread, writeOrecs, writeStripes []uint32) {
+		var sawOrecs int
+		sys.PostCommit = func(t *tm.Thread, writeOrecs []uint32) {
 			fired++
-			sawStripes += len(writeStripes)
+			sawOrecs += len(writeOrecs)
 		}
 		thr := sys.NewThread()
 		var x uint64
@@ -561,8 +561,8 @@ func TestPostCommitHookFiresOnWritesOnly(t *testing.T) {
 		if fired != 2 {
 			t.Fatalf("PostCommit fired %d times, want 2", fired)
 		}
-		if sawStripes != 2 {
-			t.Fatalf("PostCommit saw %d write stripes across 2 writer commits, want 2", sawStripes)
+		if sawOrecs != 2 {
+			t.Fatalf("PostCommit saw %d write orecs across 2 one-word writer commits, want 2", sawOrecs)
 		}
 	})
 }

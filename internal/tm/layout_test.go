@@ -41,7 +41,7 @@ func TestThreadLayout(t *testing.T) {
 		"ID": unsafe.Offsetof(th.ID), "Sys": unsafe.Offsetof(th.Sys), "Sem": unsafe.Offsetof(th.Sem), "SlowStat": unsafe.Offsetof(th.SlowStat),
 	})
 	in("owner", owner, map[string]uintptr{
-		"postStripes": unsafe.Offsetof(th.postStripes), "inPostCommit": unsafe.Offsetof(th.inPostCommit), "listed": unsafe.Offsetof(th.listed), "Stat": unsafe.Offsetof(th.Stat),
+		"inPostCommit": unsafe.Offsetof(th.inPostCommit), "listed": unsafe.Offsetof(th.listed), "Stat": unsafe.Offsetof(th.Stat),
 	})
 	in("descriptor", span{header, polled.lo}, map[string]uintptr{"Tx": unsafe.Offsetof(th.Tx), "backoff": unsafe.Offsetof(th.backoff)})
 

@@ -74,15 +74,14 @@ func (tx *Tx) Covers(w uint64) bool {
 }
 
 // Acquire write-locks orec slot idx, last sampled as w, keeping its
-// version for release-on-abort, and records what commit needs: the slot in
-// Locks and its stripe for the post-commit wakeup. It aborts if w is
-// locked or the orec moved since it was sampled.
+// version for release-on-abort, and records the slot in Locks, which
+// Publish hands to the post-commit wakeup. It aborts if w is locked or the
+// orec moved since it was sampled.
 func (tx *Tx) Acquire(idx uint32, w uint64) {
 	if locktable.Locked(w) || !tx.Sys.Table.CAS(idx, w, locktable.LockedBy(tx.Thr.ID, locktable.Version(w))) {
 		tx.Abort(AbortConflict)
 	}
 	tx.Locks = append(tx.Locks, idx)
-	tx.NoteWriteStripe(idx)
 }
 
 func (tx *Tx) holds(idx uint32) bool {

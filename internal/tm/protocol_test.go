@@ -224,12 +224,11 @@ func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
 	}, protocolPaths...)
 	forEachPath(t, paths, func(t *testing.T, p protocolPath, cfg tm.Config) {
 		sys := tm.NewSystem(cfg, p.mk)
-		var orecs, stripes []uint32
+		var orecs []uint32
 		fired := 0
-		sys.PostCommit = func(_ *tm.Thread, writeOrecs, writeStripes []uint32) {
+		sys.PostCommit = func(_ *tm.Thread, writeOrecs []uint32) {
 			fired++
 			orecs = append(orecs, writeOrecs...)
-			stripes = append(stripes, writeStripes...)
 		}
 		ws := distinctWords(t, sys, 3)
 		sys.NewThread().Atomic(func(tx *tm.Tx) {
@@ -249,9 +248,6 @@ func TestProtocolWriteOrecsCoverWrites(t *testing.T) {
 			idx := sys.Table.IndexOf(w)
 			if !slices.Contains(orecs, idx) {
 				t.Errorf("word %d was stored to but its orec slot %d is not in the write orecs %v", i, idx, orecs)
-			}
-			if s := sys.Table.StripeOf(idx); !slices.Contains(stripes, s) {
-				t.Errorf("word %d was stored to but its stripe %d is not in the write stripes %v", i, s, stripes)
 			}
 		}
 		if len(orecs) != len(ws) {
@@ -446,7 +442,7 @@ func TestProtocolPunctuation(t *testing.T) {
 		x, y := ws[0], ws[1]
 		t.Run("committed", func(t *testing.T) {
 			posted, actions, attempts := 0, 0, 0
-			sys.PostCommit = func(*tm.Thread, []uint32, []uint32) { posted++ }
+			sys.PostCommit = func(*tm.Thread, []uint32) { posted++ }
 			pr := &punctuationProbe{}
 			thr.Atomic(func(tx *tm.Tx) {
 				p.enter(t, tx)

@@ -196,12 +196,10 @@ type Tx struct {
 	// every engine path to it.
 	WriteOrecs []uint32
 
-	// WriteStripes is the deduplicated set of orec-table stripes the
-	// attempt's write set touched, recorded by the engines as write
-	// ownership is established (lock acquisition; serial-mode stores).
-	// The post-commit wakeup visits only these stripes, making Algorithm
-	// 4's wakeWaiters O(write set) instead of O(waiters).
-	WriteStripes []uint32
+	// Spare words, the size of a slice: they keep every field below, and
+	// so Thread's cache-line plan, at the offsets it was measured with. The
+	// wake scan derives the stripes it visits from WriteOrecs.
+	_ [3]uint64
 
 	// sigFill counts the bits set in Thr.Sig since it was last cleared
 	// (SigAdd, SigReset); BeginSoftware clears a signature only once it is
@@ -283,24 +281,9 @@ func (tx *Tx) OldValue(addr *uint64) (uint64, bool) {
 	return 0, false
 }
 
-// NoteWriteStripe records that the attempt established write ownership of
-// orec slot idx, adding the slot's stripe to the write-stripe set. Acquire
-// calls it for every write lock taken, NoteWriteOrec for every unlocked
-// in-place store. The set is tiny — one entry per distinct stripe, bounded
-// by the table's stripe count — so a linear dedup scan beats a map.
-func (tx *Tx) NoteWriteStripe(idx uint32) {
-	s := tx.Sys.Table.StripeOf(idx)
-	for _, x := range tx.WriteStripes {
-		if x == s {
-			return
-		}
-	}
-	tx.WriteStripes = append(tx.WriteStripes, s)
-}
-
 // NoteWriteOrec records an in-place store to a word covered by orec slot
 // idx that the attempt does not lock (the HTM serial fallback, which runs
-// alone): the slot joins WriteOrecs, once, and its stripe WriteStripes.
+// alone): the slot joins WriteOrecs, once.
 func (tx *Tx) NoteWriteOrec(idx uint32) {
 	for _, x := range tx.WriteOrecs {
 		if x == idx {
@@ -308,7 +291,6 @@ func (tx *Tx) NoteWriteOrec(idx uint32) {
 		}
 	}
 	tx.WriteOrecs = append(tx.WriteOrecs, idx)
-	tx.NoteWriteStripe(idx)
 }
 
 // LogWait appends an address/value pair to the waitset.
@@ -404,7 +386,6 @@ func (tx *Tx) resetAfterAttempt(committed bool) {
 	tx.Mallocs = tx.Mallocs[:0]
 	tx.Frees = tx.Frees[:0]
 	tx.WriteOrecs = tx.WriteOrecs[:0]
-	tx.WriteStripes = tx.WriteStripes[:0]
 	tx.OnCommit = tx.OnCommit[:0]
 	tx.HWReads, tx.HWWrites = 0, 0
 }
@@ -633,17 +614,9 @@ func (s *Stats) Snapshot() map[string]uint64 {
 	}
 }
 
-// Config selects system-wide parameters.
+// Config selects system-wide parameters. The orec table is not one of
+// them: every System gets locktable.New(locktable.DefaultSize).
 type Config struct {
-	// TableSize is the number of orecs (power of two). 0 selects the default.
-	TableSize int
-	// Stripes is the number of cache-line-padded orec-table stripes (power
-	// of two; a value above TableSize is clamped to it), fixed for the
-	// system's lifetime. 0 selects the default (locktable.DefaultStripes).
-	// Stripe count is a pure performance knob: any value yields identical
-	// observable behaviour, which the differential harness checks at
-	// {1, 4, 64}.
-	Stripes int
 	// HTMReadCap is a simulation parameter: the simulated hardware read
 	// set's capacity, in words (0 selects 4096).
 	HTMReadCap int
@@ -661,31 +634,15 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	// Reject malformed values here, at system construction, with tm's own
-	// message rather than a locktable panic.
-	pow2 := func(name string, v int) { // zero selects the field's default
-		if v < 0 || v&(v-1) != 0 {
-			panic(fmt.Sprintf("tm: %s %d is not a positive power of two", name, v))
-		}
-	}
+	// message.
 	nonNeg := func(name string, v int) {
 		if v < 0 {
 			panic(fmt.Sprintf("tm: %s %d is negative", name, v))
 		}
 	}
-	pow2("TableSize", c.TableSize)
-	pow2("Stripes", c.Stripes)
 	nonNeg("HTMReadCap", c.HTMReadCap)
 	nonNeg("HTMWriteCap", c.HTMWriteCap)
 	nonNeg("HTMSpuriousAbortPerMille", c.HTMSpuriousAbortPerMille)
-	if c.TableSize == 0 {
-		c.TableSize = locktable.DefaultSize
-	}
-	if c.Stripes == 0 {
-		c.Stripes = locktable.DefaultStripes
-	}
-	if c.Stripes > c.TableSize {
-		c.Stripes = c.TableSize
-	}
 	if c.HTMReadCap == 0 {
 		c.HTMReadCap = 4096
 	}
@@ -711,13 +668,12 @@ type System struct {
 	// writer commit (wakeWaiters of Algorithm 4). It is not re-entered
 	// for commits performed inside the hook itself.
 	//
-	// writeOrecs and writeStripes are the committed attempt's write orecs
-	// (Tx.WriteOrecs) and the stripes they lie on, captured by the driver
-	// before any OnCommit callback or nested transaction could overwrite
-	// per-thread state. The hook must treat the slices as read-only and
-	// must not retain them past its return: the driver recycles the
-	// backing arrays for the thread's next commit.
-	PostCommit func(t *Thread, writeOrecs, writeStripes []uint32)
+	// writeOrecs is the committed attempt's write orecs (Tx.WriteOrecs),
+	// captured by the driver before any OnCommit callback or nested
+	// transaction could overwrite per-thread state. The hook must treat
+	// the slice as read-only and must not retain it past its return: the
+	// driver recycles the backing array for the thread's next commit.
+	PostCommit func(t *Thread, writeOrecs []uint32)
 
 	// Tracer, if set, receives driver-level execution events — aborts,
 	// restarts, condition-synchronization blocks and wakes, and thread
@@ -780,7 +736,7 @@ type System struct {
 // capture the system's clock and table.
 func NewSystem(cfg Config, mk func(*System) Engine) *System {
 	cfg = cfg.withDefaults()
-	s := &System{Cfg: cfg, Table: locktable.NewSharded(cfg.TableSize, cfg.Stripes)}
+	s := &System{Cfg: cfg, Table: locktable.New(locktable.DefaultSize)}
 	s.Stats.sys = s
 	s.Clock = clock.New(clock.Global, &s.Stats.clockCASRetries, nil)
 	s.pool.init()
@@ -876,15 +832,14 @@ type Thread struct {
 	// Stat starts the owner block on a line of its own.
 	Stat StatShard
 
-	// postOrecs/postStripes are the scratch buffers the driver copies a
-	// committed attempt's write orecs and stripes into before handing
-	// them to the PostCommit hook. They are swapped out (set nil) for
-	// the duration of the deferred OnCommit callbacks and the hook
-	// itself, so a callback that commits its own transaction on this
-	// thread allocates a fresh buffer instead of clobbering the capture
-	// the outer commit's wake scan is about to use.
+	// postOrecs is the scratch buffer the driver copies a committed
+	// attempt's write orecs into before handing them to the PostCommit
+	// hook. It is swapped out (set nil) for the duration of the deferred
+	// OnCommit callbacks and the hook itself, so a callback that commits
+	// its own transaction on this thread allocates a fresh buffer instead
+	// of clobbering the capture the outer commit's wake scan is about to
+	// use.
 	postOrecs    []uint32
-	postStripes  []uint32
 	inPostCommit bool
 
 	// listed mirrors the thread's bit in the system's live set. Only the
@@ -1167,18 +1122,17 @@ func (t *Thread) commit(tx *Tx) {
 	t.Sys.ExitSerialIfHeld(tx)
 	tx.Nesting = 0
 	t.ActiveStart.Store(0)
-	// Capture the write set into the thread's scratch buffers and detach
-	// them: deferred OnCommit callbacks below may run whole transactions on
+	// Capture the write set into the thread's scratch buffer and detach
+	// it: deferred OnCommit callbacks below may run whole transactions on
 	// this thread (e.g. a condition-variable signal chain), and those
 	// nested commits must not reuse — and thereby clobber — the backing
-	// arrays the outer commit's wake scan is about to be handed. A nested
+	// array the outer commit's wake scan is about to be handed. A nested
 	// commit finds postOrecs nil, allocates its own capture, and restores
 	// it on return; our locals stay intact throughout. The deferred
 	// actions are detached the same way, and their array handed back once
 	// they have run, so the next attempt appends to it without allocating.
 	writeOrecs := append(t.postOrecs[:0], tx.WriteOrecs...)
-	writeStripes := append(t.postStripes[:0], tx.WriteStripes...)
-	t.postOrecs, t.postStripes = nil, nil
+	t.postOrecs = nil
 	deferred := tx.OnCommit
 	tx.OnCommit = nil
 	tx.resetAfterAttempt(true)
@@ -1194,10 +1148,10 @@ func (t *Thread) commit(tx *Tx) {
 	tx.OnCommit = deferred[:0]
 	if wrote && t.Sys.PostCommit != nil && !t.inPostCommit {
 		t.inPostCommit = true
-		t.Sys.PostCommit(t, writeOrecs, writeStripes)
+		t.Sys.PostCommit(t, writeOrecs)
 		t.inPostCommit = false
 	}
-	t.postOrecs, t.postStripes = writeOrecs[:0], writeStripes[:0]
+	t.postOrecs = writeOrecs[:0]
 }
 
 // unwind rolls the attempt back and releases everything it held: locks,

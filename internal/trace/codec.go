@@ -53,9 +53,6 @@ func Encode(w io.Writer, tr *Trace) error {
 	if tr.Seed != 0 {
 		fmt.Fprintf(bw, "seed %d\n", tr.Seed)
 	}
-	if tr.Knobs != "" {
-		fmt.Fprintf(bw, "knobs %s\n", tr.Knobs)
-	}
 	if tr.Replay != "" {
 		fmt.Fprintf(bw, "replay %s\n", tr.Replay)
 	}
@@ -182,7 +179,7 @@ func (st *decodeState) line(line string) error {
 		return errf(st.lineNo, "trailing content after `end` trailer")
 	}
 	switch key {
-	case "source", "seed", "knobs", "replay", "world":
+	case "source", "seed", "replay", "world":
 		if len(st.tr.Events) > 0 {
 			return errf(st.lineNo, "header line %q after the first event", key)
 		}
@@ -243,8 +240,6 @@ func (st *decodeState) header(key string, f []string, line string) error {
 			return errf(st.lineNo, "malformed seed %q", f[1])
 		}
 		st.tr.Seed = v
-	case "knobs":
-		st.tr.Knobs = strings.TrimSpace(strings.TrimPrefix(line, "knobs"))
 	case "replay":
 		st.tr.Replay = strings.TrimSpace(strings.TrimPrefix(line, "replay"))
 	case "world":

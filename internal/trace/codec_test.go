@@ -23,7 +23,6 @@ import (
 const validTrace = `tmtrace 1
 source hand
 seed 7
-knobs stripes=4
 replay -threads 2
 
 # comments and blank lines are fine anywhere
@@ -80,6 +79,8 @@ var decodeErrorCases = []struct {
 	{"open txn at end", "tmtrace 1\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nev 0 begin\nev 0 write c 0 + 1\nend 2\n", "ends inside an open transaction"},
 	{"event after detach", "tmtrace 1\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nev 0 detach\nev 0 begin\n", "event after thread 0 detached"},
 	{"trailing content", "tmtrace 1\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nend 0\nev 0 begin\n", "trailing content after"},
+	// Traces carry no knob stamp: every run uses the one orec table.
+	{"knobs header", "tmtrace 1\nknobs stripes=4\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nend 0\n", `unknown directive "knobs"`},
 	{"unknown directive", "tmtrace 1\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nbogus line here\n", "unknown directive"},
 	{"unknown event kind", "tmtrace 1\nworld threads=1 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nev 0 explode\n", "unknown event kind"},
 	{"thread out of range", "tmtrace 1\nworld threads=2 counters=1 bufcap=0 queue=0 stack=0 map=0 mapkeys=0 qcap=0 scap=0 mcap=0\nev 2 begin\n", "out of range [0, 2)"},
@@ -119,7 +120,7 @@ func TestDecodeValidTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Source != "hand" || tr.Seed != 7 || tr.Knobs != "stripes=4" || tr.Replay != "-threads 2" {
+	if tr.Source != "hand" || tr.Seed != 7 || tr.Replay != "-threads 2" {
 		t.Errorf("headers decoded wrong: %+v", tr)
 	}
 	if len(tr.Events) != 25 {
@@ -140,7 +141,7 @@ func TestDecodeValidTrace(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("encode→decode→encode is not a fixed point")
 	}
-	if _, _, err := harness.ReplayTrace(tr); err != nil {
+	if _, err := harness.ReplayTrace(tr); err != nil {
 		t.Errorf("valid hand trace failed scenario reconstruction: %v", err)
 	}
 }
@@ -179,6 +180,6 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("encode→decode→encode is not a fixed point")
 		}
-		_, _, _ = harness.ReplayTrace(tr) // must not panic; errors are fine
+		_, _ = harness.ReplayTrace(tr) // must not panic; errors are fine
 	})
 }

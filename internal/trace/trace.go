@@ -141,10 +141,6 @@ type Trace struct {
 	// Seed is the generator seed that produced the recorded program, when
 	// there was one (0 otherwise).
 	Seed uint64
-	// Knobs is the performance-knob stamp of the recorded run, in the
-	// key=value form package harness encodes; replay runs under the same
-	// knobs unless overridden.
-	Knobs string
 	// Replay carries extra generator flags needed to regenerate the
 	// program from Seed (the scenario's ReplayArgs), when any.
 	Replay string
@@ -182,9 +178,9 @@ type Recorder struct {
 }
 
 // NewRecorder starts a trace with the given provenance header.
-func NewRecorder(source string, seed uint64, knobs, replay string, w World) *Recorder {
+func NewRecorder(source string, seed uint64, replay string, w World) *Recorder {
 	return &Recorder{
-		tr:  Trace{Version: Version, Source: source, Seed: seed, Knobs: knobs, Replay: replay, World: w},
+		tr:  Trace{Version: Version, Source: source, Seed: seed, Replay: replay, World: w},
 		ids: make(map[uint64]int),
 	}
 }

@@ -2,8 +2,7 @@ package trace_test
 
 // Golden-trace regression fixtures. Each file under testdata/ distills
 // one wakeup-race program shape into a committed, replayable artifact:
-// the trace pins the program and its knob stamp (all three run under the
-// default configuration), and this test replays every fixture through
+// the trace pins the program, and this test replays every fixture through
 // all four engines × every applicable mechanism, asserting the oracle
 // holds. A regression of any of those races shows up here as a wedge
 // (lost wakeup) or an oracle diff, with the fixture file itself as the
@@ -22,11 +21,10 @@ import (
 var goldenTraces = []struct {
 	file   string
 	digest string
-	knobs  string
 }{
-	{file: "stale_token.trace", digest: "6cacdc9e810837ce", knobs: ""},
-	{file: "oncommit_clobber.trace", digest: "44f7a954d559aa81", knobs: ""},
-	{file: "idle_strand.trace", digest: "9e439c2183bfa843", knobs: ""},
+	{file: "stale_token.trace", digest: "6cacdc9e810837ce"},
+	{file: "oncommit_clobber.trace", digest: "44f7a954d559aa81"},
+	{file: "idle_strand.trace", digest: "9e439c2183bfa843"},
 }
 
 func TestGoldenTracesReplayOracleIdentical(t *testing.T) {
@@ -43,17 +41,14 @@ func TestGoldenTracesReplayOracleIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			s, k, err := harness.ReplayTrace(tr)
+			s, err := harness.ReplayTrace(tr)
 			if err != nil {
 				t.Fatalf("replay: %v", err)
-			}
-			if got := harness.EncodeKnobs(k); got != g.knobs {
-				t.Errorf("knob stamp %q, want %q", got, g.knobs)
 			}
 			if s.Digest != g.digest {
 				t.Errorf("digest %s, golden %s — fixture or reconstruction drift; if intentional, update the golden and explain why", s.Digest, g.digest)
 			}
-			for _, res := range harness.RunScenario(s, harness.Engines, "", k) {
+			for _, res := range harness.RunScenario(s, harness.Engines, "") {
 				if res.Failed() {
 					t.Errorf("%s", res.String())
 				}
